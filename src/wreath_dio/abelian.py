@@ -177,6 +177,27 @@ class GroupElement:
         return any(c != 0 for c in self.coords[len(self.group.torsion):])
 
 
+def coord_reducer(
+    G: GroupPresentation,
+) -> Callable[[Iterable[int]], tuple[int, ...]]:
+    """GroupElement's reduction rule on bare coordinates, for inner loops.
+
+    The returned function takes integer coordinates of G to the canonical
+    tuple a GroupElement would store: torsion coordinates mod alpha_i, free
+    ones unchanged.  For a torsion-free G it is plain ``tuple``.
+    """
+    torsion = G.torsion
+    if not torsion:
+        return tuple
+    t = len(torsion)
+
+    def reduce(coords: Iterable[int]) -> tuple[int, ...]:
+        v = tuple(coords)
+        return tuple([c % a for c, a in zip(v, torsion)]) + v[t:]
+
+    return reduce
+
+
 @dataclass(frozen=True)
 class Subgroup:
     """A subgroup of an ambient group, given by a finite list of generators."""

@@ -11,9 +11,9 @@ Commands
 
 Exit codes: 0 positive / certificate valid; 1 negative / certificate invalid;
 2 budget exhausted before a decision; 3 unreadable or malformed input;
-4 precondition or shape violation.  Reports are canonical JSON on stdout
-(or --output, written atomically).  Set WREATH_DIO_LOG=DEBUG|INFO|WARNING
-for diagnostics on stderr.
+4 precondition or shape violation, or a command-line usage error.  Reports
+are canonical JSON on stdout (or --output, written atomically).  Set
+WREATH_DIO_LOG=DEBUG|INFO|WARNING for diagnostics on stderr.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ import os
 import sys
 import tempfile
 import time
-from typing import Optional
+from functools import lru_cache
+from typing import NoReturn, Optional
 
 from .abelian import BudgetExceeded, GroupPresentation
 from .codec import (
@@ -369,8 +370,16 @@ def _add_group_flags(
     p.add_argument("--base-torsion", default=base_default[1])
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit EXIT_PRECONDITION: code 2 means unknown-budget."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PRECONDITION, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="wreath-dio",
         description="Decide orientable quadratic equations over wreath products"
         " of finitely generated abelian groups.",
@@ -451,6 +460,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The process-wide parser: parse_args keeps no state between calls."""
+    return build_parser()
+
+
 def _configure_logging() -> None:
     level_name = os.environ.get("WREATH_DIO_LOG", "").strip().upper()
     if not level_name:
@@ -465,8 +480,7 @@ def _configure_logging() -> None:
 
 def main(argv: Optional[list[str]] = None) -> int:
     _configure_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except _CliError as exc:

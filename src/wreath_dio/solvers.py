@@ -14,6 +14,7 @@ import itertools
 import time
 from dataclasses import dataclass, field
 from math import isqrt
+from operator import add, neg, sub
 from typing import Iterator, Optional, Sequence
 
 from .abelian import (
@@ -21,6 +22,7 @@ from .abelian import (
     GroupElement,
     GroupPresentation,
     Subgroup,
+    coord_reducer,
     enumerate_ball,
     group_rank,
     quotient_maps,
@@ -114,7 +116,8 @@ def _positive(
     N: Subgroup,
 ) -> SolveResult:
     cert = make_certificate(I, deltas, N)
-    assert verify_certificate(I, cert)
+    if not verify_certificate(I, cert):
+        raise AssertionError(f"{method} produced a certificate that fails to verify")
     return SolveResult(POSITIVE, method, cert, dict(meter.counters))
 
 
@@ -402,32 +405,6 @@ def solve_bounded_m(
 # complete fallback
 
 
-def _add_shifted_inplace(
-    sum_d: dict, g: SupportedFunction, delta: GroupElement
-) -> list:
-    """Add shift(g, delta) into sum_d; return an undo log."""
-    undo = []
-    for point, coeff in g.terms:
-        p = point - delta
-        old = sum_d.get(p)
-        undo.append((p, old))
-        new = coeff if old is None else old + coeff
-        if new.is_zero():
-            if old is not None:
-                del sum_d[p]
-        else:
-            sum_d[p] = new
-    return undo
-
-
-def _undo_inplace(sum_d: dict, undo: list) -> None:
-    for p, old in reversed(undo):
-        if old is None:
-            sum_d.pop(p, None)
-        else:
-            sum_d[p] = old
-
-
 _REACH_CAP = 4096
 
 
@@ -447,38 +424,71 @@ def _anchored_search(
     and a node dies early if some point's coefficient cannot be canceled by
     any subset of the remaining functions' lamp values (each placement lands
     at most one lamp on a fixed point).
+
+    The search runs on canonical coordinate tuples: points of B/N and
+    coefficients of A, kept canonical by each group's coord_reducer.  Tuples
+    order as their GroupElements do, so nodes are visited in coordinate
+    order.  GroupElement appears at entry only, in the pushforwards, and at
+    exit, where the found shifts are lifted back to B.
     """
-    Q, project, lift_map = quotient_maps(B, N.generators)
-    gs = [pushforward(f, N) for f in fs]
-    active = [i for i, g in enumerate(gs) if not g.is_zero()]
+    Q, _, lift_map = quotient_maps(B, N.generators)
+    pushed = [pushforward(f, N) for f in fs]
+    active = [i for i, g in enumerate(pushed) if not g.is_zero()]
     result = [B.zero() for _ in fs]
     if not active:
         return tuple(result)
 
-    value_id: dict[SupportedFunction, int] = {}
+    A = pushed[active[0]].coeff_group
+    red_q = coord_reducer(Q)
+    red_a = coord_reducer(A)
+    # each function as ((point, coeff), ...) coordinate pairs, sorted by point
+    gs = {
+        i: tuple((p.coords, c.coords) for p, c in pushed[i].terms)
+        for i in active
+    }
+    value_id: dict[tuple, int] = {}
     for i in active:
         value_id.setdefault(gs[i], len(value_id))
     vids = {i: value_id[gs[i]] for i in active}
-    lamp_values = {
-        i: tuple(sorted({c for _, c in gs[i].terms}, key=lambda e: e.coords))
-        for i in active
-    }
+    lamp_values = {i: tuple(sorted({c for _, c in gs[i]})) for i in active}
 
-    assignment: dict[int, GroupElement] = {}
+    assignment: dict[int, tuple[int, ...]] = {}
     memo: set = set()
     reach_cache: dict[tuple[int, ...], Optional[frozenset]] = {}
+
+    def place(sum_d: dict, terms: tuple, delta: tuple[int, ...]) -> list:
+        """Add the function with these terms, shifted by delta, into sum_d;
+        return an undo log."""
+        undo = []
+        for point, coeff in terms:
+            p = red_q(map(sub, point, delta))
+            old = sum_d.get(p)
+            undo.append((p, old))
+            new = coeff if old is None else red_a(map(add, old, coeff))
+            if any(new):
+                sum_d[p] = new
+            elif old is not None:
+                del sum_d[p]
+        return undo
+
+    def unplace(sum_d: dict, undo: list) -> None:
+        for p, old in reversed(undo):
+            if old is None:
+                sum_d.pop(p, None)
+            else:
+                sum_d[p] = old
 
     def reachable(unplaced: tuple[int, ...]) -> Optional[frozenset]:
         # all values sum_i x_i with x_i in {0} + lamp_values[i]; None = too big
         key = tuple(sorted(vids[i] for i in unplaced))
         if key in reach_cache:
             return reach_cache[key]
-        reach = {gs[active[0]].coeff_group.zero()}
+        reach = {(0,) * A.ncoords}
         for i in unplaced:
             grown = set(reach)
             for r in reach:
                 for v in lamp_values[i]:
-                    grown.add(r + v)
+                    grown.add(red_a(map(add, r, v)))
             reach = grown
             if len(reach) > _REACH_CAP:
                 reach_cache[key] = None
@@ -491,10 +501,10 @@ def _anchored_search(
         ids = tuple(sorted(vids[i] for i in unplaced))
         if not sum_d:
             return ids, ()
-        pts = sorted(sum_d, key=lambda e: e.coords)
-        base = pts[0]
+        items = sorted(sum_d.items())  # points are distinct: sorted by point
+        base = items[0][0]
         # translation-normalized: failure is invariant under joint shifts
-        body = tuple(((p - base).coords, sum_d[p].coords) for p in pts)
+        body = tuple([(red_q(map(sub, p, base)), c) for p, c in items])
         return ids, body
 
     def dfs(unplaced: tuple[int, ...], sum_d: dict) -> bool:
@@ -506,13 +516,13 @@ def _anchored_search(
             if not unplaced:
                 return True
             i0 = unplaced[0]
-            delta = Q.zero()  # anchor: sums are translation-invariant
-            undo = _add_shifted_inplace(sum_d, gs[i0], delta)
+            delta = (0,) * Q.ncoords  # anchor: sums are translation-invariant
+            undo = place(sum_d, gs[i0], delta)
             assignment[i0] = delta
             if dfs(unplaced[1:], sum_d):
                 return True
             del assignment[i0]
-            _undo_inplace(sum_d, undo)
+            unplace(sum_d, undo)
             memo.add(key)
             return False
         if not unplaced:
@@ -521,10 +531,10 @@ def _anchored_search(
         reach = reachable(unplaced)
         if reach is not None:
             for coeff in sum_d.values():
-                if -coeff not in reach:
+                if red_a(map(neg, coeff)) not in reach:
                     memo.add(key)
                     return False
-        p = min(sum_d, key=lambda e: e.coords)
+        p = min(sum_d)
         tried = set()
         for pos, i in enumerate(unplaced):
             vid = vids[i]
@@ -532,20 +542,20 @@ def _anchored_search(
                 continue
             tried.add(vid)
             rest = unplaced[:pos] + unplaced[pos + 1 :]
-            for point, _coeff in gs[i].terms:
-                delta = point - p
-                undo = _add_shifted_inplace(sum_d, gs[i], delta)
+            for point, _coeff in gs[i]:
+                delta = red_q(map(sub, point, p))
+                undo = place(sum_d, gs[i], delta)
                 assignment[i] = delta
                 if dfs(rest, sum_d):
                     return True
                 del assignment[i]
-                _undo_inplace(sum_d, undo)
+                unplace(sum_d, undo)
         memo.add(key)
         return False
 
     if dfs(tuple(active), {}):
         for i in active:
-            result[i] = lift_map(assignment[i])
+            result[i] = lift_map(Q.element(assignment[i]))
         return tuple(result)
     return None
 
@@ -593,7 +603,8 @@ def dispatch(
     meter = _Meter(budget)
     if I.A.is_trivial():
         cert = make_certificate(I, _zero_deltas(I), Subgroup.trivial(I.B))
-        assert verify_certificate(I, cert)
+        if not verify_certificate(I, cert):
+            raise AssertionError("trivial-a certificate fails to verify")
         return SolveResult(POSITIVE, "trivial-a", cert, dict(meter.counters))
     if I.h >= group_rank(I.B):
         return solve_big_h(I, budget)

@@ -285,7 +285,8 @@ def gen_solvable(
         consts.append(c_m)
     eq = OrientableEquation(A, B, genus, tuple(consts))
     asn = EquationAssignment(tuple(xs), tuple(ys), tuple(zs))
-    assert evaluate(eq, asn).is_identity()
+    if not evaluate(eq, asn).is_identity():
+        raise AssertionError("generated assignment does not solve the equation")
     return eq, asn
 
 

@@ -15,6 +15,7 @@ from wreath_dio.cli import (
     EXIT_POSITIVE,
     EXIT_PRECONDITION,
     EXIT_UNKNOWN,
+    build_parser,
     main,
 )
 from wreath_dio.codec import (
@@ -28,6 +29,7 @@ from wreath_dio.codec import (
 )
 from wreath_dio.group_ring import SupportedFunction
 from wreath_dio.qsp import Certificate, QspInstance
+from wreath_dio.solvers import dispatch
 from wreath_dio.wreath import OrientableEquation, WreathElement, gen_solvable
 
 Z = GroupPresentation(1)
@@ -419,6 +421,46 @@ def test_oracle_budget_exit(tmp_path, capsys):
 def test_missing_subcommand_raises_systemexit():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_usage_error_exits_precondition_not_unknown(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve"])
+    assert exc.value.code == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert err.startswith("usage: wreath-dio solve")
+    assert "the following arguments are required: equation" in err
+
+
+def test_bad_method_choice_exits_precondition(tmp_path, capsys):
+    path = _write(tmp_path, "inst.json", encode_instance(_positive_pair_instance()))
+    with pytest.raises(SystemExit) as exc:
+        main(["qsp", "solve", str(path), "--method", "fastest"])
+    assert exc.value.code == EXIT_PRECONDITION
+    assert "invalid choice: 'fastest'" in capsys.readouterr().err
+
+
+def test_reused_parser_gives_each_call_the_defaults(tmp_path, capsys):
+    instance = _positive_pair_instance()
+    auto_method = dispatch(instance).method
+    assert auto_method != "general"
+    path = _write(tmp_path, "inst.json", encode_instance(instance))
+    out = tmp_path / "report.json"
+    code = main(
+        ["qsp", "solve", str(path), "--output", str(out), "--method", "general"]
+    )
+    assert code == EXIT_POSITIVE
+    assert json.loads(out.read_text())["method"] == "general"
+    assert capsys.readouterr().out == ""
+    # no --output and no --method: the report goes to stdout, from dispatch
+    code = main(["qsp", "solve", str(path)])
+    assert code == EXIT_POSITIVE
+    assert _report_from(capsys)["method"] == auto_method
+    assert json.loads(out.read_text())["method"] == "general"
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert build_parser() is not build_parser()
 
 
 def test_module_entrypoint_and_log_env(tmp_path):

@@ -2,10 +2,17 @@
 dispatch routing, and cross-oracle agreement."""
 
 import itertools
+import pathlib
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import wreath_dio
 from wreath_dio.abelian import (
     GroupPresentation,
     Subgroup,
@@ -13,6 +20,7 @@ from wreath_dio.abelian import (
     subgroup_contains,
 )
 from wreath_dio.group_ring import SupportedFunction
+from wreath_dio.hardness import ThreePartInstance, gen_3part_h0
 from wreath_dio.qsp import Certificate, QspInstance, verify_certificate
 from wreath_dio.solvers import (
     MethodPreconditionError,
@@ -430,3 +438,117 @@ def test_counters_present():
         "ball_elements",
     }
     assert all(isinstance(v, int) for v in result.counters.values())
+
+
+# ---------------------------------------------------------------------------
+# the anchored search on coordinate tuples
+
+
+ZxZ2 = GroupPresentation(1, (2,))
+ZxZ3 = GroupPresentation(1, (3,))
+Z3 = GroupPresentation(0, (3,))
+
+
+@st.composite
+def _torsion_instances(draw):
+    """Tiny zero-sum instances whose quotient and coefficients carry torsion.
+
+    Two unit terms go into one or two functions, and a third term at a
+    drawn point cancels their total, so negatives are not decided by the
+    total sum alone.  The size cap keeps the exhaustive oracle quick.
+    """
+    A = draw(st.sampled_from((Z2, Z3, Z)))
+    B = draw(st.sampled_from((ZxZ2, ZxZ3)))
+    h = draw(st.sampled_from((0, 1)))
+    point = st.tuples(st.integers(0, 1), st.integers(0, 1)).map(B.element)
+    coeff = st.sampled_from((-1, 1)).map(lambda c: A.element((c,)))
+    terms = draw(st.lists(st.tuples(point, coeff), min_size=2, max_size=2))
+    split = draw(st.sampled_from((1, 2)))
+    groups = [terms] if split == 1 else [terms[:1], terms[1:]]
+    fs = [SupportedFunction(A, B, tuple(g)) for g in groups]
+    total = sum((f.total_coefficient() for f in fs), A.zero())
+    fs[-1] = fs[-1] + SupportedFunction.atom(-total, draw(point))
+    I = QspInstance(A, B, tuple(fs), h)
+    assume(I.size() <= 10)
+    return I
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_torsion_instances())
+def test_general_agrees_with_oracle_over_torsion_groups(I):
+    ref = oracle_solve(I)
+    assert ref.decision in ("positive", "negative")
+    result = solve_general(I)
+    assert result.decision == ref.decision
+    if result.decision == "positive":
+        assert verify_certificate(I, result.certificate)
+
+
+# Pinned from solve_general before the search moved onto coordinate tuples:
+# the same node count and the same certificate mean the same search order.
+@pytest.mark.parametrize(
+    "values, k, decision, nodes, deltas",
+    [
+        ((4, 4, 4, 4, 4, 6), 2, "negative", 714, None),
+        (
+            (4, 4, 4, 4, 5, 5, 6, 6, 7),
+            3,
+            "positive",
+            170,
+            (0, -4, -16, -32, -20, -36, -25, -41, -8, 0),
+        ),
+    ],
+)
+def test_general_search_order_pinned_on_3part_h0(values, k, decision, nodes, deltas):
+    a = b = Z.element((1,))
+    I = gen_3part_h0(ThreePartInstance(values, k), a, b)
+    result = solve_general(I)
+    assert result.decision == decision
+    assert result.counters["delta_tuples"] == nodes
+    if deltas is None:
+        assert result.certificate is None
+    else:
+        assert result.certificate.deltas == tuple(Z.element((d,)) for d in deltas)
+        assert result.certificate.subgroup_gens == ()
+
+
+# ---------------------------------------------------------------------------
+# certificate checks under python -O
+
+
+def test_certificate_checks_survive_optimize_flag():
+    script = textwrap.dedent(
+        """
+        import sys
+        from wreath_dio import solvers
+        from wreath_dio.abelian import GroupPresentation
+        from wreath_dio.group_ring import SupportedFunction
+        from wreath_dio.qsp import QspInstance
+
+        if __debug__:
+            sys.exit("the child runs without -O")
+        solvers.verify_certificate = lambda I, cert: False
+        Z = GroupPresentation(1)
+        trivial_a = QspInstance(GroupPresentation(0), Z, (), 0)
+        pair = QspInstance(Z, Z, (
+            SupportedFunction.atom(Z.element((1,)), Z.element((0,))),
+            SupportedFunction.atom(Z.element((-1,)), Z.element((5,))),
+        ), 0)
+        for name, I in (("trivial-a", trivial_a), ("positive", pair)):
+            try:
+                solvers.dispatch(I)
+            except AssertionError:
+                continue
+            sys.exit(f"{name}: a failed verification went unnoticed")
+        print("ok")
+        """
+    )
+    package_root = pathlib.Path(wreath_dio.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(package_root)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
