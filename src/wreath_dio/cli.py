@@ -399,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_qsolve.add_argument("instance")
     p_qsolve.add_argument(
         "--method",
-        choices=["auto", "big-h", "finite-b", "single-f", "bounded-m", "general"],
+        choices=["auto", *METHODS],
         default="auto",
     )
     _add_budget_flags(p_qsolve)

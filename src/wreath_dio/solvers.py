@@ -1,11 +1,12 @@
 """Decision procedures for the Quotient Sum Problem.
 
-Four polynomial special cases (large rank budget, finite base group, a single
-function over a torsion-free base, boundedly many functions) plus a complete
-exponential fallback, behind a dispatcher that routes each instance to the
-first applicable method.  Every positive answer carries a certificate that
-passes verify_certificate; exhausted budgets surface as an explicit
-"unknown-budget" outcome, never as a wrong answer.
+Two polynomial special cases (large rank budget, a single function over a
+torsion-free base) plus a complete search that decides everything else,
+behind a dispatcher that settles a trivial coefficient group itself and
+routes every other instance to the first applicable method.  Every positive
+answer carries a certificate that passes verify_certificate; exhausted
+budgets surface as an explicit "unknown-budget" outcome, never as a wrong
+answer.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .abelian import (
     quotient_maps,
     subgroup_rank,
 )
-from .group_ring import SupportedFunction, is_zero_mod, pushforward, shift
+from .group_ring import SupportedFunction, is_zero_mod, pushforward
 from .lattice import lattice_basis, saturation, span_membership
 from .qsp import (
     Certificate,
@@ -42,8 +43,6 @@ from .qsp import (
 POSITIVE = "positive"
 NEGATIVE = "negative"
 UNKNOWN = "unknown-budget"
-
-DEFAULT_BOUNDED_M = 3
 
 
 @dataclass(frozen=True)
@@ -158,98 +157,6 @@ def solve_big_h(I: QspInstance, budget: SolverBudget = DEFAULT_BUDGET) -> SolveR
 
 
 # ---------------------------------------------------------------------------
-# finite B
-
-
-_SUBGROUP_LATTICE_CACHE: dict[GroupPresentation, tuple] = {}
-
-
-def _finite_subgroup_lattice(
-    B: GroupPresentation,
-) -> tuple[tuple[int, tuple[GroupElement, ...]], ...]:
-    """All subgroups of the finite group B as (rank, generators), cached.
-
-    Closure construction: extend each known subgroup by each group element,
-    keying on the full element set, until no new subgroup appears.
-    """
-    if B in _SUBGROUP_LATTICE_CACHE:
-        return _SUBGROUP_LATTICE_CACHE[B]
-    elements = sorted(B.elements(), key=lambda g: g.coords)
-
-    def span(gens: tuple[GroupElement, ...]) -> frozenset:
-        reached = {B.zero()}
-        frontier = [B.zero()]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = x + g
-                if y not in reached:
-                    reached.add(y)
-                    frontier.append(y)
-        return frozenset(e.coords for e in reached)
-
-    found: dict[frozenset, tuple[GroupElement, ...]] = {span(()): ()}
-    queue = [()]
-    while queue:
-        gens = queue.pop(0)
-        for g in elements:
-            new = gens + (g,)
-            key = span(new)
-            if key not in found:
-                found[key] = new
-                queue.append(new)
-    out = []
-    for key in sorted(found, key=lambda k: (len(k), sorted(k))):
-        gens = found[key]
-        out.append((subgroup_rank(Subgroup(B, gens)), gens))
-    result = tuple(out)
-    _SUBGROUP_LATTICE_CACHE[B] = result
-    return result
-
-
-def solve_finite_B(
-    I: QspInstance, budget: SolverBudget = DEFAULT_BUDGET
-) -> SolveResult:
-    """Minkowski-sum dynamic program over A^B plus the full subgroup lattice."""
-    meter = _Meter(budget)
-    if not I.B.is_finite():
-        raise MethodPreconditionError("requires a finite base group")
-    try:
-        elements = sorted(I.B.elements(), key=lambda g: g.coords)
-        meter.charge("ball_elements", len(elements))
-        # V holds every achievable shifted sum with one witness delta tuple
-        V: dict[SupportedFunction, tuple[GroupElement, ...]] = {
-            SupportedFunction.zero(I.A, I.B): ()
-        }
-        for f in I.fs:
-            V2: dict[SupportedFunction, tuple[GroupElement, ...]] = {}
-            for v, wit in sorted(
-                V.items(), key=lambda kv: tuple(d.coords for d in kv[1])
-            ):
-                for delta in elements:
-                    meter.charge("delta_tuples")
-                    u = v + shift(f, delta)
-                    if u not in V2:
-                        V2[u] = wit + (delta,)
-            V = V2
-        candidates = [
-            (rank, gens)
-            for rank, gens in _finite_subgroup_lattice(I.B)
-            if rank <= I.h
-        ]
-        for v, wit in sorted(
-            V.items(), key=lambda kv: tuple(d.coords for d in kv[1])
-        ):
-            for rank, gens in candidates:
-                meter.charge("subgroup_tuples")
-                if is_zero_mod(v, Subgroup(I.B, gens)):
-                    return _positive(I, "finite-B", meter, wit, Subgroup(I.B, gens))
-        return _negative(I, "finite-B", meter)
-    except BudgetExceeded as exc:
-        return _unknown(I, "finite-B", meter, exc)
-
-
-# ---------------------------------------------------------------------------
 # single function over a torsion-free base
 
 
@@ -305,7 +212,7 @@ def _vanishes_mod_rational_span(f: SupportedFunction, vecs: list[list[int]]) -> 
 
 
 # ---------------------------------------------------------------------------
-# shared candidate-subgroup machinery
+# complete fallback
 
 
 def _euclid_pool(
@@ -362,47 +269,6 @@ def _candidate_subgroups(
             if key not in seen:
                 seen.add(key)
                 yield S
-
-
-# ---------------------------------------------------------------------------
-# bounded number of functions
-
-
-def solve_bounded_m(
-    I: QspInstance,
-    budget: SolverBudget = DEFAULT_BUDGET,
-    max_m: int = DEFAULT_BOUNDED_M,
-) -> SolveResult:
-    """Few functions: enumerate normalized shifts and short generator tuples."""
-    meter = _Meter(budget)
-    if len(I.fs) > max_m:
-        raise MethodPreconditionError(f"requires at most {max_m} functions")
-    if I.h >= group_rank(I.B):
-        raise MethodPreconditionError("requires h < rank(B); use the big-h route")
-    if not I.fs:
-        return _positive(I, "bounded-m", meter, (), Subgroup.trivial(I.B))
-    if not _total_sum_is_zero(I):
-        return _negative(I, "bounded-m", meter)
-    size_i = I.size()
-    try:
-        candidates = list(_candidate_subgroups(I.B, I.h, size_i, meter))
-        ball = []
-        for g in enumerate_ball(I.B, size_i, cap=meter.budget.max_ball_elements):
-            meter.charge("ball_elements")
-            ball.append(g)
-        for deltas in itertools.product(ball, repeat=len(I.fs)):
-            meter.charge("delta_tuples")
-            c = shifted_sum(I.fs, deltas)
-            for N in candidates:
-                if is_zero_mod(c, N):
-                    return _positive(I, "bounded-m", meter, deltas, N)
-        return _negative(I, "bounded-m", meter)
-    except BudgetExceeded as exc:
-        return _unknown(I, "bounded-m", meter, exc)
-
-
-# ---------------------------------------------------------------------------
-# complete fallback
 
 
 _REACH_CAP = 4096
@@ -589,16 +455,12 @@ def solve_general(
 # dispatcher
 
 
-def dispatch(
-    I: QspInstance,
-    budget: SolverBudget = DEFAULT_BUDGET,
-    max_m: int = DEFAULT_BOUNDED_M,
-) -> SolveResult:
+def dispatch(I: QspInstance, budget: SolverBudget = DEFAULT_BUDGET) -> SolveResult:
     """Route to the first applicable method.
 
-    Order: trivial coefficient group, large rank budget, finite base group,
-    single function over a torsion-free base, boundedly many functions,
-    complete fallback.
+    Order: trivial coefficient group, large rank budget, single function over
+    a torsion-free base, then the complete search for everything else,
+    finite base groups and few functions included.
     """
     meter = _Meter(budget)
     if I.A.is_trivial():
@@ -608,20 +470,14 @@ def dispatch(
         return SolveResult(POSITIVE, "trivial-a", cert, dict(meter.counters))
     if I.h >= group_rank(I.B):
         return solve_big_h(I, budget)
-    if I.B.is_finite():
-        return solve_finite_B(I, budget)
     if len(I.fs) == 1 and not I.B.torsion:
         return solve_single_f(I, budget)
-    if len(I.fs) <= max_m:
-        return solve_bounded_m(I, budget, max_m)
     return solve_general(I, budget)
 
 
 METHODS = {
     "big-h": solve_big_h,
-    "finite-b": solve_finite_B,
     "single-f": solve_single_f,
-    "bounded-m": solve_bounded_m,
     "general": solve_general,
 }
 

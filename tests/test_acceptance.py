@@ -63,8 +63,6 @@ from wreath_dio.solvers import (
     dispatch,
     oracle_solve,
     solve_big_h,
-    solve_bounded_m,
-    solve_finite_B,
     solve_general,
     solve_single_f,
 )
@@ -370,14 +368,9 @@ def _cross_check(instance, sampled):
     """Run every applicable solver against the double-exhaustion oracle."""
     ref = oracle_solve(instance, ORACLE_BUDGET)
     assert ref.decision in ("positive", "negative"), instance
-    rank_B = group_rank(instance.B)
     solvers = [dispatch, solve_general]
-    if instance.B.is_finite():
-        solvers.append(solve_finite_B)
-    if instance.h >= rank_B:
+    if instance.h >= group_rank(instance.B):
         solvers.append(solve_big_h)
-    elif len(instance.fs) <= 3:
-        solvers.append(solve_bounded_m)
     if len(instance.fs) == 1 and not instance.B.torsion:
         solvers.append(solve_single_f)
     for solver in solvers:

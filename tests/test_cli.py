@@ -102,7 +102,7 @@ def test_qsp_solve_positive_report_schema(tmp_path, capsys):
     report = _report_from(capsys)
     assert code == EXIT_POSITIVE
     assert report["decision"] == "positive"
-    assert report["method"] == "bounded-m"
+    assert report["method"] == "general"
     assert report["certificate"] is not None
     assert report["input_digest"] == digest(path.read_bytes())
 
@@ -432,16 +432,17 @@ def test_usage_error_exits_precondition_not_unknown(capsys):
     assert "the following arguments are required: equation" in err
 
 
-def test_bad_method_choice_exits_precondition(tmp_path, capsys):
+@pytest.mark.parametrize("method", ["fastest", "finite-b", "bounded-m"])
+def test_bad_method_choice_exits_precondition(method, tmp_path, capsys):
     path = _write(tmp_path, "inst.json", encode_instance(_positive_pair_instance()))
     with pytest.raises(SystemExit) as exc:
-        main(["qsp", "solve", str(path), "--method", "fastest"])
+        main(["qsp", "solve", str(path), "--method", method])
     assert exc.value.code == EXIT_PRECONDITION
-    assert "invalid choice: 'fastest'" in capsys.readouterr().err
+    assert f"invalid choice: '{method}'" in capsys.readouterr().err
 
 
 def test_reused_parser_gives_each_call_the_defaults(tmp_path, capsys):
-    instance = _positive_pair_instance()
+    instance = _positive_pair_instance(h=1)
     auto_method = dispatch(instance).method
     assert auto_method != "general"
     path = _write(tmp_path, "inst.json", encode_instance(instance))

@@ -1,4 +1,4 @@
-"""Decision procedures: the four polynomial routes, the complete search,
+"""Decision procedures: the two polynomial routes, the complete search,
 dispatch routing, and cross-oracle agreement."""
 
 import itertools
@@ -28,8 +28,6 @@ from wreath_dio.solvers import (
     dispatch,
     oracle_solve,
     solve_big_h,
-    solve_bounded_m,
-    solve_finite_B,
     solve_general,
     solve_single_f,
 )
@@ -89,39 +87,34 @@ def test_big_h_misroute_rejected():
 
 
 # ---------------------------------------------------------------------------
-# finite-B route
+# finite base groups, decided through dispatch
 
 
-def test_finite_b_aligned_lamps_cancel():
+def test_finite_base_aligned_lamps_cancel():
     fs = (atom(Z2, Z2, (1,), (0,)), atom(Z2, Z2, (1,), (0,)))
     I = QspInstance(Z2, Z2, fs, 0)
-    result = solve_finite_B(I)
-    assert result.method == "finite-B"
+    result = dispatch(I)
+    assert result.method == "general"
     _assert_positive(I, result)
 
 
-def test_finite_b_misaligned_lamps_shift_into_place():
+def test_finite_base_misaligned_lamps_shift_into_place():
     fs = (atom(Z2, Z2, (1,), (0,)), atom(Z2, Z2, (1,), (1,)))
     I = QspInstance(Z2, Z2, fs, 0)
-    _assert_positive(I, solve_finite_B(I))
+    _assert_positive(I, dispatch(I))
 
 
-def test_finite_b_single_odd_lamp_negative():
+def test_finite_base_single_odd_lamp_negative():
     I = QspInstance(Z2, Z2, (atom(Z2, Z2, (1,), (0,)),), 0)
-    assert solve_finite_B(I).decision == "negative"
+    assert dispatch(I).decision == "negative"
 
 
-def test_finite_b_needs_subgroup_collapse():
+def test_finite_base_needs_subgroup_collapse():
     # single function with lamps at both points of Z_2: zero only mod N = B
     f = atom(Z2, Z2, (1,), (0,)) + atom(Z2, Z2, (1,), (1,))
-    assert solve_finite_B(QspInstance(Z2, Z2, (f,), 0)).decision == "negative"
+    assert dispatch(QspInstance(Z2, Z2, (f,), 0)).decision == "negative"
     I = QspInstance(Z2, Z2, (f,), 1)
-    _assert_positive(I, solve_finite_B(I))
-
-
-def test_finite_b_misroute_rejected():
-    with pytest.raises(MethodPreconditionError):
-        solve_finite_B(QspInstance(Z2, Z, (atom(Z2, Z, (1,), (0,)),), 0))
+    _assert_positive(I, dispatch(I))
 
 
 # ---------------------------------------------------------------------------
@@ -189,46 +182,38 @@ def test_single_f_misroutes():
 
 
 # ---------------------------------------------------------------------------
-# bounded-m route
+# few functions over an infinite base, decided through dispatch
 
 
-def test_bounded_m_single_function_rigid_negative():
+def test_rigid_single_function_negative():
     # shifting moves both lamps together; they can never cancel plainly
     f = atom(Z, Z, (1,), (0,)) - atom(Z, Z, (1,), (3,))
     I = QspInstance(Z, Z, (f,), 0)
-    result = solve_bounded_m(I)
-    assert result.method == "bounded-m"
-    assert result.decision == "negative"
+    assert dispatch(I).decision == "negative"
 
 
-def test_bounded_m_pair_aligns_and_cancels():
+def test_pair_aligns_and_cancels():
     fs = (atom(Z, Z, (1,), (0,)), atom(Z, Z, (-1,), (3,)))
     I = QspInstance(Z, Z, fs, 0)
-    _assert_positive(I, solve_bounded_m(I))
+    result = dispatch(I)
+    assert result.method == "general"
+    _assert_positive(I, result)
 
 
-def test_bounded_m_nonzero_total_negative():
+def test_pair_nonzero_total_negative():
     fs = (atom(Z, Z, (1,), (0,)), atom(Z, Z, (2,), (1,)))
-    assert solve_bounded_m(QspInstance(Z, Z, fs, 0)).decision == "negative"
+    assert dispatch(QspInstance(Z, Z, fs, 0)).decision == "negative"
 
 
-def test_bounded_m_uses_subgroup_witness():
+def test_pair_uses_subgroup_witness():
     # the pair cancels only after collapsing mod <(1,1)>
     fs = (
         atom(Z2, ZxZ, (1,), (0, 0)),
         atom(Z2, ZxZ, (1,), (1, 1)),
     )
     I = QspInstance(Z2, ZxZ, fs, 1)
-    result = solve_bounded_m(I)
+    result = dispatch(I)
     _assert_positive(I, result)
-
-
-def test_bounded_m_misroutes():
-    fs = tuple(atom(Z, Z, (1,), (k,)) for k in range(4))
-    with pytest.raises(MethodPreconditionError):
-        solve_bounded_m(QspInstance(Z, Z, fs, 0))  # m = 4 > 3
-    with pytest.raises(MethodPreconditionError):
-        solve_bounded_m(QspInstance(Z, Z, (atom(Z, Z, (1,), (0,)),), 1))  # h >= rank
 
 
 # ---------------------------------------------------------------------------
@@ -266,29 +251,6 @@ def test_general_respects_budget_with_unknown():
     assert result.reason
 
 
-def test_general_agrees_with_finite_b_exhaustively():
-    points = list(Z2.elements())
-    functions = []
-    for coeffs in itertools.product(range(2), repeat=2):
-        functions.append(
-            SupportedFunction(
-                Z2,
-                Z2,
-                tuple(
-                    (p, Z2.element((c,)))
-                    for p, c in zip(points, coeffs)
-                ),
-            )
-        )
-    for m in (1, 2):
-        for fs in itertools.product(functions, repeat=m):
-            for h in (0, 1):
-                I = QspInstance(Z2, Z2, tuple(fs), h)
-                a = solve_finite_B(I).decision
-                b = solve_general(I).decision
-                assert a == b
-
-
 # ---------------------------------------------------------------------------
 # dispatch
 
@@ -305,18 +267,18 @@ def test_dispatch_routing_tags():
     big = QspInstance(Z, Z, (atom(Z, Z, (1,), (0,)),), 1)
     assert dispatch(big).method == "big-h"
     fin = QspInstance(Z2, Z4, (atom(Z2, Z4, (1,), (0,)),), 0)
-    assert dispatch(fin).method == "finite-B"
+    assert dispatch(fin).method == "general"
     single = QspInstance(Z, ZxZ, (atom(Z, ZxZ, (1,), (0, 0)),), 1)
     assert dispatch(single).method == "single-f"
     pair = QspInstance(Z, ZxZ, (atom(Z, ZxZ, (1,), (0, 0)),) * 2, 1)
-    assert dispatch(pair).method == "bounded-m"
+    assert dispatch(pair).method == "general"
     many = QspInstance(Z, ZxZ, (atom(Z, ZxZ, (1,), (0, 0)),) * 4, 1)
     assert dispatch(many).method == "general"
 
 
-def test_dispatch_torsion_single_function_goes_bounded():
+def test_dispatch_torsion_single_function_goes_general():
     I = QspInstance(Z, GroupPresentation(1, (2,)), (SupportedFunction.zero(Z, GroupPresentation(1, (2,))),), 1)
-    assert dispatch(I).method == "bounded-m"
+    assert dispatch(I).method == "general"
 
 
 def test_dispatch_positive_instances_yield_valid_certificates():

@@ -3,10 +3,18 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from wreath_dio.abelian import BudgetExceeded, GroupPresentation, group_rank
+from wreath_dio.abelian import (
+    BudgetExceeded,
+    GroupPresentation,
+    enumerate_ball,
+    group_rank,
+)
 from wreath_dio.group_ring import SupportedFunction
 from wreath_dio.qsp import QspInstance
+from wreath_dio.solvers import dispatch
 from wreath_dio.wreath import (
     EquationAssignment,
     OrientableEquation,
@@ -27,6 +35,7 @@ from wreath_dio.wreath import (
 
 Z = GroupPresentation(1)
 Z2 = GroupPresentation(0, (2,))
+Z3 = GroupPresentation(0, (3,))
 
 
 def w(A, B, delta, terms):
@@ -326,3 +335,55 @@ def test_brute_force_budget():
     eq = OrientableEquation(Z2, Z, 1, (wreath_identity(Z2, Z),))
     with pytest.raises(BudgetExceeded):
         equation_brute_force(eq, 2, max_assignments=10)
+
+
+# ---------------------------------------------------------------------------
+# the reduction and dispatch against brute force over finite A wr B
+
+
+def _covering_radius(B):
+    """Least radius whose ball is all of the finite group B."""
+    r = 0
+    while len(list(enumerate_ball(B, r))) < B.order():
+        r += 1
+    return r
+
+
+@st.composite
+def _finite_equations(draw):
+    """Equations over Z2 wr Z2, Z3 wr Z2 and Z2 wr Z3 small enough that the
+    brute force over the whole group stays quick: 2*genus + m <= 3 over
+    Z2 wr Z2 and <= 2 otherwise.  About half the draws balance the base
+    shifts so the reduction yields an instance; the rest may be refuted by
+    it."""
+    A, B = draw(st.sampled_from(((Z2, Z2), (Z3, Z2), (Z2, Z3))))
+    cap = 3 if (A, B) == (Z2, Z2) else 2
+    genus = draw(st.sampled_from((0, 1)))
+    m = draw(st.integers(1 if genus == 0 else 0, cap - 2 * genus))
+    points = list(B.elements())
+    coeffs = st.sampled_from(list(A.elements()))
+    constants = []
+    for _ in range(m):
+        delta = draw(st.sampled_from(points))
+        lamps = draw(st.lists(coeffs, min_size=len(points), max_size=len(points)))
+        f = SupportedFunction(A, B, tuple(zip(points, lamps)))
+        constants.append(WreathElement(delta, f))
+    if constants and draw(st.booleans()):
+        total = sum((c.delta for c in constants[:-1]), B.zero())
+        constants[-1] = WreathElement(-total, constants[-1].f)
+    return OrientableEquation(A, B, genus, tuple(constants))
+
+
+# zero total coefficient, yet the reduced instance is negative
+@example(OrientableEquation(Z2, Z2, 0, (w(Z2, Z2, (0,), [((0,), (1,)), ((1,), (1,))]),)))
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_finite_equations())
+def test_dispatch_of_reduction_matches_brute_force(eq):
+    reduced = reduce_to_qsp(eq)
+    if isinstance(reduced, Unsolvable):
+        solvable = False
+    else:
+        result = dispatch(reduced)
+        assert result.decision in ("positive", "negative")
+        solvable = result.decision == "positive"
+    assert solvable == equation_brute_force(eq, _covering_radius(eq.B))
