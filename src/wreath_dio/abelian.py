@@ -6,8 +6,9 @@ vectors, torsion coordinates first (stored canonically in [0, alpha_i)), then
 free coordinates.  Everything is immutable and computed with arbitrary
 precision integers; no floating point enters this module.
 
-The workhorse is the Smith normal form, which powers ranks, quotients with
-explicit projection maps, and subgroup membership.
+The workhorse is the Smith normal form.  Each subgroup's preimage matrix is
+diagonalised once, in one cached form, and that one Smith form serves
+membership, rank, the quotient with its projection map, and the lift back.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 
@@ -448,46 +449,94 @@ def _relation_columns(G: GroupPresentation) -> list[tuple[int, ...]]:
     return cols
 
 
-def _preimage_matrix(S: Subgroup) -> IntMatrix:
-    """Columns generating the full preimage of S in Z^ncoords."""
-    cols = [g.canonical_lift() for g in S.generators]
-    cols.extend(_relation_columns(S.ambient))
+def _preimage_matrix(
+    G: GroupPresentation, gens: tuple[GroupElement, ...]
+) -> IntMatrix:
+    """Columns generating the full preimage of <gens> in Z^ncoords."""
+    cols = [g.canonical_lift() for g in gens] + _relation_columns(G)
     if not cols:
-        n = S.ambient.ncoords
+        n = G.ncoords
         return IntMatrix.from_rows([()] * n) if n else IntMatrix(())
     return IntMatrix.from_columns(cols)
 
 
-@lru_cache(maxsize=4096)
-def _membership_data(
-    ambient: GroupPresentation, gens: tuple[GroupElement, ...]
-) -> tuple[tuple[int, ...], IntMatrix, int]:
-    M = _preimage_matrix(Subgroup(ambient, gens))
-    D, U, _ = smith_normal_form(M)
-    diag = tuple(D.entries[i][i] for i in range(min(D.nrows, D.ncols)))
-    return diag, U, M.ncols
+class _SubgroupForm:
+    """The Smith form D = U * M * V of the preimage matrix M of <gens> <= G.
+
+    In the coordinates y = U x of Z^ncoords the preimage is spanned by the
+    d_i * e_i, so G/<gens> is the product of the Z/d_i: coordinates with
+    d_i = 1 vanish, d_i >= 2 become torsion and d_i = 0 stay free.  That one
+    diagonalisation serves membership (project to zero), the quotient
+    (project), its section (lift, through U^-1) and the rank (the columns of
+    V at zero pivots span the relations among the generators).  U^-1 and the
+    rank are computed on first use.
+    """
+
+    def __init__(self, G: GroupPresentation, gens: tuple[GroupElement, ...]):
+        self.G = G
+        self.gens = gens
+        D, self.U, self.V = smith_normal_form(_preimage_matrix(G, gens))
+        # factor of coordinate i in the new basis: d_i (0 = free, 1 = dropped)
+        self.factors = [
+            D.entries[i][i] if i < D.ncols else 0 for i in range(G.ncoords)
+        ]
+        self.torsion_pos = [i for i, d in enumerate(self.factors) if d >= 2]
+        self.free_pos = [i for i, d in enumerate(self.factors) if d == 0]
+        self.Q = GroupPresentation(
+            len(self.free_pos), tuple(self.factors[i] for i in self.torsion_pos)
+        )
+
+    def project(self, g: GroupElement) -> GroupElement:
+        if g.group != self.G:
+            raise ValueError("element outside the quotient's source group")
+        y = self.U.apply(g.canonical_lift())
+        coords = [y[i] % self.factors[i] for i in self.torsion_pos]
+        coords.extend(y[i] for i in self.free_pos)
+        return GroupElement(self.Q, tuple(coords))
+
+    @cached_property
+    def _u_inverse(self) -> IntMatrix:
+        return _unimodular_inverse(self.U)
+
+    def lift(self, q: GroupElement) -> GroupElement:
+        if q.group != self.Q:
+            raise ValueError("element outside the quotient group")
+        y = [0] * self.G.ncoords
+        for pos, c in zip(self.torsion_pos + self.free_pos, q.coords):
+            y[pos] = c
+        return self.G.element(self._u_inverse.apply(y))
+
+    @cached_property
+    def rank(self) -> int:
+        k = len(self.gens)
+        if k == 0 or self.G.ncoords == 0:
+            return 0
+        # relations among the generators (x with sum x_i g_i = 0 in G): the
+        # first k coordinates of the kernel of M, spanned by V's columns at
+        # zero pivots
+        relation_cols = [
+            self.V.column(j)[:k]
+            for j in range(self.V.ncols)
+            if j >= len(self.factors) or self.factors[j] == 0
+        ]
+        if not relation_cols:
+            return k
+        D, _, _ = smith_normal_form(IntMatrix.from_columns(relation_cols))
+        return k - sum(D.entries[i][i] == 1 for i in range(min(D.nrows, D.ncols)))
+
+
+# the module's one cache: _subgroup_form(G, gens) is the form of <gens> <= G
+_subgroup_form = lru_cache(maxsize=4096)(_SubgroupForm)
 
 
 def subgroup_contains(S: Subgroup, g: GroupElement) -> bool:
     """Whether g lies in <S.generators>, by Smith-form solvability.
 
     g is in S iff the system  M z = lift(g)  has an integer solution, where
-    M's columns are the generator lifts plus the ambient torsion relations.
+    M's columns are the generator lifts plus the ambient torsion relations;
+    that is, iff g projects to zero in the quotient by S.
     """
-    if g.group != S.ambient:
-        raise ValueError("element outside the ambient group")
-    if S.ambient.ncoords == 0:
-        return True
-    diag, U, _ = _membership_data(S.ambient, S.generators)
-    c = U.apply(g.canonical_lift())
-    for i, x in enumerate(c):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if x != 0:
-                return False
-        elif x % d != 0:
-            return False
-    return True
+    return _subgroup_form(S.ambient, S.generators).project(g).is_zero()
 
 
 def group_rank(G: GroupPresentation) -> int:
@@ -498,37 +547,12 @@ def group_rank(G: GroupPresentation) -> int:
 def subgroup_rank(S: Subgroup) -> int:
     """Minimum number of generators of <S.generators>.
 
-    Assembles the relation space of the generating tuple (all integer
-    combinations that vanish in the ambient group) and reads the rank off its
-    Smith normal form: rank = k - #(invariant factors equal to 1).
+    Takes the relation space of the generating tuple (all integer
+    combinations that vanish in the ambient group) from the subgroup's Smith
+    form and reads the rank off the Smith form of those relations:
+    rank = k - #(invariant factors equal to 1).
     """
-    return _subgroup_rank_cached(S.ambient, S.generators)
-
-
-@lru_cache(maxsize=4096)
-def _subgroup_rank_cached(
-    ambient: GroupPresentation, gens: tuple[GroupElement, ...]
-) -> int:
-    k = len(gens)
-    if k == 0:
-        return 0
-    n = ambient.ncoords
-    if n == 0:
-        return 0
-    # relations among the generators: x with sum x_i g_i = 0 in the ambient
-    # group, i.e. first-k coordinates of the kernel of [lifts | relations]
-    cols = [g.canonical_lift() for g in gens] + _relation_columns(ambient)
-    kernel = integer_kernel(IntMatrix.from_columns(cols))
-    relation_cols = [vec[:k] for vec in kernel]
-    if not relation_cols:
-        return k
-    D, _, _ = smith_normal_form(IntMatrix.from_columns(relation_cols))
-    ones = sum(
-        1
-        for i in range(min(D.nrows, D.ncols))
-        if D.entries[i][i] == 1
-    )
-    return k - ones
+    return _subgroup_form(S.ambient, S.generators).rank
 
 
 def quotient(
@@ -543,36 +567,8 @@ def quotient(
     """
     if N.ambient != G:
         raise ValueError("subgroup of a different group")
-    n = G.ncoords
-    if n == 0:
-        Q = GroupPresentation(0, ())
-        return Q, lambda g: Q.zero()
-    M = _preimage_matrix(N)
-    D, U, _ = smith_normal_form(M)
-    diag = [D.entries[i][i] for i in range(min(D.nrows, D.ncols))]
-    # factor of coordinate i in the new basis: d_i (0 = free, 1 = dropped)
-    factors = [diag[i] if i < len(diag) else 0 for i in range(n)]
-    torsion_pos = [i for i, d in enumerate(factors) if d >= 2]
-    free_pos = [i for i, d in enumerate(factors) if d == 0]
-    Q = GroupPresentation(len(free_pos), tuple(factors[i] for i in torsion_pos))
-
-    def project(g: GroupElement) -> GroupElement:
-        if g.group != G:
-            raise ValueError("element outside the quotient's source group")
-        y = U.apply(g.canonical_lift())
-        coords = [y[i] % factors[i] for i in torsion_pos]
-        coords.extend(y[i] for i in free_pos)
-        return GroupElement(Q, tuple(coords))
-
-    return Q, project
-
-
-@lru_cache(maxsize=4096)
-def cached_quotient(
-    G: GroupPresentation, gens: tuple[GroupElement, ...]
-) -> tuple[GroupPresentation, Callable[[GroupElement], GroupElement]]:
-    """Memoized quotient by <gens>; hot path for pushforwards."""
-    return quotient(G, Subgroup(G, gens))
+    form = _subgroup_form(G, N.generators)
+    return form.Q, form.project
 
 
 def _unimodular_inverse(U: IntMatrix) -> IntMatrix:
@@ -588,7 +584,6 @@ def _unimodular_inverse(U: IntMatrix) -> IntMatrix:
     return IntMatrix.from_columns(cols)
 
 
-@lru_cache(maxsize=4096)
 def quotient_maps(
     G: GroupPresentation, gens: tuple[GroupElement, ...]
 ) -> tuple[
@@ -601,31 +596,16 @@ def quotient_maps(
     The lift embeds a quotient element's canonical coordinates back through
     the inverse Smith change of basis; adding generators of <gens> or ambient
     relations never changes the projection, so any lift choice is valid.
+
+    >>> Z2 = GroupPresentation(2)
+    >>> Q, project, lift = quotient_maps(Z2, (Z2.element((2, 0)), Z2.element((0, 3))))
+    >>> Q
+    GroupPresentation(free_rank=0, torsion=(6,))
+    >>> project(lift(Q.element((5,)))).coords
+    (5,)
     """
-    n = G.ncoords
-    Q, project = cached_quotient(G, gens)
-    if n == 0:
-        return Q, project, lambda q: G.zero()
-    M = _preimage_matrix(Subgroup(G, gens))
-    D, U, _ = smith_normal_form(M)
-    diag = [D.entries[i][i] for i in range(min(D.nrows, D.ncols))]
-    factors = [diag[i] if i < len(diag) else 0 for i in range(n)]
-    torsion_pos = [i for i, d in enumerate(factors) if d >= 2]
-    free_pos = [i for i, d in enumerate(factors) if d == 0]
-    U_inv = _unimodular_inverse(U)
-
-    def lift(q: GroupElement) -> GroupElement:
-        if q.group != Q:
-            raise ValueError("element outside the quotient group")
-        y = [0] * n
-        t = len(torsion_pos)
-        for pos, c in zip(torsion_pos, q.coords[:t]):
-            y[pos] = c
-        for pos, c in zip(free_pos, q.coords[t:]):
-            y[pos] = c
-        return G.element(U_inv.apply(y))
-
-    return Q, project, lift
+    form = _subgroup_form(G, gens)
+    return form.Q, form.project, form.lift
 
 
 # ---------------------------------------------------------------------------

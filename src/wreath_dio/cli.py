@@ -97,6 +97,10 @@ def _read_json(path: str) -> tuple[bytes, object]:
             EXIT_PARSE,
             f"{path}: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}",
         ) from None
+    except (ValueError, RecursionError) as exc:
+        # integers past the int-string digit limit, or nesting past the
+        # recursion limit
+        raise _CliError(EXIT_PARSE, f"{path}: cannot parse JSON ({exc})") from None
 
 
 def _emit(text: str, output: Optional[str]) -> None:

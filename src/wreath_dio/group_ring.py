@@ -22,8 +22,8 @@ from .abelian import (
     GroupElement,
     GroupPresentation,
     Subgroup,
-    cached_quotient,
     geodesic_length,
+    quotient,
 )
 
 
@@ -180,9 +180,7 @@ def pushforward(f: SupportedFunction, N: Subgroup) -> SupportedFunction:
 
     phi_*(f)(x) = sum of f over the fiber of the canonical map phi at x.
     """
-    if N.ambient != f.base_group:
-        raise ValueError("subgroup of a different base group")
-    Q, project = cached_quotient(f.base_group, N.generators)
+    Q, project = quotient(f.base_group, N)
     return SupportedFunction(
         f.coeff_group, Q, tuple((project(p), a) for p, a in f.terms)
     )
@@ -190,9 +188,7 @@ def pushforward(f: SupportedFunction, N: Subgroup) -> SupportedFunction:
 
 def is_zero_mod(f: SupportedFunction, N: Subgroup) -> bool:
     """Whether f vanishes in A^{B/N} (empty pushforward support)."""
-    if N.ambient != f.base_group:
-        raise ValueError("subgroup of a different base group")
-    _, project = cached_quotient(f.base_group, N.generators)
+    _, project = quotient(f.base_group, N)
     sums: dict[tuple[int, ...], GroupElement] = {}
     for p, a in f.terms:
         key = project(p).coords

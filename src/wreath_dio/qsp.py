@@ -19,8 +19,8 @@ from .abelian import (
     GroupElement,
     GroupPresentation,
     Subgroup,
-    cached_quotient,
     geodesic_length,
+    quotient,
     subgroup_contains,
     subgroup_rank,
 )
@@ -172,7 +172,7 @@ def clusters(
             parent[max(rx, ry)] = min(rx, ry)
 
     if m:
-        _, project = cached_quotient(fs[0].base_group, N.generators)
+        _, project = quotient(fs[0].base_group, N)
         owner: dict[tuple[int, ...], int] = {}
         for i, (f, d) in enumerate(zip(fs, deltas)):
             for p in shift(f, d).support():
@@ -292,7 +292,7 @@ def _realign_block(
     point.  All shifts are by elements of N, so the mod-N picture and
     the quotient-sum equation are untouched.
     """
-    _, project = cached_quotient(fs[0].base_group, N.generators)
+    _, project = quotient(fs[0].base_group, N)
 
     def plain_subblocks() -> list[frozenset[int]]:
         sub = [i for i in sorted(phi_block)]

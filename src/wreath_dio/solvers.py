@@ -23,6 +23,7 @@ from .abelian import (
     GroupElement,
     GroupPresentation,
     Subgroup,
+    _relation_columns,
     coord_reducer,
     enumerate_ball,
     group_rank,
@@ -234,13 +235,8 @@ def _euclid_pool(
 
 def _subgroup_key(S: Subgroup) -> tuple:
     """Canonical form of <gens>: Hermite basis of lifts plus relations."""
-    B = S.ambient
-    rows = [list(g.canonical_lift()) for g in S.generators]
-    for i, alpha in enumerate(B.torsion):
-        row = [0] * B.ncoords
-        row[i] = alpha
-        rows.append(row)
-    return tuple(lattice_basis(rows))
+    rows = [g.canonical_lift() for g in S.generators]
+    return tuple(lattice_basis(rows + _relation_columns(S.ambient)))
 
 
 def _candidate_subgroups(

@@ -26,8 +26,9 @@ from .abelian import (
     BudgetExceeded,
     GroupElement,
     GroupPresentation,
-    cached_quotient,
+    Subgroup,
     enumerate_ball,
+    quotient,
 )
 from .group_ring import SupportedFunction, lambda_term, shift
 from .qsp import QspInstance
@@ -204,7 +205,7 @@ def reduce_to_qsp(eq: OrientableEquation) -> Union[QspInstance, Unsolvable]:
     if not total.is_zero():
         return Unsolvable()
     gens = tuple(c.delta for c in eq.constants)
-    Q, project = cached_quotient(eq.B, gens)
+    Q, project = quotient(eq.B, Subgroup(eq.B, gens))
     pushed = []
     for c in eq.constants:
         g = SupportedFunction.zero(eq.A, Q)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from wreath_dio import abelian
 from wreath_dio.abelian import (
     BudgetExceeded,
     GroupElement,
@@ -260,6 +261,7 @@ def test_quotient_maps_roundtrip():
         (GroupPresentation(1, (4,)), (GroupPresentation(1, (4,)).element((2, 0)),)),
         (Z4, ()),
         (GroupPresentation(0, (2, 6)), (GroupPresentation(0, (2, 6)).element((1, 3)),)),
+        (GroupPresentation(0), (GroupPresentation(0).zero(),)),
     ]
     for G, gens in cases:
         Q, project, lift = quotient_maps(G, gens)
@@ -269,6 +271,33 @@ def test_quotient_maps_roundtrip():
             sample = list(enumerate_ball(Q, 2))
         for q in sample:
             assert project(lift(q)) == q
+
+
+def test_one_smith_form_per_subgroup(monkeypatch):
+    """Membership, quotient, lift and rank share one Smith form of the
+    preimage matrix; the rank adds one of the relation matrix."""
+    G = GroupPresentation(1, (2, 4))
+    gens = (G.element((1, 2, 0)), G.element((0, 1, 2)))
+    S = Subgroup(G, gens)
+    shapes = []
+
+    def counting(M):
+        shapes.append((M.nrows, M.ncols))
+        return smith_normal_form(M)
+
+    monkeypatch.setattr(abelian, "smith_normal_form", counting)
+    abelian._subgroup_form.cache_clear()
+    assert subgroup_contains(S, G.element((1, 2, 0)))
+    Q, project = quotient(G, S)
+    Q2, project2, lift = quotient_maps(G, gens)
+    assert Q2 == Q
+    for q in enumerate_ball(Q, 2):
+        assert project(lift(q)) == q == project2(lift(q))
+    assert subgroup_rank(S) == 2
+    assert subgroup_contains(S, G.element((1, 3, 2)))
+    # the 3x4 preimage matrix [lifts | relations], then the 2x1 relation
+    # matrix of the generators (their one relation is 2 * gens[0] = 0)
+    assert shapes == [(3, 4), (2, 1)]
 
 
 # ---------------------------------------------------------------------------

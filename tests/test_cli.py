@@ -162,14 +162,23 @@ def test_qsp_solve_unknown_budget_exit(tmp_path, capsys):
     assert report["reason"]
 
 
-def test_qsp_solve_malformed_json_exit(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ('{"A": [1,\n  oops', ("line 2", "column")),
+        ("[" * 200_000, ("recursion",)),
+        ('{"A": ' + "9" * 5000 + "}", ("digits",)),
+    ],
+    ids=["syntax", "deep-nesting", "long-number"],
+)
+def test_qsp_solve_malformed_json_exit(tmp_path, capsys, text, expected):
     path = tmp_path / "bad.json"
-    path.write_text('{"A": [1,\n  oops')
+    path.write_text(text)
     code = main(["qsp", "solve", str(path)])
     cap = capsys.readouterr()
     assert code == EXIT_PARSE
-    assert "line 2" in cap.err
-    assert "column" in cap.err
+    for fragment in expected:
+        assert fragment in cap.err
 
 
 def test_qsp_solve_missing_file_exit(tmp_path, capsys):
@@ -275,6 +284,17 @@ def test_solve_equation_malformed_exit(tmp_path, capsys):
     path.write_text("[]")
     code = main(["solve", str(path)])
     assert code == EXIT_PARSE
+
+
+def test_solve_equation_oversized_genus_exit(tmp_path, capsys):
+    """A genus past the int-string digit limit is a parse error, not a crash."""
+    text = canonical_json(encode_equation(_delta_sum_equation()))
+    assert '"genus":1' in text
+    path = tmp_path / "eq.json"
+    path.write_text(text.replace('"genus":1', '"genus":' + "7" * 5000))
+    code = main(["solve", str(path)])
+    assert code == EXIT_PARSE
+    assert "error:" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

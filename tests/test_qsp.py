@@ -1,8 +1,11 @@
 """Instances, certificates, clusters, and delta normalization."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wreath_dio.abelian import (
     GroupPresentation,
@@ -26,6 +29,7 @@ from wreath_dio.qsp import (
     shrink_subgroup,
     verify_certificate,
 )
+from wreath_dio.solvers import dispatch
 
 Z = GroupPresentation(1)
 Z2 = GroupPresentation(0, (2,))
@@ -441,3 +445,129 @@ def test_solution_clusters_vanish_blockwise():
         for blk in part.blocks:
             partial = shifted_sum([fs[i] for i in blk], [deltas[i] for i in blk])
             assert is_zero_mod(partial, N)
+
+
+# ---------------------------------------------------------------------------
+# mutated certificates against a brute-force check over finite bases
+
+
+Z3 = GroupPresentation(0, (3,))
+Z4 = GroupPresentation(0, (4,))
+FINITE_BASES = (
+    GroupPresentation(0, (2, 2)),
+    Z4,
+    GroupPresentation(0, (2, 4)),
+    GroupPresentation(0, (3, 3)),
+)
+
+
+def _closure(B, gens):
+    """<gens> as a set, grown by adding generators until nothing new appears."""
+    reached = {B.zero()}
+    frontier = [B.zero()]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            if x + g not in reached:
+                reached.add(x + g)
+                frontier.append(x + g)
+    return reached
+
+
+def _brute_verdict(I, cert):
+    """rank(N) <= h and every coset of N sums to zero, with N and its rank
+    found by search over B.elements() instead of a Smith form."""
+    closure = _closure(I.B, cert.subgroup_gens)
+    members = [g for g in I.B.elements() if g in closure]
+    rank = next(
+        r
+        for r in range(len(members) + 1)
+        if any(
+            _closure(I.B, sub) == closure
+            for sub in itertools.combinations(members, r)
+        )
+    )
+    if rank > I.h:
+        return False
+    sums = {}
+    for f, d in zip(I.fs, cert.deltas):
+        for p, a in f.terms:
+            # shift(f, d) carries f's value at p to the point p - d
+            coset = min((p - d + n).coords for n in closure)
+            sums[coset] = sums.get(coset, I.A.zero()) + a
+    return all(v.is_zero() for v in sums.values())
+
+
+def _mutate(cert, mutation):
+    """Add an element to one delta, or to one generator (appending it when
+    the index is past the last generator)."""
+    kind, index, value = mutation
+    if kind == "delta":
+        deltas = list(cert.deltas)
+        deltas[index % len(deltas)] += value
+        return Certificate(tuple(deltas), cert.subgroup_gens)
+    gens = list(cert.subgroup_gens)
+    if index < len(gens):
+        gens[index] += value
+    else:
+        gens.append(value)
+    return Certificate(cert.deltas, tuple(gens))
+
+
+@st.composite
+def _planted_mutations(draw):
+    """A positive instance over a finite base, and one certificate mutation.
+
+    f_1 cancels a shift of f_0 exactly; at h = 1 it also carries a lamp pair
+    c at p, -c at p + n that cancels only modulo <n>.
+    """
+    B = draw(st.sampled_from(FINITE_BASES))
+    A = draw(st.sampled_from((Z2, Z3)))
+    h = draw(st.integers(0, 1))
+    point = st.sampled_from(list(B.elements()))
+    coeff = st.integers(1, A.torsion[0] - 1).map(lambda c: A.element((c,)))
+    terms = draw(st.lists(st.tuples(point, coeff), min_size=1, max_size=3))
+    f0 = SupportedFunction(A, B, tuple(terms))
+    f1 = shift(-f0, draw(point))
+    if h:
+        p, n, c = draw(point), draw(point), draw(coeff)
+        f1 = f1 + SupportedFunction.atom(c, p) + SupportedFunction.atom(-c, p + n)
+    mutation = (
+        draw(st.sampled_from(("delta", "gen"))),
+        draw(st.integers(0, 2)),
+        draw(point),
+    )
+    return QspInstance(A, B, (f0, f1), h), mutation
+
+
+def _one_lamp_instance():
+    """A lamp at 0 over Z_4, cancelled by the same lamp shifted by 1; h = 0."""
+    f0 = atom(Z2, Z4, (1,), (0,))
+    return QspInstance(Z2, Z4, (f0, shift(f0, Z4.element((1,)))), 0)
+
+
+# appending the zero generator keeps N and its rank
+ACCEPTED = (_one_lamp_instance(), ("gen", 0, Z4.zero()))
+# moving one of the two lamps leaves them on different points
+REJECTED = (_one_lamp_instance(), ("delta", 0, Z4.element((1,))))
+
+
+@example(ACCEPTED)
+@example(REJECTED)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_planted_mutations())
+def test_mutated_certificate_verdict_matches_brute_force(case):
+    I, mutation = case
+    result = dispatch(I)
+    assert result.decision == "positive"
+    assert verify_certificate(I, result.certificate)
+    assert _brute_verdict(I, result.certificate)
+    mutated = _mutate(result.certificate, mutation)
+    assert verify_certificate(I, mutated) == _brute_verdict(I, mutated)
+
+
+@pytest.mark.parametrize("case, verdict", [(ACCEPTED, True), (REJECTED, False)])
+def test_mutated_certificate_examples(case, verdict):
+    I, mutation = case
+    mutated = _mutate(dispatch(I).certificate, mutation)
+    assert verify_certificate(I, mutated) is verdict
