@@ -17,6 +17,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 
@@ -176,6 +177,17 @@ class GroupElement:
 
     def has_infinite_order(self) -> bool:
         return any(c != 0 for c in self.coords[len(self.group.torsion):])
+
+
+def _element(G: GroupPresentation, coords: tuple[int, ...]) -> GroupElement:
+    """A GroupElement from coordinates that are already canonical in G.
+
+    Skips the reduction of the constructor, so it is only for kernels whose
+    tuples come out of coord_reducer or _SubgroupForm.project_coords.
+    """
+    e = object.__new__(GroupElement)
+    e.__dict__.update(group=G, coords=coords)
+    return e
 
 
 def coord_reducer(
@@ -485,14 +497,42 @@ class _SubgroupForm:
         self.Q = GroupPresentation(
             len(self.free_pos), tuple(self.factors[i] for i in self.torsion_pos)
         )
+        rows = self.U.entries
+        self._torsion_rows = [(rows[i], self.factors[i]) for i in self.torsion_pos]
+        self._free_rows = [rows[i] for i in self.free_pos]
+        # U = I with no factor 1 (N trivial, for one): the factors are Q's own
+        # torsion orders in place, so projecting is Q's coordinate reduction
+        identity = all(
+            row[i] == 1 and sum(map(abs, row)) == 1 for i, row in enumerate(rows)
+        )
+        self._reduce = (
+            coord_reducer(self.Q) if identity and 1 not in self.factors else None
+        )
+
+    def project_coords(self, coords: Sequence[int]) -> tuple[int, ...]:
+        """Canonical coordinates in Q of the element with these coordinates.
+
+        Any integer lift of an element of G will do (torsion coordinates
+        need not be reduced): the lift is mapped through U, torsion positions
+        are reduced mod d_i and free positions are kept.
+
+        >>> G = GroupPresentation(2)
+        >>> form = _subgroup_form(G, (G.element((2, 0)), G.element((0, 3))))
+        >>> form.Q
+        GroupPresentation(free_rank=0, torsion=(6,))
+        >>> form.project_coords((2, 3)), any(form.project_coords((1, 0)))
+        ((0,), True)
+        """
+        if self._reduce is not None:
+            return self._reduce(coords)
+        out = [sum(map(mul, row, coords)) % d for row, d in self._torsion_rows]
+        out.extend(sum(map(mul, row, coords)) for row in self._free_rows)
+        return tuple(out)
 
     def project(self, g: GroupElement) -> GroupElement:
         if g.group != self.G:
             raise ValueError("element outside the quotient's source group")
-        y = self.U.apply(g.canonical_lift())
-        coords = [y[i] % self.factors[i] for i in self.torsion_pos]
-        coords.extend(y[i] for i in self.free_pos)
-        return GroupElement(self.Q, tuple(coords))
+        return _element(self.Q, self.project_coords(g.coords))
 
     @cached_property
     def _u_inverse(self) -> IntMatrix:
@@ -536,7 +576,9 @@ def subgroup_contains(S: Subgroup, g: GroupElement) -> bool:
     M's columns are the generator lifts plus the ambient torsion relations;
     that is, iff g projects to zero in the quotient by S.
     """
-    return _subgroup_form(S.ambient, S.generators).project(g).is_zero()
+    if g.group != S.ambient:
+        raise ValueError("element outside the quotient's source group")
+    return not any(_subgroup_form(S.ambient, S.generators).project_coords(g.coords))
 
 
 def group_rank(G: GroupPresentation) -> int:
@@ -565,10 +607,15 @@ def quotient(
     preimage matrix of N, the coordinates y = U x of a lift are reduced modulo
     the diagonal entries (1-entries dropped, 0-entries free).
     """
+    form = _quotient_form(G, N)
+    return form.Q, form.project
+
+
+def _quotient_form(G: GroupPresentation, N: Subgroup) -> _SubgroupForm:
+    """The cached Smith form of N <= G, for kernels that project coordinates."""
     if N.ambient != G:
         raise ValueError("subgroup of a different group")
-    form = _subgroup_form(G, N.generators)
-    return form.Q, form.project
+    return _subgroup_form(G, N.generators)
 
 
 def _unimodular_inverse(U: IntMatrix) -> IntMatrix:

@@ -10,20 +10,29 @@ Ring multiplication treats A as the direct product of cyclic rings given by
 its invariant factors (componentwise coefficient multiplication) and convolves
 support points; the function with the ring unity of A at the origin is the
 multiplicative unit.
+
+shift, pushforward and is_zero_mod run on canonical coordinate tuples:
+each gathers (point, coefficient) coordinates in one dict, kept canonical by
+coord_reducer and the subgroup form's project_coords, and builds its result
+once.  GroupElement and SupportedFunction appear only at the API boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import chain
+from operator import add as _add, sub
 from typing import Iterable, Sequence
 
 from .abelian import (
     GroupElement,
     GroupPresentation,
     Subgroup,
+    _SubgroupForm,
+    _element,
+    _quotient_form,
+    coord_reducer,
     geodesic_length,
-    quotient,
 )
 
 
@@ -132,19 +141,64 @@ def add(f: SupportedFunction, g: SupportedFunction) -> SupportedFunction:
     return f + g
 
 
+# -- coordinate-tuple kernel ---------------------------------------------------
+
+
+def _coeff_sums(
+    A: GroupPresentation, pairs: Iterable[tuple[tuple, tuple[int, ...]]]
+) -> dict[tuple, tuple[int, ...]]:
+    """Sum coefficient coordinates per key, canonical in A; zeros are kept."""
+    red_a = coord_reducer(A)
+    sums: dict[tuple, tuple[int, ...]] = {}
+    for key, c in pairs:
+        old = sums.get(key)
+        sums[key] = c if old is None else red_a(map(_add, old, c))
+    return sums
+
+
+def _function(
+    A: GroupPresentation,
+    B: GroupPresentation,
+    terms: tuple[tuple[GroupElement, GroupElement], ...],
+) -> SupportedFunction:
+    """A SupportedFunction from terms that are already canonical: distinct
+    points of B in sorted order, nonzero coefficients of A.  The kernels
+    produce such terms, so the constructor's merge and checks are skipped."""
+    f = object.__new__(SupportedFunction)
+    f.__dict__.update(coeff_group=A, base_group=B, terms=terms)
+    return f
+
+
+def _from_sums(
+    A: GroupPresentation, B: GroupPresentation, sums: dict[tuple, tuple[int, ...]]
+) -> SupportedFunction:
+    """The function sending each point of sums to its coefficient sum;
+    points and sums are canonical coordinates, zero sums are dropped."""
+    return _function(
+        A,
+        B,
+        tuple(
+            (_element(B, p), _element(A, c))
+            for p, c in sorted(sums.items())
+            if any(c)
+        ),
+    )
+
+
 def shift(f: SupportedFunction, delta: GroupElement) -> SupportedFunction:
     """The translate f^delta with f^delta(x) = f(delta + x).
 
     Moves every support point b to b - delta; coefficients (and hence their
     lengths) are untouched.
     """
-    if delta.group != f.base_group:
+    B = f.base_group
+    if delta.group != B:
         raise ValueError("shift by an element of a different group")
-    return SupportedFunction(
-        f.coeff_group,
-        f.base_group,
-        tuple((p - delta, a) for p, a in f.terms),
-    )
+    red_b = coord_reducer(B)
+    d = delta.coords
+    # translation keeps points distinct; sorting compares points only
+    moved = sorted((red_b(map(sub, p.coords, d)), a) for p, a in f.terms)
+    return _function(f.coeff_group, B, tuple((_element(B, q), a) for q, a in moved))
 
 
 def _ring_unity(A: GroupPresentation) -> GroupElement:
@@ -180,20 +234,24 @@ def pushforward(f: SupportedFunction, N: Subgroup) -> SupportedFunction:
 
     phi_*(f)(x) = sum of f over the fiber of the canonical map phi at x.
     """
-    Q, project = quotient(f.base_group, N)
-    return SupportedFunction(
-        f.coeff_group, Q, tuple((project(p), a) for p, a in f.terms)
-    )
+    form = _quotient_form(f.base_group, N)
+    return _from_sums(f.coeff_group, form.Q, _projected_sums(f, form))
 
 
 def is_zero_mod(f: SupportedFunction, N: Subgroup) -> bool:
     """Whether f vanishes in A^{B/N} (empty pushforward support)."""
-    _, project = quotient(f.base_group, N)
-    sums: dict[tuple[int, ...], GroupElement] = {}
-    for p, a in f.terms:
-        key = project(p).coords
-        sums[key] = sums[key] + a if key in sums else a
-    return all(v.is_zero() for v in sums.values())
+    sums = _projected_sums(f, _quotient_form(f.base_group, N))
+    return not any(map(any, sums.values()))
+
+
+def _projected_sums(
+    f: SupportedFunction, form: _SubgroupForm
+) -> dict[tuple, tuple[int, ...]]:
+    """f's coefficient sums per coset, keyed by the coset's coordinates."""
+    project = form.project_coords
+    return _coeff_sums(
+        f.coeff_group, ((project(p.coords), a.coords) for p, a in f.terms)
+    )
 
 
 def lambda_term(f: SupportedFunction, b: GroupElement) -> SupportedFunction:
@@ -212,10 +270,13 @@ def lambda_map(
         raise ValueError("function list and shift list differ in length")
     if not fs:
         raise ValueError("empty lambda map has no home groups")
-    out = SupportedFunction.zero(fs[0].coeff_group, fs[0].base_group)
-    for f, b in zip(fs, bs):
-        out = out + lambda_term(f, b)
-    return out
+    for f in fs:
+        fs[0]._check_compatible(f)
+    return SupportedFunction(
+        fs[0].coeff_group,
+        fs[0].base_group,
+        tuple(chain.from_iterable(lambda_term(f, b).terms for f, b in zip(fs, bs))),
+    )
 
 
 def diameter(f: SupportedFunction) -> int:

@@ -103,10 +103,15 @@ def _target_blocks(
 ) -> SupportedFunction:
     """k length-L blocks along b, consecutive blocks separated by one gap."""
     cL = _block_function(a, b, L)
-    out = SupportedFunction.zero(a.group, b.group)
-    for i in range(k):
-        out = out + shift(cL, b.scale(-(L + 1) * i))
-    return out
+    return SupportedFunction(
+        a.group,
+        b.group,
+        tuple(
+            itertools.chain.from_iterable(
+                shift(cL, b.scale(-(L + 1) * i)).terms for i in range(k)
+            )
+        ),
+    )
 
 
 def _check_unary_scale(T: ThreePartInstance, cap: int) -> None:

@@ -8,23 +8,38 @@ is polynomial in the sizes of instance and certificate.
 
 Clusters group function indices whose (projected) shifted supports touch; they
 drive the delta-normalization that bounds witness shifts by the instance size.
+
+shifted_sum, satisfies_equation and difference_set run on canonical
+coordinate tuples: every shifted term goes into one dict keyed by its point
+(or, for the equation, by the point's coordinates in B/N), so the work is
+linear in the number of terms.  GroupElement and SupportedFunction appear
+only at the API boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 from typing import Iterable, Sequence
 
 from .abelian import (
     GroupElement,
     GroupPresentation,
     Subgroup,
+    _element,
+    _quotient_form,
+    coord_reducer,
     geodesic_length,
     quotient,
     subgroup_contains,
     subgroup_rank,
 )
-from .group_ring import SupportedFunction, is_zero_mod, shift
+from .group_ring import (
+    SupportedFunction,
+    _coeff_sums,
+    _from_sums,
+    shift,
+)
 
 
 @dataclass(frozen=True)
@@ -98,18 +113,34 @@ class ShapeMismatch(ValueError):
     """Certificate data does not fit the instance's shape."""
 
 
-def shifted_sum(
+def _home_groups(
     fs: Sequence[SupportedFunction], deltas: Sequence[GroupElement]
-) -> SupportedFunction:
-    """sum_i shift(f_i, delta_i); the left side of the quotient-sum equation."""
+) -> tuple[GroupPresentation, GroupPresentation]:
+    """(A, B) shared by every function and shift; raises on a mismatch."""
     if len(fs) != len(deltas):
         raise ShapeMismatch("delta list length differs from function list")
     if not fs:
         raise ShapeMismatch("empty function list has no home groups")
-    out = SupportedFunction.zero(fs[0].coeff_group, fs[0].base_group)
+    f0 = fs[0]
     for f, d in zip(fs, deltas):
-        out = out + shift(f, d)
-    return out
+        if d.group != f.base_group:
+            raise ValueError("shift by an element of a different group")
+        f0._check_compatible(f)
+    return f0.coeff_group, f0.base_group
+
+
+def shifted_sum(
+    fs: Sequence[SupportedFunction], deltas: Sequence[GroupElement]
+) -> SupportedFunction:
+    """sum_i shift(f_i, delta_i); the left side of the quotient-sum equation."""
+    A, B = _home_groups(fs, deltas)
+    red_b = coord_reducer(B)
+    pairs = (
+        (red_b(map(sub, p.coords, d.coords)), a.coords)
+        for f, d in zip(fs, deltas)
+        for p, a in f.terms
+    )
+    return _from_sums(A, B, _coeff_sums(A, pairs))
 
 
 def satisfies_equation(
@@ -117,10 +148,21 @@ def satisfies_equation(
     deltas: Sequence[GroupElement],
     N: Subgroup,
 ) -> bool:
-    """The quotient-sum equation without the rank constraint."""
+    """The quotient-sum equation without the rank constraint.
+
+    Sums the coefficients of every shifted term per coset of N, keyed by the
+    projection of p - delta_i; the shifted sum itself is never built.
+    """
     if not fs:
         return True
-    return is_zero_mod(shifted_sum(fs, deltas), N)
+    A, B = _home_groups(fs, deltas)
+    project = _quotient_form(B, N).project_coords
+    pairs = (
+        (project(tuple(map(sub, p.coords, d.coords))), a.coords)
+        for f, d in zip(fs, deltas)
+        for p, a in f.terms
+    )
+    return not any(map(any, _coeff_sums(A, pairs).values()))
 
 
 def verify_certificate(instance: QspInstance, cert: Certificate) -> bool:
@@ -219,13 +261,11 @@ def difference_set(f: SupportedFunction) -> list[GroupElement]:
 
     Includes 0 whenever the support is nonempty.
     """
-    points = f.support()
-    seen: dict[tuple[int, ...], GroupElement] = {}
-    for p in points:
-        for q in points:
-            d = p - q
-            seen.setdefault(d.coords, d)
-    return [seen[k] for k in sorted(seen)]
+    B = f.base_group
+    red_b = coord_reducer(B)
+    points = [p.coords for p, _ in f.terms]
+    seen = {red_b(map(sub, p, q)) for p in points for q in points}
+    return [_element(B, d) for d in sorted(seen)]
 
 
 def shrink_subgroup(f: SupportedFunction, N: Subgroup) -> Subgroup:

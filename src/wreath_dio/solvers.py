@@ -482,23 +482,48 @@ METHODS = {
 # literal double-exhaustion oracle (test reference, deliberately naive)
 
 
+# (B, frozenset(points)) -> (subgroups, tuples charged); emptied when full
+_SUBSET_SUBGROUPS: dict[tuple, tuple[tuple[Subgroup, ...], int]] = {}
+_SUBSET_SUBGROUPS_CAP = 4096
+
+
 def _subset_generated_subgroups(
     B: GroupPresentation, points: list[GroupElement], meter: _Meter
 ) -> list[Subgroup]:
-    """Every subgroup of the form <T> for T a subset of points, deduplicated."""
+    """Every subgroup of the form <T> for T a subset of points, deduplicated.
+
+    Memoized on (B, frozenset(points)); points come sorted and distinct from
+    difference_set, so equal sets give equal results.  A miss charges one
+    subgroup_tuples per tuple tried, as the search goes, and stores nothing
+    if the budget runs out.  A hit charges the stored tuple count in one
+    charge, so the oracle's counters and its unknown-budget outcomes are
+    those of a fresh search; only the counter's value at the moment the
+    budget trips can be larger.
+    """
+    key = (B, frozenset(points))
+    if key in _SUBSET_SUBGROUPS:
+        subgroups, tuples = _SUBSET_SUBGROUPS[key]
+        meter.charge("subgroup_tuples", tuples)
+        return list(subgroups)
     trivial = Subgroup.trivial(B)
     found: dict[tuple, Subgroup] = {_subgroup_key(trivial): trivial}
     queue = [trivial]
+    tuples = 0
     while queue:
         S = queue.pop(0)
         for s in points:
             meter.charge("subgroup_tuples")
+            tuples += 1
             S2 = Subgroup(B, S.generators + (s,))
-            key = _subgroup_key(S2)
-            if key not in found:
-                found[key] = S2
+            key2 = _subgroup_key(S2)
+            if key2 not in found:
+                found[key2] = S2
                 queue.append(S2)
-    return [found[k] for k in sorted(found)]
+    subgroups = tuple(found[k] for k in sorted(found))
+    if len(_SUBSET_SUBGROUPS) >= _SUBSET_SUBGROUPS_CAP:
+        _SUBSET_SUBGROUPS.clear()
+    _SUBSET_SUBGROUPS[key] = (subgroups, tuples)
+    return list(subgroups)
 
 
 def oracle_solve(

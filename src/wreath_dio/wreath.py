@@ -30,7 +30,7 @@ from .abelian import (
     enumerate_ball,
     quotient,
 )
-from .group_ring import SupportedFunction, lambda_term, shift
+from .group_ring import SupportedFunction, lambda_term, pushforward, shift
 from .qsp import QspInstance
 
 
@@ -173,15 +173,18 @@ def residual_function(
     total = eq.B.zero()
     for c in eq.constants:
         total = total + c.delta
-    r = SupportedFunction.zero(eq.A, eq.B)
+    parts = []
     for x, y in zip(asn.xs, asn.ys):
-        r = r + lambda_term(y.f, x.delta) - lambda_term(x.f, y.delta)
+        parts += [lambda_term(y.f, x.delta), -lambda_term(x.f, y.delta)]
     tau = eq.B.zero()
     for j in range(eq.m - 1, -1, -1):
         c = eq.constants[j]
         z = asn.zs[j]
-        r = r + lambda_term(shift(z.f, tau), c.delta) + shift(c.f, z.delta + tau)
+        parts += [lambda_term(shift(z.f, tau), c.delta), shift(c.f, z.delta + tau)]
         tau = tau + c.delta
+    r = SupportedFunction(
+        eq.A, eq.B, tuple(itertools.chain.from_iterable(p.terms for p in parts))
+    )
     return total.is_zero(), r
 
 
@@ -204,15 +207,10 @@ def reduce_to_qsp(eq: OrientableEquation) -> Union[QspInstance, Unsolvable]:
         total = total + c.delta
     if not total.is_zero():
         return Unsolvable()
-    gens = tuple(c.delta for c in eq.constants)
-    Q, project = quotient(eq.B, Subgroup(eq.B, gens))
-    pushed = []
-    for c in eq.constants:
-        g = SupportedFunction.zero(eq.A, Q)
-        for point, coeff in c.f.terms:
-            g = g + SupportedFunction.atom(coeff, project(point))
-        pushed.append(g)
-    return QspInstance(eq.A, Q, tuple(pushed), 2 * eq.genus)
+    N = Subgroup(eq.B, tuple(c.delta for c in eq.constants))
+    Q, _ = quotient(eq.B, N)
+    pushed = tuple(pushforward(c.f, N) for c in eq.constants)
+    return QspInstance(eq.A, Q, pushed, 2 * eq.genus)
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,41 @@ def test_membership_agrees_with_closure_small_groups():
                     assert subgroup_contains(S, g) == (g in closure)
 
 
+def test_membership_matches_quotient_and_projected_coordinates():
+    # subgroup_contains goes through project_coords; it must agree with the
+    # quotient map and with the form's own coordinate projection
+    rng = random.Random(12)
+    groups = (
+        ZxZ,
+        GroupPresentation(1, (2,)),
+        GroupPresentation(1, (3,)),
+        GroupPresentation(0, (2, 4)),
+    )
+
+    def draw(B):
+        t = len(B.torsion)
+        return B.element(
+            tuple(rng.randrange(a) for a in B.torsion)
+            + tuple(rng.randint(-4, 4) for _ in range(B.ncoords - t))
+        )
+
+    checked = {True: 0, False: 0}
+    for B in groups:
+        for _ in range(40):
+            S = Subgroup(B, tuple(draw(B) for _ in range(rng.randint(0, 2))))
+            Q, project = quotient(B, S)
+            form = abelian._subgroup_form(B, S.generators)
+            zero = (0,) * Q.ncoords
+            candidates = [draw(B) for _ in range(6)]
+            candidates += [g + g for g in S.generators] + [B.zero()]
+            for g in candidates:
+                inside = subgroup_contains(S, g)
+                assert inside == project(g).is_zero()
+                assert inside == (form.project_coords(g.coords) == zero)
+                checked[inside] += 1
+    assert checked[True] > 50 and checked[False] > 50
+
+
 def _brute_subgroup_rank(B, gens):
     # least generating-set size over all subsets of the closure
     closure = _closure(B, gens)

@@ -21,7 +21,7 @@ from wreath_dio.abelian import (
 )
 from wreath_dio.group_ring import SupportedFunction
 from wreath_dio.hardness import ThreePartInstance, gen_3part_h0
-from wreath_dio.qsp import Certificate, QspInstance, verify_certificate
+from wreath_dio.qsp import Certificate, QspInstance, make_certificate, verify_certificate
 from wreath_dio.solvers import (
     MethodPreconditionError,
     SolverBudget,
@@ -514,3 +514,71 @@ def test_certificate_checks_survive_optimize_flag():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
+
+
+# ---------------------------------------------------------------------------
+# no derived data memoized on the objects a caller keeps
+
+
+def _kept_objects(I, cert):
+    objs = [I, I.A, I.B, *I.fs]
+    for f in I.fs:
+        for p, a in f.terms:
+            objs += [p, a]
+    if cert is not None:
+        objs += [cert, *cert.deltas, *cert.subgroup_gens]
+    return objs
+
+
+def _snapshot(objs):
+    return [(o, dict(vars(o))) for o in objs]
+
+
+def _assert_unchanged(snapshot):
+    for o, before in snapshot:
+        after = vars(o)
+        assert after.keys() == before.keys(), (type(o).__name__, after.keys())
+        assert all(after[k] is before[k] for k in before), type(o).__name__
+
+
+@pytest.mark.parametrize(
+    "I",
+    [
+        gen_3part_h0(ThreePartInstance((4, 4, 4, 4, 5, 5, 6, 6, 7), 3),
+                     Z.element((1,)), Z.element((1,))),
+        QspInstance(Z2, ZxZ, (atom(Z2, ZxZ, (1,), (0, 0)), atom(Z2, ZxZ, (1,), (1, 1))), 1),
+        QspInstance(Z, Z, (atom(Z, Z, (1,), (0,)), atom(Z, Z, (-1,), (3,))), 1),
+        QspInstance(Z, Z, (atom(Z, Z, (1,), (0,)), atom(Z, Z, (2,), (1,))), 0),
+    ],
+    ids=["3part-h0", "z2-over-zxz-h1", "big-h", "negative"],
+)
+def test_solve_and_verify_leave_kept_objects_unchanged(I):
+    # the instance, its functions, the certificate and their elements outlive
+    # a call; derived data memoized on them (a cached_property, say) would
+    # make a repeated call cheaper than a cold one and survive cache clearing
+    before = _snapshot(_kept_objects(I, None))
+    result = dispatch(I)
+    cert = result.certificate
+    after_dispatch = _snapshot(_kept_objects(I, cert))
+    if cert is not None:
+        assert verify_certificate(I, cert)
+        make_certificate(I, cert.deltas, Subgroup(I.B, cert.subgroup_gens))
+    assert dispatch(I).certificate == cert
+    _assert_unchanged(before)
+    _assert_unchanged(after_dispatch)
+
+
+def test_oracle_memo_repeats_counters_and_budget_outcome():
+    # a memo hit charges the stored tuple count, so a repeated oracle call
+    # reports the counters and the unknown-budget outcome of the first one
+    fs = (atom(Z2, ZxZ, (1,), (0, 0)), atom(Z2, ZxZ, (1,), (1, 2)))
+    I = QspInstance(Z2, ZxZ, fs, 1)
+    first = oracle_solve(I)
+    assert first.decision == "positive"
+    assert oracle_solve(I).counters == first.counters
+    assert first.counters["subgroup_tuples"] > 0
+    tight = SolverBudget(max_subgroup_tuples=first.counters["subgroup_tuples"] - 1)
+    for _ in range(2):
+        result = oracle_solve(I, tight)
+        assert result.decision == "unknown-budget"
+        assert result.reason.startswith("subgroup_tuples exceeded")
