@@ -497,17 +497,12 @@ class _SubgroupForm:
         self.Q = GroupPresentation(
             len(self.free_pos), tuple(self.factors[i] for i in self.torsion_pos)
         )
-        rows = self.U.entries
-        self._torsion_rows = [(rows[i], self.factors[i]) for i in self.torsion_pos]
-        self._free_rows = [rows[i] for i in self.free_pos]
-        # U = I with no factor 1 (N trivial, for one): the factors are Q's own
-        # torsion orders in place, so projecting is Q's coordinate reduction
-        identity = all(
-            row[i] == 1 and sum(map(abs, row)) == 1 for i, row in enumerate(rows)
-        )
-        self._reduce = (
-            coord_reducer(self.Q) if identity and 1 not in self.factors else None
-        )
+        # the rows of U that give Q's coordinates, in Q's order, with their
+        # factor (0 for a free coordinate)
+        self._rows = [
+            (self.U.entries[i], self.factors[i])
+            for i in self.torsion_pos + self.free_pos
+        ]
 
     def project_coords(self, coords: Sequence[int]) -> tuple[int, ...]:
         """Canonical coordinates in Q of the element with these coordinates.
@@ -523,11 +518,10 @@ class _SubgroupForm:
         >>> form.project_coords((2, 3)), any(form.project_coords((1, 0)))
         ((0,), True)
         """
-        if self._reduce is not None:
-            return self._reduce(coords)
-        out = [sum(map(mul, row, coords)) % d for row, d in self._torsion_rows]
-        out.extend(sum(map(mul, row, coords)) for row in self._free_rows)
-        return tuple(out)
+        return tuple([
+            sum(map(mul, row, coords)) % d if d else sum(map(mul, row, coords))
+            for row, d in self._rows
+        ])
 
     def project(self, g: GroupElement) -> GroupElement:
         if g.group != self.G:

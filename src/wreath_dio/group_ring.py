@@ -238,10 +238,14 @@ def pushforward(f: SupportedFunction, N: Subgroup) -> SupportedFunction:
     return _from_sums(f.coeff_group, form.Q, _projected_sums(f, form))
 
 
+def _vanishes(sums: dict[tuple, tuple[int, ...]]) -> bool:
+    """Whether every coefficient sum is zero."""
+    return not any(map(any, sums.values()))
+
+
 def is_zero_mod(f: SupportedFunction, N: Subgroup) -> bool:
     """Whether f vanishes in A^{B/N} (empty pushforward support)."""
-    sums = _projected_sums(f, _quotient_form(f.base_group, N))
-    return not any(map(any, sums.values()))
+    return _vanishes(_projected_sums(f, _quotient_form(f.base_group, N)))
 
 
 def _projected_sums(

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import sub
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .abelian import (
     GroupElement,
@@ -38,6 +38,7 @@ from .group_ring import (
     SupportedFunction,
     _coeff_sums,
     _from_sums,
+    _vanishes,
     shift,
 )
 
@@ -129,17 +130,25 @@ def _home_groups(
     return f0.coeff_group, f0.base_group
 
 
+def _shifted_pairs(
+    fs: Sequence[SupportedFunction],
+    deltas: Sequence[GroupElement],
+    key: Callable[[tuple[int, ...]], tuple],
+) -> Iterator[tuple[tuple, tuple[int, ...]]]:
+    """(key(coordinates of p - delta_i), coefficient coordinates) for every
+    term (p, a) of every f_i: the terms of the shifted sum, unmerged."""
+    for f, d in zip(fs, deltas):
+        dc = d.coords
+        for p, a in f.terms:
+            yield key(tuple(map(sub, p.coords, dc))), a.coords
+
+
 def shifted_sum(
     fs: Sequence[SupportedFunction], deltas: Sequence[GroupElement]
 ) -> SupportedFunction:
     """sum_i shift(f_i, delta_i); the left side of the quotient-sum equation."""
     A, B = _home_groups(fs, deltas)
-    red_b = coord_reducer(B)
-    pairs = (
-        (red_b(map(sub, p.coords, d.coords)), a.coords)
-        for f, d in zip(fs, deltas)
-        for p, a in f.terms
-    )
+    pairs = _shifted_pairs(fs, deltas, coord_reducer(B))
     return _from_sums(A, B, _coeff_sums(A, pairs))
 
 
@@ -156,13 +165,8 @@ def satisfies_equation(
     if not fs:
         return True
     A, B = _home_groups(fs, deltas)
-    project = _quotient_form(B, N).project_coords
-    pairs = (
-        (project(tuple(map(sub, p.coords, d.coords))), a.coords)
-        for f, d in zip(fs, deltas)
-        for p, a in f.terms
-    )
-    return not any(map(any, _coeff_sums(A, pairs).values()))
+    pairs = _shifted_pairs(fs, deltas, _quotient_form(B, N).project_coords)
+    return _vanishes(_coeff_sums(A, pairs))
 
 
 def verify_certificate(instance: QspInstance, cert: Certificate) -> bool:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import isqrt
 from operator import add, neg, sub
 from typing import Iterator, Optional, Sequence
@@ -482,48 +483,54 @@ METHODS = {
 # literal double-exhaustion oracle (test reference, deliberately naive)
 
 
-# (B, frozenset(points)) -> (subgroups, tuples charged); emptied when full
-_SUBSET_SUBGROUPS: dict[tuple, tuple[tuple[Subgroup, ...], int]] = {}
-_SUBSET_SUBGROUPS_CAP = 4096
-
-
 def _subset_generated_subgroups(
     B: GroupPresentation, points: list[GroupElement], meter: _Meter
 ) -> list[Subgroup]:
     """Every subgroup of the form <T> for T a subset of points, deduplicated.
 
-    Memoized on (B, frozenset(points)); points come sorted and distinct from
-    difference_set, so equal sets give equal results.  A miss charges one
-    subgroup_tuples per tuple tried, as the search goes, and stores nothing
-    if the budget runs out.  A hit charges the stored tuple count in one
-    charge, so the oracle's counters and its unknown-budget outcomes are
-    those of a fresh search; only the counter's value at the moment the
-    budget trips can be larger.
+    The search is _subset_subgroups, memoized on B, the point set and the
+    budget's subgroup_tuples limit.  Its tuple count is charged in one
+    charge, on a miss and on a hit alike, so the oracle's counters and its
+    unknown-budget outcomes are those of a search charged tuple by tuple;
+    only the counter's value at the moment the budget trips can be larger.
+    A search that passes the limit stores nothing.
     """
-    key = (B, frozenset(points))
-    if key in _SUBSET_SUBGROUPS:
-        subgroups, tuples = _SUBSET_SUBGROUPS[key]
-        meter.charge("subgroup_tuples", tuples)
-        return list(subgroups)
+    limit = meter.budget.max_subgroup_tuples
+    try:
+        subgroups, tuples = _subset_subgroups(B, frozenset(points), limit)
+    except BudgetExceeded:
+        subgroups, tuples = (), limit + 1
+    meter.charge("subgroup_tuples", tuples)
+    return list(subgroups)
+
+
+@lru_cache(maxsize=4096)
+def _subset_subgroups(
+    B: GroupPresentation, points: frozenset[GroupElement], limit: int
+) -> tuple[tuple[Subgroup, ...], int]:
+    """(the subgroups <T> for T a subset of points, tuples tried).
+
+    Breadth-first from the trivial subgroup, adding each point in turn to
+    each subgroup found; raises BudgetExceeded once more than limit tuples
+    were tried.
+    """
+    ordered = sorted(points, key=lambda g: g.coords)
     trivial = Subgroup.trivial(B)
     found: dict[tuple, Subgroup] = {_subgroup_key(trivial): trivial}
     queue = [trivial]
     tuples = 0
     while queue:
         S = queue.pop(0)
-        for s in points:
-            meter.charge("subgroup_tuples")
+        for s in ordered:
             tuples += 1
+            if tuples > limit:
+                raise BudgetExceeded(f"subgroup_tuples exceeded {limit}")
             S2 = Subgroup(B, S.generators + (s,))
-            key2 = _subgroup_key(S2)
-            if key2 not in found:
-                found[key2] = S2
+            key = _subgroup_key(S2)
+            if key not in found:
+                found[key] = S2
                 queue.append(S2)
-    subgroups = tuple(found[k] for k in sorted(found))
-    if len(_SUBSET_SUBGROUPS) >= _SUBSET_SUBGROUPS_CAP:
-        _SUBSET_SUBGROUPS.clear()
-    _SUBSET_SUBGROUPS[key] = (subgroups, tuples)
-    return list(subgroups)
+    return tuple(found[k] for k in sorted(found)), tuples
 
 
 def oracle_solve(

@@ -27,8 +27,8 @@ from .abelian import (
     GroupElement,
     GroupPresentation,
     Subgroup,
+    _quotient_form,
     enumerate_ball,
-    quotient,
 )
 from .group_ring import SupportedFunction, lambda_term, pushforward, shift
 from .qsp import QspInstance
@@ -208,9 +208,8 @@ def reduce_to_qsp(eq: OrientableEquation) -> Union[QspInstance, Unsolvable]:
     if not total.is_zero():
         return Unsolvable()
     N = Subgroup(eq.B, tuple(c.delta for c in eq.constants))
-    Q, _ = quotient(eq.B, N)
     pushed = tuple(pushforward(c.f, N) for c in eq.constants)
-    return QspInstance(eq.A, Q, pushed, 2 * eq.genus)
+    return QspInstance(eq.A, _quotient_form(eq.B, N).Q, pushed, 2 * eq.genus)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import wreath_dio
 from wreath_dio.abelian import (
+    BudgetExceeded,
     GroupPresentation,
     Subgroup,
     group_rank,
@@ -24,6 +25,7 @@ from wreath_dio.hardness import ThreePartInstance, gen_3part_h0
 from wreath_dio.qsp import Certificate, QspInstance, make_certificate, verify_certificate
 from wreath_dio.solvers import (
     MethodPreconditionError,
+    _subset_subgroups,
     SolverBudget,
     dispatch,
     oracle_solve,
@@ -573,12 +575,21 @@ def test_oracle_memo_repeats_counters_and_budget_outcome():
     # reports the counters and the unknown-budget outcome of the first one
     fs = (atom(Z2, ZxZ, (1,), (0, 0)), atom(Z2, ZxZ, (1,), (1, 2)))
     I = QspInstance(Z2, ZxZ, fs, 1)
+    _subset_subgroups.cache_clear()
     first = oracle_solve(I)
     assert first.decision == "positive"
+    stored = _subset_subgroups.cache_info().currsize
+    assert stored > 0
     assert oracle_solve(I).counters == first.counters
+    assert _subset_subgroups.cache_info().currsize == stored
     assert first.counters["subgroup_tuples"] > 0
     tight = SolverBudget(max_subgroup_tuples=first.counters["subgroup_tuples"] - 1)
     for _ in range(2):
         result = oracle_solve(I, tight)
         assert result.decision == "unknown-budget"
         assert result.reason.startswith("subgroup_tuples exceeded")
+    # a search that passes its limit is not stored
+    stored = _subset_subgroups.cache_info().currsize
+    with pytest.raises(BudgetExceeded):
+        _subset_subgroups(ZxZ, frozenset([ZxZ.element((1, 2))]), 1)
+    assert _subset_subgroups.cache_info().currsize == stored
