@@ -1,12 +1,12 @@
 """Decision procedures for the Quotient Sum Problem.
 
-Two polynomial special cases (large rank budget, a single function over a
-torsion-free base) plus a complete search that decides everything else,
-behind a dispatcher that settles a trivial coefficient group itself and
-routes every other instance to the first applicable method.  Every positive
-answer carries a certificate that passes verify_certificate; exhausted
-budgets surface as an explicit "unknown-budget" outcome, never as a wrong
-answer.
+One polynomial special case (rank budget at least rank(B)) and a complete
+search that decides everything else, behind a dispatcher that settles a
+trivial coefficient group itself.  The search places shifted functions on
+the least uncancelled point and, when h >= 1, grows the witness subgroup
+from differences of support points as it goes.  Every positive answer
+carries a certificate that passes verify_certificate; exhausted budgets
+surface as an explicit "unknown-budget" outcome, never as a wrong answer.
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ import itertools
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import isqrt
 from operator import add, neg, sub
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .abelian import (
     BudgetExceeded,
@@ -25,14 +24,14 @@ from .abelian import (
     GroupPresentation,
     Subgroup,
     _relation_columns,
+    _subgroup_form,
     coord_reducer,
     enumerate_ball,
     group_rank,
-    quotient_maps,
     subgroup_rank,
 )
-from .group_ring import SupportedFunction, is_zero_mod, pushforward
-from .lattice import lattice_basis, saturation, span_membership
+from .group_ring import SupportedFunction, _coeff_sums, is_zero_mod
+from .lattice import lattice_basis
 from .qsp import (
     Certificate,
     QspInstance,
@@ -134,10 +133,8 @@ def _unknown(
 
 def _total_sum_is_zero(I: QspInstance) -> bool:
     """Necessary for any positive answer: quotients preserve the total sum."""
-    total = I.A.zero()
-    for f in I.fs:
-        total = total + f.total_coefficient()
-    return total.is_zero()
+    columns = zip(*(c.coords for f in I.fs for _, c in f.terms))
+    return not any(coord_reducer(I.A)(map(sum, columns)))
 
 
 def _zero_deltas(I: QspInstance) -> tuple[GroupElement, ...]:
@@ -159,79 +156,7 @@ def solve_big_h(I: QspInstance, budget: SolverBudget = DEFAULT_BUDGET) -> SolveR
 
 
 # ---------------------------------------------------------------------------
-# single function over a torsion-free base
-
-
-def solve_single_f(
-    I: QspInstance, budget: SolverBudget = DEFAULT_BUDGET
-) -> SolveResult:
-    """One function, B torsion-free: search rational spans of difference sets.
-
-    The shift is irrelevant (translation moves the pushforward), so decide
-    whether f vanishes modulo Span_Q(T) cap Z^n for some subset T of the
-    difference set with |T| <= h; the integral certificate subgroup is the
-    saturation of T.
-    """
-    meter = _Meter(budget)
-    if len(I.fs) != 1:
-        raise MethodPreconditionError("requires exactly one function")
-    if I.B.torsion:
-        raise MethodPreconditionError("requires a torsion-free base group")
-    f = I.fs[0]
-    deltas = (I.B.zero(),)
-    if f.is_zero():
-        return _positive(I, "single-f", meter, deltas, Subgroup.trivial(I.B))
-    if not f.total_coefficient().is_zero():
-        return _negative(I, "single-f", meter)
-    n = I.B.free_rank
-    S = [d for d in difference_set(f) if not d.is_zero()]
-    try:
-        for size in range(0, min(I.h, len(S), n) + 1):
-            for T in itertools.combinations(S, size):
-                meter.charge("subgroup_tuples")
-                vecs = [list(t.coords) for t in T]
-                if _vanishes_mod_rational_span(f, vecs):
-                    basis = saturation(vecs, n)
-                    N = Subgroup(I.B, tuple(I.B.element(b) for b in basis))
-                    return _positive(I, "single-f", meter, deltas, N)
-        return _negative(I, "single-f", meter)
-    except BudgetExceeded as exc:
-        return _unknown(I, "single-f", meter, exc)
-
-
-def _vanishes_mod_rational_span(f: SupportedFunction, vecs: list[list[int]]) -> bool:
-    # group support points into rational-span fibers and sum each fiber
-    reps: list[tuple[GroupElement, GroupElement]] = []
-    for point, coeff in f.terms:
-        for k, (rep, acc) in enumerate(reps):
-            diff = [a - b for a, b in zip(point.coords, rep.coords)]
-            if span_membership(vecs, diff):
-                reps[k] = (rep, acc + coeff)
-                break
-        else:
-            reps.append((point, coeff))
-    return all(acc.is_zero() for _, acc in reps)
-
-
-# ---------------------------------------------------------------------------
-# complete fallback
-
-
-def _euclid_pool(
-    B: GroupPresentation, bound_sq: int, meter: _Meter
-) -> list[GroupElement]:
-    """Nonzero elements whose symmetric-lift Euclidean norm fits the bound."""
-    n = B.ncoords
-    if n == 0 or bound_sq <= 0:
-        return []
-    r1 = isqrt(n * bound_sq)
-    pool = []
-    for g in enumerate_ball(B, r1, cap=meter.budget.max_ball_elements):
-        meter.charge("ball_elements")
-        if not g.is_zero() and g.norm_sq() <= bound_sq:
-            pool.append(g)
-    pool.sort(key=lambda g: (g.norm_sq(), g.coords))
-    return pool
+# complete search
 
 
 def _subgroup_key(S: Subgroup) -> tuple:
@@ -240,32 +165,51 @@ def _subgroup_key(S: Subgroup) -> tuple:
     return tuple(lattice_basis(rows + _relation_columns(S.ambient)))
 
 
-def _candidate_subgroups(
-    B: GroupPresentation, h: int, size_i: int, meter: _Meter
-) -> Iterator[Subgroup]:
-    """Deduplicated subgroups generated by <= h short vectors, trivial first.
+class _Level:
+    """The anchored search's view of B/N for one subgroup N = <gens>.
 
-    Any witness subgroup can be replaced by one generated by within-cluster
-    support differences (geodesic length <= size of the instance), which in
-    turn has a reduced generating tuple of Euclidean norm at most
-    2^(rank(B)/2) * size(I); enumerating that ball is therefore complete.
-    Lazy: small-norm candidates come first, so early witnesses stay cheap.
+    gs holds each function that is nonzero in B/N as its sorted (point,
+    coeff) coordinate pairs in B/N and A, and vids numbers the functions up
+    to equality in B/N.  reps maps every point of B/N met so far to a
+    B-point of that coset; memo holds the failed states met at N, and
+    children the keys of the subgroups N + <d> tried so far, by d in B/N.
     """
-    trivial = Subgroup.trivial(B)
-    yield trivial
-    if h <= 0:
-        return
-    bound_sq = (2 ** group_rank(B)) * size_i * size_i
-    pool = _euclid_pool(B, bound_sq, meter)
-    seen = {_subgroup_key(trivial)}
-    for y in range(1, h + 1):
-        for combo in itertools.combinations(pool, y):
-            meter.charge("subgroup_tuples")
-            S = Subgroup(B, combo)
-            key = _subgroup_key(S)
-            if key not in seen:
-                seen.add(key)
-                yield S
+
+    def __init__(
+        self,
+        fs: Sequence[SupportedFunction],
+        B: GroupPresentation,
+        gens: tuple[GroupElement, ...],
+    ) -> None:
+        form = _subgroup_form(B, gens)
+        self.gens = gens
+        self.project = form.project_coords
+        self.red_q = coord_reducer(form.Q)
+        self.zero = (0,) * form.Q.ncoords
+        self.A = fs[0].coeff_group
+        self.reps: dict[tuple, tuple] = {}
+        self.memo: set = set()
+        self.children: dict[tuple, tuple] = {}
+        self.gs = {}
+        for i, f in enumerate(fs):
+            sums = self.push((p.coords, c.coords) for p, c in f.terms)
+            if sums:
+                self.gs[i] = tuple(sorted(sums.items()))
+        value_id: dict[tuple, int] = {}
+        self.vids = {
+            i: value_id.setdefault(t, len(value_id)) for i, t in self.gs.items()
+        }
+
+    def push(self, pairs) -> dict:
+        """Coefficient sums per coset of (B-point, coeff) pairs, zeros
+        dropped; each coset met keeps its first B-point in reps."""
+        sums = _coeff_sums(self.A, ((self.coset(b), c) for b, c in pairs))
+        return {q: c for q, c in sums.items() if any(c)}
+
+    def coset(self, b: tuple) -> tuple:
+        q = self.project(b)
+        self.reps.setdefault(q, b)
+        return q
 
 
 _REACH_CAP = 4096
@@ -274,63 +218,80 @@ _REACH_CAP = 4096
 def _anchored_search(
     fs: Sequence[SupportedFunction],
     B: GroupPresentation,
-    N: Subgroup,
+    h: int,
     meter: _Meter,
-) -> Optional[tuple[GroupElement, ...]]:
-    """Find shifts making the sum vanish exactly in A^(B/N), or None.
+) -> Optional[tuple[tuple[GroupElement, ...], Subgroup]]:
+    """Shifts and a subgroup N of rank <= h that make the sum vanish in
+    A^(B/N), as (deltas, N), or None.  With h = 0, N stays trivial.
 
-    Works in the quotient: anchor the first nonzero function at shift 0
-    (the total sum is translation-invariant), then repeatedly branch on which
-    unplaced function covers the least nonzero point of the partial sum —
-    any completion must cancel that point, so the branching is exhaustive.
-    Failed (remaining functions, translated partial sum) states are memoized,
-    and a node dies early if some point's coefficient cannot be canceled by
-    any subset of the remaining functions' lamp values (each placement lands
-    at most one lamp on a fixed point).
+    The search starts at N = 0 and anchors the first nonzero function at
+    shift 0 (the total sum is translation-invariant).  At each node it takes
+    the least point p of the partial sum in B/N that is not yet cancelled
+    and branches:
+
+    - placement: an unplaced function is shifted so that one of its lamps
+      lands on p;
+    - growth (h >= 1): N becomes N' = N + <p~ - q~> for another point q of
+      the partial sum, where p~ and q~ are B-points of the two cosets.  An
+      N' of rank above h, or one already tried at the node, is skipped;
+      otherwise the partial sum is pushed forward into B/N'.
+
+    Completeness.  Take a witness (delta*, N*) that agrees with the node:
+    N <= N*, rank(N*) <= h, and each placed shift is delta*_i modulo N*.
+    The witness sum vanishes on every coset of N*, p + N* among them.
+    Either some unplaced function, shifted by delta*_i, has a lamp in
+    p + N*: moving its shift by an element of N* keeps the witness and puts
+    that lamp exactly on p, which is a placement branch.  Or the rest of
+    p's N*-coset is already placed: the partial sum alone vanishes on it
+    and is nonzero at p, so some other point q of it has p - q in N*.  Then
+    N + <p~ - q~> lies inside N*, so its rank is at most h (no subgroup of
+    a finitely generated abelian group needs more generators than the group
+    itself), which is a growth branch.  When the partial sum is empty, the
+    unplaced functions cancel among themselves, which no joint translation
+    changes, so anchoring the next one at 0 keeps the agreement.  The
+    search ends because placements shrink the unplaced set and growth
+    branches shrink the support of the partial sum.
+
+    Failed (N, remaining functions, translated partial sum) states are
+    memoized: levels are keyed by _subgroup_key, and each keeps its own
+    memo.  While N cannot grow (h = 0), a node also dies early if some
+    point's coefficient cannot be cancelled by any subset of the remaining
+    functions' lamp values (each placement lands at most one lamp on a
+    fixed point); growth merges points, so this prune needs h = 0.
 
     The search runs on canonical coordinate tuples: points of B/N and
     coefficients of A, kept canonical by each group's coord_reducer.  Tuples
     order as their GroupElements do, so nodes are visited in coordinate
-    order.  GroupElement appears at entry only, in the pushforwards, and at
-    exit, where the found shifts are lifted back to B.
+    order.  Shifts and generators are differences of B-points, so no point
+    of B/N is ever lifted back to B.
     """
-    Q, _, lift_map = quotient_maps(B, N.generators)
-    pushed = [pushforward(f, N) for f in fs]
-    active = [i for i, g in enumerate(pushed) if not g.is_zero()]
-    result = [B.zero() for _ in fs]
-    if not active:
-        return tuple(result)
-
-    A = pushed[active[0]].coeff_group
-    red_q = coord_reducer(Q)
-    red_a = coord_reducer(A)
-    # each function as ((point, coeff), ...) coordinate pairs, sorted by point
-    gs = {
-        i: tuple((p.coords, c.coords) for p, c in pushed[i].terms)
-        for i in active
-    }
-    value_id: dict[tuple, int] = {}
-    for i in active:
-        value_id.setdefault(gs[i], len(value_id))
-    vids = {i: value_id[gs[i]] for i in active}
-    lamp_values = {i: tuple(sorted({c for _, c in gs[i]})) for i in active}
-
+    red_a = coord_reducer(fs[0].coeff_group)
+    red_b = coord_reducer(B)
+    root = _Level(fs, B, ())
+    levels: dict[tuple, Optional[_Level]] = {}
     assignment: dict[int, tuple[int, ...]] = {}
-    memo: set = set()
+    zero_b = (0,) * B.ncoords
+    lamp_values = {i: tuple(sorted({c for _, c in t})) for i, t in root.gs.items()}
     reach_cache: dict[tuple[int, ...], Optional[frozenset]] = {}
 
-    def place(sum_d: dict, terms: tuple, delta: tuple[int, ...]) -> list:
-        """Add the function with these terms, shifted by delta, into sum_d;
-        return an undo log."""
+    def place(lvl: _Level, sum_d: dict, terms: tuple, delta, shift_b) -> list:
+        """Add the function with these terms, shifted by delta (shift_b in
+        B), into sum_d; return an undo log."""
+        red_q, reps = lvl.red_q, lvl.reps
         undo = []
         for point, coeff in terms:
             p = red_q(map(sub, point, delta))
             old = sum_d.get(p)
             undo.append((p, old))
-            new = coeff if old is None else red_a(map(add, old, coeff))
+            if old is None:
+                sum_d[p] = coeff
+                if p not in reps:
+                    reps[p] = red_b(map(sub, reps[point], shift_b))
+                continue
+            new = red_a(map(add, old, coeff))
             if any(new):
                 sum_d[p] = new
-            elif old is not None:
+            else:
                 del sum_d[p]
         return undo
 
@@ -343,10 +304,10 @@ def _anchored_search(
 
     def reachable(unplaced: tuple[int, ...]) -> Optional[frozenset]:
         # all values sum_i x_i with x_i in {0} + lamp_values[i]; None = too big
-        key = tuple(sorted(vids[i] for i in unplaced))
+        key = tuple(sorted(root.vids[i] for i in unplaced))
         if key in reach_cache:
             return reach_cache[key]
-        reach = {(0,) * A.ncoords}
+        reach = {(0,) * fs[0].coeff_group.ncoords}
         for i in unplaced:
             grown = set(reach)
             for r in reach:
@@ -360,78 +321,113 @@ def _anchored_search(
         reach_cache[key] = out
         return out
 
-    def state_key(unplaced: tuple[int, ...], sum_d: dict) -> tuple:
-        ids = tuple(sorted(vids[i] for i in unplaced))
+    def state_key(lvl: _Level, unplaced: tuple[int, ...], sum_d: dict) -> tuple:
+        ids = tuple(sorted(lvl.vids[i] for i in unplaced))
         if not sum_d:
             return ids, ()
         items = sorted(sum_d.items())  # points are distinct: sorted by point
         base = items[0][0]
+        red_q = lvl.red_q
         # translation-normalized: failure is invariant under joint shifts
         body = tuple([(red_q(map(sub, p, base)), c) for p, c in items])
         return ids, body
 
-    def dfs(unplaced: tuple[int, ...], sum_d: dict) -> bool:
+    def grow(lvl: _Level, p: tuple, q: tuple, seen: set) -> Optional[_Level]:
+        """The level of N + <p~ - q~>, or None if seen at this node or too
+        big.  That subgroup depends only on p - q in B/N, so its key is
+        kept per level under p - q."""
+        meter.charge("subgroup_tuples")
+        diff = lvl.red_q(map(sub, p, q))
+        key = lvl.children.get(diff)
+        if key is None:
+            gen = B.element(map(sub, lvl.reps[p], lvl.reps[q]))
+            S = Subgroup(B, lvl.gens + (gen,))
+            key = lvl.children[diff] = _subgroup_key(S)
+            if key not in levels:
+                fits = subgroup_rank(S) <= h
+                levels[key] = _Level(fs, B, S.generators) if fits else None
+        if key in seen:
+            return None
+        seen.add(key)
+        return levels[key]
+
+    def dfs(lvl: _Level, unplaced: tuple[int, ...], sum_d: dict) -> Optional[_Level]:
         meter.charge("delta_tuples")
-        key = state_key(unplaced, sum_d)
-        if key in memo:
-            return False
+        key = state_key(lvl, unplaced, sum_d)
+        if key in lvl.memo:
+            return None
         if not sum_d:
             if not unplaced:
-                return True
+                return lvl
             i0 = unplaced[0]
-            delta = (0,) * Q.ncoords  # anchor: sums are translation-invariant
-            undo = place(sum_d, gs[i0], delta)
-            assignment[i0] = delta
-            if dfs(unplaced[1:], sum_d):
-                return True
+            # anchor: sums are translation-invariant
+            undo = place(lvl, sum_d, lvl.gs[i0], lvl.zero, zero_b)
+            assignment[i0] = zero_b
+            found = dfs(lvl, unplaced[1:], sum_d)
+            if found:
+                return found
             del assignment[i0]
             unplace(sum_d, undo)
-            memo.add(key)
-            return False
-        if not unplaced:
-            memo.add(key)
-            return False
-        reach = reachable(unplaced)
-        if reach is not None:
-            for coeff in sum_d.values():
-                if red_a(map(neg, coeff)) not in reach:
-                    memo.add(key)
-                    return False
+            lvl.memo.add(key)
+            return None
+        if h == 0:
+            reach = reachable(unplaced)
+            if reach is not None:
+                for coeff in sum_d.values():
+                    if red_a(map(neg, coeff)) not in reach:
+                        lvl.memo.add(key)
+                        return None
+        red_q, reps = lvl.red_q, lvl.reps
         p = min(sum_d)
         tried = set()
         for pos, i in enumerate(unplaced):
-            vid = vids[i]
+            vid = lvl.vids[i]
             if vid in tried:
                 continue
             tried.add(vid)
             rest = unplaced[:pos] + unplaced[pos + 1 :]
-            for point, _coeff in gs[i]:
+            for point, _coeff in lvl.gs[i]:
                 delta = red_q(map(sub, point, p))
-                undo = place(sum_d, gs[i], delta)
-                assignment[i] = delta
-                if dfs(rest, sum_d):
-                    return True
+                shift_b = red_b(map(sub, reps[point], reps[p]))
+                undo = place(lvl, sum_d, lvl.gs[i], delta, shift_b)
+                assignment[i] = shift_b
+                found = dfs(lvl, rest, sum_d)
+                if found:
+                    return found
                 del assignment[i]
                 unplace(sum_d, undo)
-        memo.add(key)
-        return False
+        if h > 0:
+            seen: set = set()
+            for q in sorted(sum_d)[1:]:
+                nxt = grow(lvl, p, q, seen)
+                if nxt is None:
+                    continue
+                pushed = nxt.push((reps[x], c) for x, c in sum_d.items())
+                found = dfs(nxt, tuple(i for i in unplaced if i in nxt.gs), pushed)
+                if found:
+                    return found
+        lvl.memo.add(key)
+        return None
 
-    if dfs(tuple(active), {}):
-        for i in active:
-            result[i] = lift_map(Q.element(assignment[i]))
-        return tuple(result)
-    return None
+    found = dfs(root, tuple(root.gs), {})
+    if found is None:
+        return None
+    deltas = [B.zero()] * len(fs)
+    for i, shift_b in assignment.items():
+        deltas[i] = B.element(shift_b)
+    return tuple(deltas), Subgroup(B, found.gens)
 
 
 def solve_general(
     I: QspInstance, budget: SolverBudget = DEFAULT_BUDGET
 ) -> SolveResult:
-    """Complete search: every candidate subgroup, then an anchored cover search.
+    """Complete search: the anchored search, first with N = 0, then growing N.
 
-    Candidate subgroups come from the short-vector ball (complete by the
-    normalization and reduced-basis bounds); for each one the quotient
-    problem is solved exactly by the anchored placement search, which needs
-    no shift ball at all.
+    The first pass holds N trivial, so it may prune by reachability and
+    never pushes a partial sum into a second quotient; only if it fails and
+    h >= 1 does a second pass let N grow from differences of support
+    points, up to rank h.  Instances that need no subgroup are decided by
+    the cheaper first pass.
     """
     meter = _Meter(budget)
     if not I.fs:
@@ -439,11 +435,12 @@ def solve_general(
     if not _total_sum_is_zero(I):
         return _negative(I, "general", meter)
     try:
-        for N in _candidate_subgroups(I.B, I.h, I.size(), meter):
-            found = _anchored_search(I.fs, I.B, N, meter)
-            if found is not None:
-                return _positive(I, "general", meter, found, N)
-        return _negative(I, "general", meter)
+        found = _anchored_search(I.fs, I.B, 0, meter)
+        if found is None and I.h > 0:
+            found = _anchored_search(I.fs, I.B, I.h, meter)
+        if found is None:
+            return _negative(I, "general", meter)
+        return _positive(I, "general", meter, *found)
     except BudgetExceeded as exc:
         return _unknown(I, "general", meter, exc)
 
@@ -455,9 +452,8 @@ def solve_general(
 def dispatch(I: QspInstance, budget: SolverBudget = DEFAULT_BUDGET) -> SolveResult:
     """Route to the first applicable method.
 
-    Order: trivial coefficient group, large rank budget, single function over
-    a torsion-free base, then the complete search for everything else,
-    finite base groups and few functions included.
+    Order: trivial coefficient group, then large rank budget (h >= rank(B)),
+    then the complete search for everything else.
     """
     meter = _Meter(budget)
     if I.A.is_trivial():
@@ -467,14 +463,11 @@ def dispatch(I: QspInstance, budget: SolverBudget = DEFAULT_BUDGET) -> SolveResu
         return SolveResult(POSITIVE, "trivial-a", cert, dict(meter.counters))
     if I.h >= group_rank(I.B):
         return solve_big_h(I, budget)
-    if len(I.fs) == 1 and not I.B.torsion:
-        return solve_single_f(I, budget)
     return solve_general(I, budget)
 
 
 METHODS = {
     "big-h": solve_big_h,
-    "single-f": solve_single_f,
     "general": solve_general,
 }
 

@@ -64,7 +64,6 @@ from wreath_dio.solvers import (
     oracle_solve,
     solve_big_h,
     solve_general,
-    solve_single_f,
 )
 from wreath_dio.wreath import (
     OrientableEquation,
@@ -371,8 +370,6 @@ def _cross_check(instance, sampled):
     solvers = [dispatch, solve_general]
     if instance.h >= group_rank(instance.B):
         solvers.append(solve_big_h)
-    if len(instance.fs) == 1 and not instance.B.torsion:
-        solvers.append(solve_single_f)
     for solver in solvers:
         result = solver(instance)
         assert result.decision == ref.decision, (

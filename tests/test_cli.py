@@ -452,7 +452,7 @@ def test_usage_error_exits_precondition_not_unknown(capsys):
     assert "the following arguments are required: equation" in err
 
 
-@pytest.mark.parametrize("method", ["fastest", "finite-b", "bounded-m"])
+@pytest.mark.parametrize("method", ["fastest", "finite-b", "bounded-m", "single-f"])
 def test_bad_method_choice_exits_precondition(method, tmp_path, capsys):
     path = _write(tmp_path, "inst.json", encode_instance(_positive_pair_instance()))
     with pytest.raises(SystemExit) as exc:

@@ -1,7 +1,8 @@
-"""Decision procedures: the two polynomial routes, the complete search,
-dispatch routing, and cross-oracle agreement."""
+"""Decision procedures: the big-h route, the complete search, dispatch
+routing, and cross-oracle agreement."""
 
 import itertools
+import math
 import pathlib
 import random
 import subprocess
@@ -20,7 +21,7 @@ from wreath_dio.abelian import (
     group_rank,
     subgroup_contains,
 )
-from wreath_dio.group_ring import SupportedFunction
+from wreath_dio.group_ring import SupportedFunction, shift
 from wreath_dio.hardness import ThreePartInstance, gen_3part_h0
 from wreath_dio.qsp import Certificate, QspInstance, make_certificate, verify_certificate
 from wreath_dio.solvers import (
@@ -31,7 +32,6 @@ from wreath_dio.solvers import (
     oracle_solve,
     solve_big_h,
     solve_general,
-    solve_single_f,
 )
 
 Z = GroupPresentation(1)
@@ -120,13 +120,13 @@ def test_finite_base_needs_subgroup_collapse():
 
 
 # ---------------------------------------------------------------------------
-# single-f route
+# one function over a torsion-free base, decided by the growing search
 
 
 def test_single_f_zero_function_positive():
     I = QspInstance(Z, ZxZ, (SupportedFunction.zero(Z, ZxZ),), 0)
-    result = solve_single_f(I)
-    assert result.method == "single-f"
+    result = dispatch(I)
+    assert result.method == "general"
     _assert_positive(I, result)
     assert result.certificate.subgroup_gens == ()
 
@@ -134,7 +134,8 @@ def test_single_f_zero_function_positive():
 def test_single_f_difference_pair_positive_with_span():
     f = atom(Z, ZxZ, (1,), (0, 0)) - atom(Z, ZxZ, (1,), (1, 0))
     I = QspInstance(Z, ZxZ, (f,), 1)
-    result = solve_single_f(I)
+    result = dispatch(I)
+    assert result.method == "general"
     _assert_positive(I, result)
     N = Subgroup(ZxZ, result.certificate.subgroup_gens)
     assert subgroup_contains(N, ZxZ.element((1, 0)))
@@ -142,8 +143,11 @@ def test_single_f_difference_pair_positive_with_span():
 
 
 def test_single_f_nonzero_total_negative():
+    # h >= rank(Z) routes this instance to big-h, so call the search itself
     f = atom(Z, Z, (2,), (0,)) + atom(Z, Z, (1,), (3,))
-    assert solve_single_f(QspInstance(Z, Z, (f,), 2)).decision == "negative"
+    result = solve_general(QspInstance(Z, Z, (f,), 2))
+    assert result.method == "general"
+    assert result.decision == "negative"
 
 
 def test_single_f_needs_full_rank_collapse():
@@ -155,32 +159,25 @@ def test_single_f_needs_full_rank_collapse():
         + atom(Z2, ZxZ, (1,), (0, 1))
         + atom(Z2, ZxZ, (1,), (2, 2))
     )
-    assert solve_single_f(QspInstance(Z2, ZxZ, (f,), 1)).decision == "negative"
+    result = dispatch(QspInstance(Z2, ZxZ, (f,), 1))
+    assert result.method == "general"
+    assert result.decision == "negative"
     I = QspInstance(Z2, ZxZ, (f,), 2)
-    _assert_positive(I, solve_single_f(I))
+    _assert_positive(I, dispatch(I))
 
 
 def test_single_f_rational_span_collapse():
-    # lamps at 0, 2, 4 with coefficients 1, -2, 1 vanish mod <2> but not <4>
+    # lamps at 0, 2, 4 with coefficients 1, -2, 1 vanish mod <2> but not <4>;
+    # h >= rank(Z) routes this instance to big-h, so call the search itself
     f = (
         atom(Z, Z, (1,), (0,))
         + atom(Z, Z, (-2,), (2,))
         + atom(Z, Z, (1,), (4,))
     )
     I = QspInstance(Z, Z, (f,), 1)
-    result = solve_single_f(I)
+    result = solve_general(I)
+    assert result.method == "general"
     _assert_positive(I, result)
-
-
-def test_single_f_misroutes():
-    with pytest.raises(MethodPreconditionError):
-        solve_single_f(
-            QspInstance(Z, Z, (atom(Z, Z, (1,), (0,)),) * 2, 0)
-        )  # two functions
-    with pytest.raises(MethodPreconditionError):
-        solve_single_f(
-            QspInstance(Z, Z4, (atom(Z, Z4, (1,), (0,)),), 0)
-        )  # torsion base
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +268,7 @@ def test_dispatch_routing_tags():
     fin = QspInstance(Z2, Z4, (atom(Z2, Z4, (1,), (0,)),), 0)
     assert dispatch(fin).method == "general"
     single = QspInstance(Z, ZxZ, (atom(Z, ZxZ, (1,), (0, 0)),), 1)
-    assert dispatch(single).method == "single-f"
+    assert dispatch(single).method == "general"
     pair = QspInstance(Z, ZxZ, (atom(Z, ZxZ, (1,), (0, 0)),) * 2, 1)
     assert dispatch(pair).method == "general"
     many = QspInstance(Z, ZxZ, (atom(Z, ZxZ, (1,), (0, 0)),) * 4, 1)
@@ -477,6 +474,84 @@ def test_general_search_order_pinned_on_3part_h0(values, k, decision, nodes, del
 
 
 # ---------------------------------------------------------------------------
+# seeded draws that the search over a Euclidean ball of candidate subgroups
+# left undecided or slow: one function over Z^3 built as perfbench's
+# _planted_single builds it, zero-sum instances over Z^3, and zero-sum
+# negatives over Z^2 whose decisions were computed once by that search
+# (0.3-1.2 s each).  A budget of counters only keeps the wall clock out.
+
+
+COUNTER_BUDGET = SolverBudget(
+    max_delta_tuples=10_000, max_subgroup_tuples=10_000, max_seconds=math.inf
+)
+Z3_FREE = GroupPresentation(3)
+
+
+def _small(rng, B, r):
+    return B.element(tuple(rng.randint(-r, r) for _ in range(B.ncoords)))
+
+
+def _unit(rng):
+    return Z.element((rng.choice((-1, 1)),))
+
+
+def _planted_single(rng, h):
+    """One function over Z^3 that vanishes modulo h planted directions."""
+    B = Z3_FREE
+    f = SupportedFunction.zero(Z, B)
+    for _ in range(h):
+        g = SupportedFunction(Z, B, tuple(
+            (_small(rng, B, 2), _unit(rng)) for _ in range(3 - h)
+        ))
+        f = f + g - shift(g, _small(rng, B, 2))
+    return QspInstance(Z, B, (shift(f, _small(rng, B, 2)),), h)
+
+
+def _zero_sum(rng, B, m, h):
+    """m two-atom functions, the last with an atom cancelling the total."""
+    fs = [
+        SupportedFunction(Z, B, tuple((_small(rng, B, 2), _unit(rng)) for _ in range(2)))
+        for _ in range(m)
+    ]
+    total = sum((f.total_coefficient() for f in fs), Z.zero())
+    fs[-1] = fs[-1] + SupportedFunction.atom(-total, _small(rng, B, 2))
+    return QspInstance(Z, B, tuple(fs), h)
+
+
+def _ball_search_draws():
+    """(name, instance, expected decision or None) for the three families."""
+    draws = []
+    rng = random.Random(3)
+    for h, count in ((1, 3), (2, 2)):
+        for j in range(count):
+            draws.append((f"single-Z3-h{h}-{j}", _planted_single(rng, h), "positive"))
+    rng = random.Random(33)
+    for j, (m, h) in enumerate(((2, 1), (2, 2), (3, 1), (3, 2), (2, 1), (3, 1))):
+        draws.append((f"zero-sum-Z3-m{m}-h{h}-{j}", _zero_sum(rng, Z3_FREE, m, h), None))
+    rng = random.Random(22)
+    for j in range(12):
+        m = 2 + j % 2
+        instance = _zero_sum(rng, ZxZ, m, 1)
+        if j in (0, 3, 4, 11):
+            draws.append((f"negative-Z2-m{m}-h1-{j}", instance, "negative"))
+    return draws
+
+
+@pytest.mark.parametrize(
+    "I, expected",
+    [pytest.param(I, expected, id=name) for name, I, expected in _ball_search_draws()],
+)
+def test_ball_search_draws_are_decided(I, expected):
+    result = dispatch(I, COUNTER_BUDGET)
+    assert result.method == "general"
+    assert result.decision in ("positive", "negative"), result.reason
+    if expected is not None:
+        assert result.decision == expected
+    if result.decision == "positive":
+        assert verify_certificate(I, result.certificate)
+
+
+# ---------------------------------------------------------------------------
 # certificate checks under python -O
 
 
@@ -486,7 +561,7 @@ def test_certificate_checks_survive_optimize_flag():
         import sys
         from wreath_dio import solvers
         from wreath_dio.abelian import GroupPresentation
-        from wreath_dio.group_ring import SupportedFunction
+        from wreath_dio.group_ring import SupportedFunction, shift
         from wreath_dio.qsp import QspInstance
 
         if __debug__:
