@@ -57,6 +57,11 @@ class GroupPresentation:
                 raise ValueError("torsion orders must form a divisibility chain")
         object.__setattr__(self, "torsion", cleaned)
         object.__setattr__(self, "free_rank", int(self.free_rank))
+        object.__setattr__(self, "_hash", hash((self.free_rank, cleaned)))
+
+    def __hash__(self) -> int:
+        # computed once: every cache key on a group hashes it
+        return self._hash
 
     @property
     def ncoords(self) -> int:
@@ -128,6 +133,11 @@ class GroupElement:
             int(c) % a for c, a in zip(self.coords, g.torsion)
         ) + tuple(int(c) for c in self.coords[len(g.torsion):])
         object.__setattr__(self, "coords", reduced)
+
+    def __hash__(self) -> int:
+        # equal elements have equal coordinates; leaving the group out keeps
+        # cache keys such as (G, generators) from hashing G once per element
+        return hash(self.coords)
 
     def _check_same_group(self, other: "GroupElement") -> None:
         if self.group != other.group:

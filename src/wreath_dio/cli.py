@@ -356,7 +356,12 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget-delta-tuples", type=int, default=1_000_000)
     p.add_argument("--budget-subgroup-tuples", type=int, default=100_000)
-    p.add_argument("--budget-ball-elements", type=int, default=10_000_000)
+    p.add_argument(
+        "--budget-ball-elements", type=int, default=10_000_000,
+        help="bounds nothing in this command: no method behind solve or qsp"
+        " solve enumerates a ball, so reports count 0 ball_elements; kept so"
+        " existing command lines parse (the library's oracle_solve charges it)",
+    )
     p.add_argument("--budget-seconds", type=float, default=60.0)
 
 

@@ -254,10 +254,15 @@ def _anchored_search(
 
     Failed (N, remaining functions, translated partial sum) states are
     memoized: levels are keyed by _subgroup_key, and each keeps its own
-    memo.  While N cannot grow (h = 0), a node also dies early if some
-    point's coefficient cannot be cancelled by any subset of the remaining
-    functions' lamp values (each placement lands at most one lamp on a
-    fixed point); growth merges points, so this prune needs h = 0.
+    memo.  While N cannot grow (h = 0), a node with a nonempty partial sum
+    also dies if some point's coefficient cannot be cancelled by any subset
+    of the remaining functions' lamp values (each placement lands at most
+    one lamp on a fixed point); growth merges points, so this prune needs
+    h = 0.  The prune runs before the memo, and a pruned node builds no key
+    and leaves no memo entry: the prune reads only the multiset of the
+    remaining functions' value ids and the multiset of coefficients, and the
+    memo key fixes both, so a revisit of the state, or of a translate of it,
+    is pruned again.
 
     The search runs on canonical coordinate tuples: points of B/N and
     coefficients of A, kept canonical by each group's coord_reducer.  Tuples
@@ -271,7 +276,10 @@ def _anchored_search(
     levels: dict[tuple, Optional[_Level]] = {}
     assignment: dict[int, tuple[int, ...]] = {}
     zero_b = (0,) * B.ncoords
-    lamp_values = {i: tuple(sorted({c for _, c in t})) for i, t in root.gs.items()}
+    zero_a = (0,) * fs[0].coeff_group.ncoords
+    neg_lamps = {
+        root.vids[i]: {red_a(map(neg, c)) for _, c in t} for i, t in root.gs.items()
+    }
     reach_cache: dict[tuple[int, ...], Optional[frozenset]] = {}
 
     def place(lvl: _Level, sum_d: dict, terms: tuple, delta, shift_b) -> list:
@@ -302,27 +310,27 @@ def _anchored_search(
             else:
                 sum_d[p] = old
 
-    def reachable(unplaced: tuple[int, ...]) -> Optional[frozenset]:
-        # all values sum_i x_i with x_i in {0} + lamp_values[i]; None = too big
-        key = tuple(sorted(root.vids[i] for i in unplaced))
-        if key in reach_cache:
-            return reach_cache[key]
-        reach = {(0,) * fs[0].coeff_group.ncoords}
-        for i in unplaced:
+    def reachable(ids: tuple[int, ...]) -> Optional[frozenset]:
+        # every sum of at most one negated lamp value per id: these
+        # functions can cancel a coefficient only if it is in the set;
+        # None = too big
+        if ids in reach_cache:
+            return reach_cache[ids]
+        reach = {zero_a}
+        for vid in ids:
             grown = set(reach)
             for r in reach:
-                for v in lamp_values[i]:
+                for v in neg_lamps[vid]:
                     grown.add(red_a(map(add, r, v)))
             reach = grown
             if len(reach) > _REACH_CAP:
-                reach_cache[key] = None
+                reach_cache[ids] = None
                 return None
         out = frozenset(reach)
-        reach_cache[key] = out
+        reach_cache[ids] = out
         return out
 
-    def state_key(lvl: _Level, unplaced: tuple[int, ...], sum_d: dict) -> tuple:
-        ids = tuple(sorted(lvl.vids[i] for i in unplaced))
+    def state_key(lvl: _Level, ids: tuple[int, ...], sum_d: dict) -> tuple:
         if not sum_d:
             return ids, ()
         items = sorted(sum_d.items())  # points are distinct: sorted by point
@@ -353,7 +361,13 @@ def _anchored_search(
 
     def dfs(lvl: _Level, unplaced: tuple[int, ...], sum_d: dict) -> Optional[_Level]:
         meter.charge("delta_tuples")
-        key = state_key(lvl, unplaced, sum_d)
+        ids = tuple(sorted(map(lvl.vids.__getitem__, unplaced)))
+        if h == 0 and sum_d:
+            # a function of the memo key, so a pruned state needs no entry
+            reach = reachable(ids)
+            if reach is not None and not reach.issuperset(sum_d.values()):
+                return None
+        key = state_key(lvl, ids, sum_d)
         if key in lvl.memo:
             return None
         if not sum_d:
@@ -370,13 +384,6 @@ def _anchored_search(
             unplace(sum_d, undo)
             lvl.memo.add(key)
             return None
-        if h == 0:
-            reach = reachable(unplaced)
-            if reach is not None:
-                for coeff in sum_d.values():
-                    if red_a(map(neg, coeff)) not in reach:
-                        lvl.memo.add(key)
-                        return None
         red_q, reps = lvl.red_q, lvl.reps
         p = min(sum_d)
         tried = set()
@@ -423,11 +430,12 @@ def solve_general(
 ) -> SolveResult:
     """Complete search: the anchored search, first with N = 0, then growing N.
 
-    The first pass holds N trivial, so it may prune by reachability and
-    never pushes a partial sum into a second quotient; only if it fails and
-    h >= 1 does a second pass let N grow from differences of support
-    points, up to rank h.  Instances that need no subgroup are decided by
-    the cheaper first pass.
+    The first pass holds N trivial, so it runs the reachability prune at
+    every node with a nonempty partial sum, before the memo, and never
+    pushes a partial sum into a second quotient; only if it fails and h >= 1
+    does a second pass let N grow from differences of support points, up to
+    rank h, without the prune.  Instances that need no subgroup are decided
+    by the cheaper first pass.
     """
     meter = _Meter(budget)
     if not I.fs:

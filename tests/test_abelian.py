@@ -77,6 +77,22 @@ def test_mixed_group_operands_rejected():
         Z4.element((1,)) + Z2.element((1,))
 
 
+def test_hash_agrees_with_equality():
+    # the hashes skip work (the group's is stored, an element's leaves the
+    # group out), so equal values must still hash alike and equality must
+    # still tell groups apart
+    G = GroupPresentation(1, (1, 6))
+    assert G == GroupPresentation(1, (6,)) and hash(G) == hash(GroupPresentation(1, (6,)))
+    assert G != GroupPresentation(0, (6,)) and G != GroupPresentation(2)
+    g = G.element((7, -2))
+    assert g == G.element((1, -2)) and hash(g) == hash(G.element((1, -2)))
+    assert g != GroupPresentation(1, (2, 6)).element((0, 1, -2))
+    assert Z4.element((1,)) != Z2.element((1,))
+    key = {(G, (g,)): 1}
+    assert key[(GroupPresentation(1, (6,)), (G.element((1, -2)),))] == 1
+    assert (Z4, (Z4.element((1,)),)) not in {(Z2, (Z2.element((1,)),))}
+
+
 def test_symmetric_lift_and_norm():
     g = Z4.element((3,))
     assert g.symmetric_lift() == (-1,)

@@ -202,6 +202,27 @@ def test_qsp_solve_bad_budget_flag_exit(tmp_path, capsys):
     assert "--budget-" in cap.err
 
 
+@pytest.mark.parametrize("command", [["solve"], ["qsp", "solve"]])
+def test_ball_budget_help_says_it_bounds_nothing(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--budget-ball-elements BUDGET_BALL_ELEMENTS bounds nothing in this command" in text
+    assert "kept so existing command lines parse" in text
+
+
+def test_ball_budget_of_one_does_not_trip(tmp_path, capsys):
+    # the flag still parses, and a one-element ball budget decides as the
+    # default does, because general never enumerates a ball
+    path = _write(tmp_path, "inst.json", encode_instance(_positive_pair_instance(h=0)))
+    code = main(["qsp", "solve", str(path), "--budget-ball-elements", "1"])
+    report = _report_from(capsys)
+    assert code == EXIT_POSITIVE
+    assert report["method"] == "general"
+    assert report["counters"]["ball_elements"] == 0
+
+
 # ---------------------------------------------------------------------------
 # qsp verify
 

@@ -445,8 +445,11 @@ def test_general_agrees_with_oracle_over_torsion_groups(I):
         assert verify_certificate(I, result.certificate)
 
 
-# Pinned from solve_general before the search moved onto coordinate tuples:
-# the same node count and the same certificate mean the same search order.
+# Pinned from solve_general before the search moved onto coordinate tuples
+# (the first two rows), and before the h = 0 reachability prune moved ahead
+# of the failure memo (the rest: every windowed k = 2 negative over 1..8 and
+# two k = 3 positives over 4..7): the same node count and the same
+# certificate mean the same search order.
 @pytest.mark.parametrize(
     "values, k, decision, nodes, deltas",
     [
@@ -457,6 +460,28 @@ def test_general_agrees_with_oracle_over_torsion_groups(I):
             "positive",
             170,
             (0, -4, -16, -32, -20, -36, -25, -41, -8, 0),
+        ),
+        ((4, 4, 4, 6, 6, 6), 2, "negative", 1090, None),
+        ((5, 5, 5, 5, 5, 7), 2, "negative", 1019, None),
+        ((5, 5, 5, 5, 6, 8), 2, "negative", 2464, None),
+        ((5, 5, 5, 7, 7, 7), 2, "negative", 1498, None),
+        ((5, 5, 5, 7, 8, 8), 2, "negative", 3493, None),
+        ((6, 6, 6, 6, 6, 8), 2, "negative", 1378, None),
+        ((6, 6, 6, 8, 8, 8), 2, "negative", 1970, None),
+        ((6, 8, 8, 8, 8, 8), 2, "negative", 728, None),
+        (
+            (5, 5, 5, 6, 6, 6, 7, 7, 7),
+            3,
+            "positive",
+            197,
+            (0, -19, -38, -5, -24, -43, -11, -30, -49, 0),
+        ),
+        (
+            (5, 5, 6, 6, 7, 7, 7, 7, 7),
+            3,
+            "positive",
+            183,
+            (0, -20, -40, -46, -5, -12, -25, -32, -52, 0),
         ),
     ],
 )
