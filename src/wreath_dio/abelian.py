@@ -14,7 +14,7 @@ membership, rank, the quotient with its projection map, and the lift back.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
@@ -273,12 +273,6 @@ class IntMatrix:
         return len(self.entries[0]) if self.entries else 0
 
     @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix(
-            tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        )
-
-    @staticmethod
     def from_rows(rows: Iterable[Iterable[int]]) -> "IntMatrix":
         return IntMatrix(tuple(tuple(r) for r in rows))
 
@@ -291,11 +285,6 @@ class IntMatrix:
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.entries)
-
-    def transpose(self) -> "IntMatrix":
-        if not self.entries:
-            return self
-        return IntMatrix(tuple(zip(*self.entries)))
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:
@@ -443,17 +432,6 @@ def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         t += 1
 
     return IntMatrix.from_rows(a), IntMatrix.from_rows(u), IntMatrix.from_rows(v)
-
-
-def integer_kernel(M: IntMatrix) -> list[tuple[int, ...]]:
-    """A basis of {x in Z^ncols : M x = 0} (columns of V at zero pivots)."""
-    D, _, V = smith_normal_form(M)
-    diag = [D.entries[i][i] for i in range(min(D.nrows, D.ncols))]
-    basis = []
-    for j in range(M.ncols):
-        if j >= len(diag) or diag[j] == 0:
-            basis.append(V.column(j))
-    return basis
 
 
 # ---------------------------------------------------------------------------

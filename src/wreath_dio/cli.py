@@ -126,7 +126,6 @@ def _budget_from_args(args: argparse.Namespace) -> SolverBudget:
         return SolverBudget(
             max_delta_tuples=args.budget_delta_tuples,
             max_subgroup_tuples=args.budget_subgroup_tuples,
-            max_ball_elements=args.budget_ball_elements,
             max_seconds=args.budget_seconds,
         )
     except ValueError as exc:
@@ -336,17 +335,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     except BudgetExceeded as exc:
         decision, reason = "unknown-budget", str(exc)
     wall = time.monotonic() - start
-    report = {
-        "format": 1,
-        "input_digest": digest(raw),
-        "decision": decision,
-        "method": "equation-brute-force",
-        "certificate": None,
-        "wall_time_s": round(wall, 6),
-        "counters": {"radius": args.radius},
-        "reason": reason,
-    }
-    return _finish(report, args.output)
+    result = SolveResult(
+        decision, "equation-brute-force", None, {"radius": args.radius}, reason
+    )
+    return _finish(_report(raw, result, wall), args.output)
 
 
 # ---------------------------------------------------------------------------
@@ -356,12 +348,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget-delta-tuples", type=int, default=1_000_000)
     p.add_argument("--budget-subgroup-tuples", type=int, default=100_000)
-    p.add_argument(
-        "--budget-ball-elements", type=int, default=10_000_000,
-        help="bounds nothing in this command: no method behind solve or qsp"
-        " solve enumerates a ball, so reports count 0 ball_elements; kept so"
-        " existing command lines parse (the library's oracle_solve charges it)",
-    )
     p.add_argument("--budget-seconds", type=float, default=60.0)
 
 

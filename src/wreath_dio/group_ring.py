@@ -136,11 +136,6 @@ class SupportedFunction:
         return self + (-other)
 
 
-def add(f: SupportedFunction, g: SupportedFunction) -> SupportedFunction:
-    """Pointwise sum (pruned)."""
-    return f + g
-
-
 # -- coordinate-tuple kernel ---------------------------------------------------
 
 

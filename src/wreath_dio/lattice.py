@@ -16,11 +16,8 @@ from typing import Iterable, Sequence
 from .abelian import (
     GroupElement,
     GroupPresentation,
-    IntMatrix,
     Subgroup,
     _relation_columns,
-    integer_kernel,
-    solve_rational,
     subgroup_contains,
     subgroup_rank,
 )
@@ -163,40 +160,6 @@ def hermite_form(vectors: Iterable[Sequence[int]]) -> tuple[Vector, ...]:
 def lattice_basis(vectors: Iterable[Sequence[int]]) -> list[Vector]:
     """An independent basis of the integer lattice spanned by the inputs."""
     return [v for v in hermite_form(vectors)]
-
-
-def span_membership(
-    vectors: Sequence[Sequence], v: Sequence
-) -> bool:
-    """Whether v lies in the rational span of the vectors (exact elimination)."""
-    vecs = [list(map(Fraction, w)) for w in vectors]
-    target = list(map(Fraction, v))
-    if not vecs:
-        return all(x == 0 for x in target)
-    # solve columns * alpha = v over Q
-    ncols = len(vecs)
-    rows = [[vecs[j][i] for j in range(ncols)] for i in range(len(target))]
-    return solve_rational(rows, target) is not None
-
-
-def saturation(vectors: Sequence[Sequence[int]], dim: int) -> list[Vector]:
-    """Basis of Span_Q(vectors) intersected with Z^dim (double-kernel trick).
-
-    The orthogonal complement K of the span is saturated by construction, and
-    the saturation of the span is the integer kernel of K^T.
-    """
-    vecs = [tuple(int(x) for x in v) for v in vectors if any(v)]
-    if not vecs:
-        return []
-    complement = integer_kernel(IntMatrix.from_rows(vecs))
-    if not complement:
-        # full span: the whole of Z^dim
-        return [
-            tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)
-        ]
-    return [
-        tuple(v) for v in integer_kernel(IntMatrix.from_rows(complement))
-    ]
 
 
 def _symmetric_project(

@@ -1,8 +1,8 @@
 """Decision procedures for the Quotient Sum Problem.
 
 One polynomial special case (rank budget at least rank(B)) and a complete
-search that decides everything else, behind a dispatcher that settles a
-trivial coefficient group itself.  The search places shifted functions on
+search that decides everything else, behind a dispatcher that picks between
+them by the rank budget alone.  The search places shifted functions on
 the least uncancelled point and, when h >= 1, grows the witness subgroup
 from differences of support points as it goes.  Every positive answer
 carries a certificate that passes verify_certificate; exhausted budgets
@@ -52,16 +52,10 @@ class SolverBudget:
 
     max_delta_tuples: int = 1_000_000
     max_subgroup_tuples: int = 100_000
-    max_ball_elements: int = 10_000_000
     max_seconds: float = 60.0
 
     def __post_init__(self) -> None:
-        for name in (
-            "max_delta_tuples",
-            "max_subgroup_tuples",
-            "max_ball_elements",
-            "max_seconds",
-        ):
+        for name in ("max_delta_tuples", "max_subgroup_tuples", "max_seconds"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -88,11 +82,7 @@ class _Meter:
     def __init__(self, budget: SolverBudget) -> None:
         self.budget = budget
         self.start = time.monotonic()
-        self.counters = {
-            "delta_tuples": 0,
-            "subgroup_tuples": 0,
-            "ball_elements": 0,
-        }
+        self.counters = {"delta_tuples": 0, "subgroup_tuples": 0}
         self._ticks = 0
 
     def charge(self, key: str, n: int = 1) -> None:
@@ -458,17 +448,12 @@ def solve_general(
 
 
 def dispatch(I: QspInstance, budget: SolverBudget = DEFAULT_BUDGET) -> SolveResult:
-    """Route to the first applicable method.
+    """big-h when the rank budget covers B (h >= rank(B)), else general.
 
-    Order: trivial coefficient group, then large rank budget (h >= rank(B)),
-    then the complete search for everything else.
+    A trivial coefficient group needs no route of its own: every function
+    is zero, so big-h and general both return (zero shifts, no generators),
+    general at its first node.
     """
-    meter = _Meter(budget)
-    if I.A.is_trivial():
-        cert = make_certificate(I, _zero_deltas(I), Subgroup.trivial(I.B))
-        if not verify_certificate(I, cert):
-            raise AssertionError("trivial-a certificate fails to verify")
-        return SolveResult(POSITIVE, "trivial-a", cert, dict(meter.counters))
     if I.h >= group_rank(I.B):
         return solve_big_h(I, budget)
     return solve_general(I, budget)
@@ -549,10 +534,8 @@ def oracle_solve(
     if not I.fs:
         return _positive(I, "oracle", meter, (), Subgroup.trivial(I.B))
     try:
-        ball = []
-        for g in enumerate_ball(I.B, I.size(), cap=meter.budget.max_ball_elements):
-            meter.charge("ball_elements")
-            ball.append(g)
+        # m >= 1 here, so a ball past the tuple cap means more tuples than it
+        ball = list(enumerate_ball(I.B, I.size(), cap=meter.budget.max_delta_tuples))
         for deltas in itertools.product(ball, repeat=len(I.fs)):
             meter.charge("delta_tuples")
             c = shifted_sum(I.fs, deltas)

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
-from typing import Sequence, Union
+from dataclasses import dataclass
+from typing import Union
 
 from .abelian import (
     BudgetExceeded,

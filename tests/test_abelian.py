@@ -16,7 +16,6 @@ from wreath_dio.abelian import (
     enumerate_ball,
     geodesic_length,
     group_rank,
-    integer_kernel,
     quotient,
     quotient_maps,
     smith_normal_form,
@@ -148,14 +147,6 @@ def test_smith_normal_form_known_example():
     M = IntMatrix.from_rows([[2, 4], [6, 8]])
     D, U, V = smith_normal_form(M)
     assert [D.entries[0][0], D.entries[1][1]] == [2, 4]
-
-
-def test_integer_kernel():
-    M = IntMatrix.from_rows([[1, 2, 3]])
-    for v in integer_kernel(M):
-        assert sum(a * b for a, b in zip(v, (1, 2, 3))) == 0
-    assert len(integer_kernel(M)) == 2
-    assert integer_kernel(IntMatrix.from_rows([[1, 0], [0, 1]])) == []
 
 
 # ---------------------------------------------------------------------------

@@ -358,7 +358,6 @@ def test_criterion_05_zero_one_equations_round_trip():
 ORACLE_BUDGET = SolverBudget(
     max_delta_tuples=10 ** 8,
     max_subgroup_tuples=10 ** 8,
-    max_ball_elements=10 ** 8,
     max_seconds=600.0,
 )
 

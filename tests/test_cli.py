@@ -203,24 +203,12 @@ def test_qsp_solve_bad_budget_flag_exit(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", [["solve"], ["qsp", "solve"]])
-def test_ball_budget_help_says_it_bounds_nothing(capsys, command):
+def test_removed_ball_budget_flag_is_a_usage_error(tmp_path, capsys, command):
+    path = _write(tmp_path, "inst.json", encode_instance(_negative_instance()))
     with pytest.raises(SystemExit) as exc:
-        main([*command, "--help"])
-    assert exc.value.code == 0
-    text = " ".join(capsys.readouterr().out.split())
-    assert "--budget-ball-elements BUDGET_BALL_ELEMENTS bounds nothing in this command" in text
-    assert "kept so existing command lines parse" in text
-
-
-def test_ball_budget_of_one_does_not_trip(tmp_path, capsys):
-    # the flag still parses, and a one-element ball budget decides as the
-    # default does, because general never enumerates a ball
-    path = _write(tmp_path, "inst.json", encode_instance(_positive_pair_instance(h=0)))
-    code = main(["qsp", "solve", str(path), "--budget-ball-elements", "1"])
-    report = _report_from(capsys)
-    assert code == EXIT_POSITIVE
-    assert report["method"] == "general"
-    assert report["counters"]["ball_elements"] == 0
+        main([*command, str(path), "--budget-ball-elements", "1"])
+    assert exc.value.code == EXIT_PRECONDITION
+    assert "--budget-ball-elements" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ import pytest
 from wreath_dio.abelian import GroupPresentation, Subgroup, quotient
 from wreath_dio.group_ring import (
     SupportedFunction,
-    add,
     diameter,
     is_zero_mod,
     lambda_map,
@@ -66,7 +65,7 @@ def test_terms_sorted_by_point():
 
 def test_add_zero_is_identity():
     f = atom(Z2, Z, (1,), (0,)) + atom(Z2, Z, (1,), (4,))
-    assert add(f, SupportedFunction.zero(Z2, Z)) == f
+    assert f + SupportedFunction.zero(Z2, Z) == f
 
 
 def test_add_cancels_opposite_atoms():

@@ -1,0 +1,42 @@
+"""Every name a library module imports is read somewhere in that module."""
+
+import ast
+import pathlib
+
+import pytest
+
+import wreath_dio
+
+PACKAGE = pathlib.Path(wreath_dio.__file__).resolve().parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names.add(alias.asname or alias.name.split(".")[0])
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names.add(alias.asname or alias.name)
+    return names
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    return {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_modules_found():
+    assert {p.name for p in MODULES} >= {"abelian.py", "solvers.py", "cli.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_read(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    unused = _imported_names(tree) - _read_names(tree)
+    assert not unused, f"{path.name} imports but never reads {sorted(unused)}"

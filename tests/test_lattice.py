@@ -1,8 +1,7 @@
-"""Integer lattices: Hermite form, LLL reduction, spans, bounded generators."""
+"""Integer lattices: Hermite form, LLL reduction, bounded generators."""
 
 import itertools
 import random
-from fractions import Fraction
 from math import isqrt
 
 from wreath_dio.abelian import GroupPresentation, Subgroup, subgroup_contains
@@ -12,8 +11,6 @@ from wreath_dio.lattice import (
     is_lll_reduced,
     lattice_basis,
     lll_reduce,
-    saturation,
-    span_membership,
 )
 
 
@@ -134,41 +131,6 @@ def test_lll_first_vector_bound():
         pts = _lattice_points(red, range(-4, 5)) - {tuple([0] * dim)}
         lam1_sq = min(_norm_sq(p) for p in pts)
         assert _norm_sq(red[0]) <= 2 ** (dim - 1) * lam1_sq
-
-
-# ---------------------------------------------------------------------------
-# spans and saturation
-
-
-def test_span_membership_examples():
-    assert span_membership([(2, 2)], (1, 1))
-    assert not span_membership([(1, 1)], (1, 0))
-    assert span_membership([], (0, 0))
-    assert not span_membership([], (1, 0))
-
-
-def test_span_membership_accepts_fractions():
-    assert span_membership([(2, 4)], (Fraction(1), Fraction(2)))
-
-
-def test_saturation_examples():
-    sat = saturation([(2, 0)], 2)
-    assert hermite_form(sat) == hermite_form([(1, 0)])
-    sat2 = saturation([(2, 2)], 2)
-    assert hermite_form(sat2) == hermite_form([(1, 1)])
-    assert saturation([], 3) == []
-
-
-def test_saturation_is_idempotent_and_contains_input():
-    rng = random.Random(5)
-    for _ in range(40):
-        dim = rng.randint(1, 4)
-        n = rng.randint(0, 3)
-        vecs = [tuple(rng.randint(-6, 6) for _ in range(dim)) for _ in range(n)]
-        sat = saturation(vecs, dim)
-        for v in vecs:
-            assert span_membership(sat, v) or all(x == 0 for x in v)
-        assert hermite_form(saturation(sat, dim)) == hermite_form(sat)
 
 
 # ---------------------------------------------------------------------------

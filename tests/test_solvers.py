@@ -255,11 +255,27 @@ def test_general_respects_budget_with_unknown():
 
 
 def test_dispatch_trivial_coefficients():
+    # a trivial A makes every function zero: big-h takes h >= rank(B),
+    # general the rest, and both certify zero shifts with no generators
     T = GroupPresentation(0)
-    I = QspInstance(T, Z, (SupportedFunction.zero(T, Z),), 0)
-    result = dispatch(I)
-    assert result.decision == "positive"
-    assert result.method == "trivial-a"
+    bases = (
+        GroupPresentation(0),
+        Z,
+        ZxZ,
+        Z2,
+        GroupPresentation(1, (3,)),
+        GroupPresentation(0, (2, 4)),
+    )
+    for B in bases:
+        rank = group_rank(B)
+        for m in range(4):
+            fs = (SupportedFunction.zero(T, B),) * m
+            for h in sorted({max(rank - 1, 0), rank, rank + 1}):
+                result = dispatch(QspInstance(T, B, fs, h))
+                case = (B, m, h)
+                assert result.decision == "positive", case
+                assert result.method == ("big-h" if h >= rank else "general"), case
+                assert result.certificate == Certificate((B.zero(),) * m, ()), case
 
 
 def test_dispatch_routing_tags():
@@ -392,13 +408,23 @@ def test_budget_validation():
 
 def test_counters_present():
     I = QspInstance(Z2, Z2, (atom(Z2, Z2, (1,), (0,)),), 0)
-    result = dispatch(I)
-    assert set(result.counters) <= {
-        "delta_tuples",
-        "subgroup_tuples",
-        "ball_elements",
-    }
-    assert all(isinstance(v, int) for v in result.counters.values())
+    for result in (dispatch(I), oracle_solve(I)):
+        assert set(result.counters) == {"delta_tuples", "subgroup_tuples"}
+        assert all(isinstance(v, int) for v in result.counters.values())
+
+
+def test_oracle_ball_past_the_tuple_cap_is_unknown():
+    # with m >= 1 functions a ball of more than max_delta_tuples elements
+    # means more shift tuples than that, so the oracle gives up before it
+    fs = (atom(Z, Z, (1,), (0,)), atom(Z, Z, (-1,), (5,)))
+    I = QspInstance(Z, Z, fs, 0)
+    ball = 2 * I.size() + 1
+    assert oracle_solve(I, SolverBudget(max_delta_tuples=ball)).decision == "positive"
+    result = oracle_solve(I, SolverBudget(max_delta_tuples=ball - 1))
+    assert result.decision == "unknown-budget"
+    assert result.certificate is None
+    assert result.reason == f"ball enumeration exceeded cap {ball - 1}"
+    assert result.counters == {"delta_tuples": 0, "subgroup_tuples": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +624,7 @@ def test_certificate_checks_survive_optimize_flag():
             SupportedFunction.atom(Z.element((1,)), Z.element((0,))),
             SupportedFunction.atom(Z.element((-1,)), Z.element((5,))),
         ), 0)
-        for name, I in (("trivial-a", trivial_a), ("positive", pair)):
+        for name, I in (("trivial A", trivial_a), ("positive", pair)):
             try:
                 solvers.dispatch(I)
             except AssertionError:
