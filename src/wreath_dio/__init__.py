@@ -9,13 +9,7 @@ from .abelian import (
 )
 from .group_ring import SupportedFunction
 from .qsp import Certificate, QspInstance, ShapeMismatch, verify_certificate
-from .solvers import (
-    MethodPreconditionError,
-    SolveResult,
-    SolverBudget,
-    dispatch,
-    oracle_solve,
-)
+from .solvers import SolveResult, SolverBudget, dispatch, oracle_solve
 from .wreath import (
     EquationAssignment,
     OrientableEquation,
@@ -33,7 +27,6 @@ __all__ = [
     "EquationAssignment",
     "GroupElement",
     "GroupPresentation",
-    "MethodPreconditionError",
     "OrientableEquation",
     "QspInstance",
     "ShapeMismatch",

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
@@ -65,9 +64,6 @@ class GroupPresentation:
 
     @property
     def ncoords(self) -> int:
-        return self.free_rank + len(self.torsion)
-
-    def rank(self) -> int:
         return self.free_rank + len(self.torsion)
 
     def is_trivial(self) -> bool:
@@ -164,10 +160,6 @@ class GroupElement:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
-    def canonical_lift(self) -> tuple[int, ...]:
-        """Integer lift with torsion coordinates as stored, in [0, alpha)."""
-        return self.coords
-
     def symmetric_lift(self) -> tuple[int, ...]:
         """Integer lift with torsion coordinates in (-alpha/2, alpha/2].
 
@@ -241,9 +233,6 @@ class Subgroup:
     @staticmethod
     def whole(ambient: GroupPresentation) -> "Subgroup":
         return Subgroup(ambient, ambient.standard_generators())
-
-    def contains(self, g: GroupElement) -> bool:
-        return subgroup_contains(self, g)
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +442,7 @@ def _preimage_matrix(
     G: GroupPresentation, gens: tuple[GroupElement, ...]
 ) -> IntMatrix:
     """Columns generating the full preimage of <gens> in Z^ncoords."""
-    cols = [g.canonical_lift() for g in gens] + _relation_columns(G)
+    cols = [g.coords for g in gens] + _relation_columns(G)
     if not cols:
         n = G.ncoords
         return IntMatrix.from_rows([()] * n) if n else IntMatrix(())
@@ -565,7 +554,7 @@ def subgroup_contains(S: Subgroup, g: GroupElement) -> bool:
 
 def group_rank(G: GroupPresentation) -> int:
     """Minimum number of generators: free rank plus torsion factor count."""
-    return G.rank()
+    return G.ncoords
 
 
 def subgroup_rank(S: Subgroup) -> int:
@@ -601,16 +590,26 @@ def _quotient_form(G: GroupPresentation, N: Subgroup) -> _SubgroupForm:
 
 
 def _unimodular_inverse(U: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular integer matrix."""
-    n = U.nrows
-    cols = []
-    for j in range(n):
-        rhs = [1 if i == j else 0 for i in range(n)]
-        sol = solve_rational(list(U.entries), rhs)
-        if sol is None or any(x.denominator != 1 for x in sol):
-            raise ValueError("matrix is not unimodular")
-        cols.append([int(x) for x in sol])
-    return IntMatrix.from_columns(cols)
+    """Exact inverse of a unimodular integer matrix: det(U) * adj(U).
+
+    det(U) = +-1 is its own inverse, and the adjugate's (i, j) entry is the
+    (j, i) cofactor, a Bareiss determinant of U without row j and column i.
+    """
+    det = U.determinant()
+    if det not in (1, -1):
+        raise ValueError("matrix is not unimodular")
+    rows = U.entries
+    n = len(rows)
+
+    def minor(i: int, j: int) -> IntMatrix:
+        return IntMatrix.from_rows(
+            r[:j] + r[j + 1 :] for k, r in enumerate(rows) if k != i
+        )
+
+    return IntMatrix.from_rows(
+        [det * (-1) ** (i + j) * minor(j, i).determinant() for j in range(n)]
+        for i in range(n)
+    )
 
 
 def quotient_maps(
@@ -724,40 +723,3 @@ def ball_size(G: GroupPresentation, r: int) -> int:
                     new[c0 + c1] += cnt0 * cnt1
         counts = new
     return sum(counts)
-
-
-# ---------------------------------------------------------------------------
-# rational span helpers shared with the lattice module
-
-
-def solve_rational(
-    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
-) -> list[Fraction] | None:
-    """One exact solution of rows * x = rhs over Q, or None."""
-    m = [list(map(Fraction, row)) + [Fraction(v)] for row, v in zip(rows, rhs)]
-    nr = len(m)
-    nc = len(rows[0]) if rows else 0
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(nc):
-        pivot_row = next((i for i in range(r, nr) if m[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(nr):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == nr:
-            break
-    for i in range(r, nr):
-        if m[i][nc] != 0:
-            return None
-    x = [Fraction(0)] * nc
-    for i, c in pivots:
-        x[c] = m[i][nc]
-    return x

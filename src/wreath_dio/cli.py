@@ -48,13 +48,7 @@ from .hardness import (
     gen_zoe,
 )
 from .qsp import ShapeMismatch, verify_certificate
-from .solvers import (
-    METHODS,
-    MethodPreconditionError,
-    SolveResult,
-    SolverBudget,
-    dispatch,
-)
+from .solvers import SolveResult, SolverBudget, dispatch
 from .wreath import Unsolvable, equation_brute_force, gen_solvable, reduce_to_qsp
 
 EXIT_POSITIVE = 0
@@ -205,17 +199,8 @@ def cmd_qsp_solve(args: argparse.Namespace) -> int:
         instance, _ = decode_instance(obj)
     except CodecError as exc:
         raise _CliError(EXIT_PARSE, str(exc)) from None
-    budget = _budget_from_args(args)
     start = time.monotonic()
-    if args.method == "auto":
-        result = dispatch(instance, budget)
-    else:
-        try:
-            result = METHODS[args.method](instance, budget)
-        except MethodPreconditionError as exc:
-            raise _CliError(
-                EXIT_PRECONDITION, f"--method {args.method}: {exc}"
-            ) from None
+    result = dispatch(instance, _budget_from_args(args))
     wall = time.monotonic() - start
     log.info("decision=%s method=%s", result.decision, result.method)
     return _finish(_report(raw, result, wall), args.output)
@@ -392,11 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_qsolve = qsp_sub.add_parser("solve", help="decide an instance JSON file")
     p_qsolve.add_argument("instance")
-    p_qsolve.add_argument(
-        "--method",
-        choices=["auto", *METHODS],
-        default="auto",
-    )
     _add_budget_flags(p_qsolve)
     _add_output_flag(p_qsolve)
     p_qsolve.set_defaults(func=cmd_qsp_solve)

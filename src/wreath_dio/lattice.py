@@ -3,8 +3,8 @@
 LLL reduction runs entirely over rationals with factor 3/4 (size-reduction
 |mu_ij| <= 1/2 plus the Lovasz condition), Hermite normal form provides the
 canonical-form oracle for lattice equality, and the bounded-generating-set
-construction lifts a subgroup to an integer lattice, reduces, and projects
-back with symmetric torsion representatives.
+construction lifts a subgroup to an integer lattice through symmetric
+torsion representatives, reduces, and projects back into the group.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from typing import Iterable, Sequence
 
 from .abelian import (
     GroupElement,
-    GroupPresentation,
     Subgroup,
     _relation_columns,
     subgroup_contains,
@@ -162,13 +161,6 @@ def lattice_basis(vectors: Iterable[Sequence[int]]) -> list[Vector]:
     return [v for v in hermite_form(vectors)]
 
 
-def _symmetric_project(
-    B: GroupPresentation, vec: Sequence[int]
-) -> GroupElement:
-    """Map an integer vector to B, for norm checks after lattice reduction."""
-    return GroupElement(B, tuple(vec))
-
-
 def bounded_generators(S: Subgroup, norm_bound_sq: int) -> list[GroupElement]:
     """A small generating set of S with controlled Euclidean norms.
 
@@ -198,7 +190,7 @@ def bounded_generators(S: Subgroup, norm_bound_sq: int) -> list[GroupElement]:
     candidates: list[GroupElement] = []
     seen: set[tuple[int, ...]] = set()
     for vec in reduced:
-        g = _symmetric_project(B, vec)
+        g = B.element(vec)
         if g.is_zero() or g.coords in seen:
             continue
         seen.add(g.coords)

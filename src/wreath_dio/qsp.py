@@ -69,9 +69,6 @@ class QspInstance:
             + self.h
         )
 
-    def functions_size(self) -> int:
-        return sum(f.size() for f in self.fs)
-
 
 @dataclass(frozen=True)
 class Certificate:
@@ -102,12 +99,6 @@ class ClusterPartition:
             if b & seen:
                 raise ValueError("cluster blocks overlap")
             seen |= b
-
-    def block_of(self, i: int) -> frozenset[int]:
-        for b in self.blocks:
-            if i in b:
-                return b
-        raise KeyError(i)
 
 
 class ShapeMismatch(ValueError):

@@ -1,10 +1,11 @@
 """Decision procedures for the Quotient Sum Problem.
 
-One polynomial special case (rank budget at least rank(B)) and a complete
-search that decides everything else, behind a dispatcher that picks between
-them by the rank budget alone.  The search places shifted functions on
-the least uncancelled point and, when h >= 1, grows the witness subgroup
-from differences of support points as it goes.  Every positive answer
+dispatch is the one solve entry.  The instance alone picks its rule: with
+rank budget at least rank(B) only the total coefficient sum matters (the
+polynomial case, tagged big-h); below that, the complete search
+solve_general decides.  The search places shifted functions on the least
+uncancelled point and, when h >= 1, grows the witness subgroup from
+differences of support points as it goes.  Every positive answer
 carries a certificate that passes verify_certificate; exhausted budgets
 surface as an explicit "unknown-budget" outcome, never as a wrong answer.
 """
@@ -63,10 +64,6 @@ class SolverBudget:
 DEFAULT_BUDGET = SolverBudget()
 
 
-class MethodPreconditionError(ValueError):
-    """A solver was invoked on an instance outside its precondition."""
-
-
 @dataclass(frozen=True)
 class SolveResult:
     decision: str
@@ -111,13 +108,11 @@ def _positive(
     return SolveResult(POSITIVE, method, cert, dict(meter.counters))
 
 
-def _negative(I: QspInstance, method: str, meter: _Meter) -> SolveResult:
+def _negative(method: str, meter: _Meter) -> SolveResult:
     return SolveResult(NEGATIVE, method, None, dict(meter.counters))
 
 
-def _unknown(
-    I: QspInstance, method: str, meter: _Meter, exc: BudgetExceeded
-) -> SolveResult:
+def _unknown(method: str, meter: _Meter, exc: BudgetExceeded) -> SolveResult:
     return SolveResult(UNKNOWN, method, None, dict(meter.counters), str(exc))
 
 
@@ -127,31 +122,13 @@ def _total_sum_is_zero(I: QspInstance) -> bool:
     return not any(coord_reducer(I.A)(map(sum, columns)))
 
 
-def _zero_deltas(I: QspInstance) -> tuple[GroupElement, ...]:
-    return tuple(I.B.zero() for _ in I.fs)
-
-
-# ---------------------------------------------------------------------------
-# big h
-
-
-def solve_big_h(I: QspInstance, budget: SolverBudget = DEFAULT_BUDGET) -> SolveResult:
-    """h >= rank(B): take N = B, so only the total coefficient sum matters."""
-    meter = _Meter(budget)
-    if I.h < group_rank(I.B):
-        raise MethodPreconditionError("requires h >= rank(B)")
-    if _total_sum_is_zero(I):
-        return _positive(I, "big-h", meter, _zero_deltas(I), Subgroup.whole(I.B))
-    return _negative(I, "big-h", meter)
-
-
 # ---------------------------------------------------------------------------
 # complete search
 
 
 def _subgroup_key(S: Subgroup) -> tuple:
     """Canonical form of <gens>: Hermite basis of lifts plus relations."""
-    rows = [g.canonical_lift() for g in S.generators]
+    rows = [g.coords for g in S.generators]
     return tuple(lattice_basis(rows + _relation_columns(S.ambient)))
 
 
@@ -431,16 +408,16 @@ def solve_general(
     if not I.fs:
         return _positive(I, "general", meter, (), Subgroup.trivial(I.B))
     if not _total_sum_is_zero(I):
-        return _negative(I, "general", meter)
+        return _negative("general", meter)
     try:
         found = _anchored_search(I.fs, I.B, 0, meter)
         if found is None and I.h > 0:
             found = _anchored_search(I.fs, I.B, I.h, meter)
         if found is None:
-            return _negative(I, "general", meter)
+            return _negative("general", meter)
         return _positive(I, "general", meter, *found)
     except BudgetExceeded as exc:
-        return _unknown(I, "general", meter, exc)
+        return _unknown("general", meter, exc)
 
 
 # ---------------------------------------------------------------------------
@@ -448,21 +425,24 @@ def solve_general(
 
 
 def dispatch(I: QspInstance, budget: SolverBudget = DEFAULT_BUDGET) -> SolveResult:
-    """big-h when the rank budget covers B (h >= rank(B)), else general.
+    """Decide I; the one solve entry.  The instance picks the rule:
 
-    A trivial coefficient group needs no route of its own: every function
-    is zero, so big-h and general both return (zero shifts, no generators),
-    general at its first node.
+    - big-h, when the rank budget covers B (h >= rank(B)): N = B is allowed,
+      so I is positive exactly when the total coefficient sum is zero, with
+      zero shifts and N = B as the certificate;
+    - general otherwise: the complete search, solve_general.
+
+    A trivial coefficient group needs no rule of its own: every function is
+    zero, so both return (zero shifts, no generators), general at its first
+    node.
     """
     if I.h >= group_rank(I.B):
-        return solve_big_h(I, budget)
+        meter = _Meter(budget)
+        if _total_sum_is_zero(I):
+            deltas = (I.B.zero(),) * len(I.fs)
+            return _positive(I, "big-h", meter, deltas, Subgroup.whole(I.B))
+        return _negative("big-h", meter)
     return solve_general(I, budget)
-
-
-METHODS = {
-    "big-h": solve_big_h,
-    "general": solve_general,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -543,6 +523,6 @@ def oracle_solve(
             for S in _subset_generated_subgroups(I.B, nonzero, meter):
                 if subgroup_rank(S) <= I.h and is_zero_mod(c, S):
                     return _positive(I, "oracle", meter, deltas, S)
-        return _negative(I, "oracle", meter)
+        return _negative("oracle", meter)
     except BudgetExceeded as exc:
-        return _unknown(I, "oracle", meter, exc)
+        return _unknown("oracle", meter, exc)

@@ -19,7 +19,6 @@ from wreath_dio.abelian import (
     quotient,
     quotient_maps,
     smith_normal_form,
-    solve_rational,
     subgroup_contains,
     subgroup_rank,
 )
@@ -147,6 +146,26 @@ def test_smith_normal_form_known_example():
     M = IntMatrix.from_rows([[2, 4], [6, 8]])
     D, U, V = smith_normal_form(M)
     assert [D.entries[0][0], D.entries[1][1]] == [2, 4]
+
+
+def test_unimodular_inverse_of_smith_transforms():
+    rng = random.Random(20261018)
+    for _ in range(200):
+        M = _random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
+        _, U, V = smith_normal_form(M)
+        for X in (U, V):
+            n = X.nrows
+            identity = tuple(
+                tuple(int(i == j) for j in range(n)) for i in range(n)
+            )
+            assert abelian._unimodular_inverse(X).mul(X).entries == identity
+
+
+def test_unimodular_inverse_rejects_other_matrices():
+    # determinant 2, singular, zero 1x1, non-square
+    for rows in ([[2, 0], [0, 1]], [[1, 2], [2, 4]], [[0]], [[1, 0]]):
+        with pytest.raises(ValueError):
+            abelian._unimodular_inverse(IntMatrix.from_rows(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -405,14 +424,3 @@ def test_ball_cap_raises():
 def test_ball_lazy_iteration_order_is_lexicographic():
     got = [g.coords for g in enumerate_ball(ZxZ, 1)]
     assert got == sorted(got)
-
-
-# ---------------------------------------------------------------------------
-# rational solving
-
-
-def test_solve_rational():
-    # 2x + y = 5, x - y = 1  ->  x = 2, y = 1
-    sol = solve_rational([[2, 1], [1, -1]], [5, 1])
-    assert sol is not None and [int(x) for x in sol] == [2, 1]
-    assert solve_rational([[1, 0], [1, 0]], [0, 1]) is None

@@ -29,7 +29,6 @@ from wreath_dio.codec import (
 )
 from wreath_dio.group_ring import SupportedFunction
 from wreath_dio.qsp import Certificate, QspInstance
-from wreath_dio.solvers import dispatch
 from wreath_dio.wreath import OrientableEquation, WreathElement, gen_solvable
 
 Z = GroupPresentation(1)
@@ -129,24 +128,6 @@ def test_qsp_solve_output_file_atomic(tmp_path, capsys):
     assert report["decision"] == "positive"
     # no temp files left behind
     assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json", "report.json"]
-
-
-def test_qsp_solve_forced_method(tmp_path, capsys):
-    path = _write(tmp_path, "inst.json", encode_instance(_positive_pair_instance(h=1)))
-    code = main(["qsp", "solve", str(path), "--method", "big-h"])
-    report = _report_from(capsys)
-    assert code == EXIT_POSITIVE
-    assert report["method"] == "big-h"
-
-
-def test_qsp_solve_forced_method_precondition_exit(tmp_path, capsys):
-    # big-h needs h >= rank(B); this instance has h = 0 over Z
-    path = _write(tmp_path, "inst.json", encode_instance(_positive_pair_instance(h=0)))
-    code = main(["qsp", "solve", str(path), "--method", "big-h"])
-    cap = capsys.readouterr()
-    assert code == EXIT_PRECONDITION
-    assert cap.out == ""
-    assert cap.err.startswith("error: --method big-h")
 
 
 def test_qsp_solve_unknown_budget_exit(tmp_path, capsys):
@@ -461,32 +442,33 @@ def test_usage_error_exits_precondition_not_unknown(capsys):
     assert "the following arguments are required: equation" in err
 
 
-@pytest.mark.parametrize("method", ["fastest", "finite-b", "bounded-m", "single-f"])
+@pytest.mark.parametrize(
+    "method",
+    ["fastest", "finite-b", "bounded-m", "single-f", "auto", "big-h", "general"],
+)
 def test_bad_method_choice_exits_precondition(method, tmp_path, capsys):
+    # dispatch picks the rule from the instance; there is no --method
     path = _write(tmp_path, "inst.json", encode_instance(_positive_pair_instance()))
     with pytest.raises(SystemExit) as exc:
         main(["qsp", "solve", str(path), "--method", method])
     assert exc.value.code == EXIT_PRECONDITION
-    assert f"invalid choice: '{method}'" in capsys.readouterr().err
+    assert "unrecognized arguments: --method" in capsys.readouterr().err
 
 
 def test_reused_parser_gives_each_call_the_defaults(tmp_path, capsys):
-    instance = _positive_pair_instance(h=1)
-    auto_method = dispatch(instance).method
-    assert auto_method != "general"
-    path = _write(tmp_path, "inst.json", encode_instance(instance))
+    path = _write(tmp_path, "inst.json", encode_instance(_positive_pair_instance()))
     out = tmp_path / "report.json"
     code = main(
-        ["qsp", "solve", str(path), "--output", str(out), "--method", "general"]
+        ["qsp", "solve", str(path), "--output", str(out), "--budget-delta-tuples", "1"]
     )
-    assert code == EXIT_POSITIVE
-    assert json.loads(out.read_text())["method"] == "general"
+    assert code == EXIT_UNKNOWN
+    assert json.loads(out.read_text())["decision"] == "unknown-budget"
     assert capsys.readouterr().out == ""
-    # no --output and no --method: the report goes to stdout, from dispatch
+    # no flags: the default budget, and the report goes to stdout
     code = main(["qsp", "solve", str(path)])
     assert code == EXIT_POSITIVE
-    assert _report_from(capsys)["method"] == auto_method
-    assert json.loads(out.read_text())["method"] == "general"
+    assert _report_from(capsys)["decision"] == "positive"
+    assert json.loads(out.read_text())["decision"] == "unknown-budget"
 
 
 def test_build_parser_returns_a_fresh_parser():

@@ -1,4 +1,5 @@
-"""Every name a library module imports is read somewhere in that module."""
+"""Every name a library module imports is read somewhere in that module,
+and every name the package exports exists."""
 
 import ast
 import pathlib
@@ -40,3 +41,8 @@ def test_every_import_is_read(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     unused = _imported_names(tree) - _read_names(tree)
     assert not unused, f"{path.name} imports but never reads {sorted(unused)}"
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in wreath_dio.__all__ if not hasattr(wreath_dio, name)]
+    assert not missing, f"__all__ names {missing} that the package does not define"

@@ -80,7 +80,7 @@ def test_instance_size_breakdown():
     assert Z.size() == 1
     assert f1.size() == 3 and f2.size() == 3
     assert I.size() == 1 + 1 + 6 + 1
-    assert I.functions_size() == 6
+    assert sum(f.size() for f in I.fs) == 6
 
 
 def test_instance_size_counts_torsion_bits():
@@ -279,7 +279,7 @@ def test_cluster_shift_renames_only_block_members():
     deltas = (Z.zero(), Z.zero(), Z.zero())
     assert satisfies_equation(fs, deltas, N)
     part = clusters(fs, deltas, N)
-    blk = part.block_of(0)
+    blk = next(b for b in part.blocks if 0 in b)
     moved = cluster_shift(fs, deltas, N, blk, Z.element((7,)))
     for i in range(3):
         if i in blk:
