@@ -160,23 +160,6 @@ class GroupElement:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
-    def symmetric_lift(self) -> tuple[int, ...]:
-        """Integer lift with torsion coordinates in (-alpha/2, alpha/2].
-
-        This is the minimal-absolute-value representative per coordinate, the
-        right lift whenever a Euclidean norm is taken.
-        """
-        g = self.group
-        lift = []
-        for c, a in zip(self.coords, g.torsion):
-            lift.append(c - a if c * 2 > a else c)
-        lift.extend(self.coords[len(g.torsion):])
-        return tuple(lift)
-
-    def norm_sq(self) -> int:
-        """Squared Euclidean norm of the symmetric lift."""
-        return sum(c * c for c in self.symmetric_lift())
-
     def has_infinite_order(self) -> bool:
         return any(c != 0 for c in self.coords[len(self.group.torsion):])
 
@@ -692,34 +675,3 @@ def enumerate_ball(
             continue
         for v, cost in reversed(coord_choices(len(prefix), budget)):
             stack.append((prefix + [v], budget - cost))
-
-
-def ball_size(G: GroupPresentation, r: int) -> int:
-    """|ball(r)| computed coordinatewise (no enumeration)."""
-    if r < 0:
-        return 0
-    t = len(G.torsion)
-    # counts[c] = number of elements with total cost exactly c, built one
-    # coordinate at a time
-    counts = [0] * (r + 1)
-    counts[0] = 1
-    for i in range(G.ncoords):
-        if i < t:
-            alpha = G.torsion[i]
-            costs: dict[int, int] = {}
-            for v in range(alpha):
-                c = min(v, alpha - v)
-                costs[c] = costs.get(c, 0) + 1
-        else:
-            costs = {0: 1}
-            for c in range(1, r + 1):
-                costs[c] = 2
-        new = [0] * (r + 1)
-        for c0, cnt0 in enumerate(counts):
-            if cnt0 == 0:
-                continue
-            for c1, cnt1 in costs.items():
-                if c0 + c1 <= r:
-                    new[c0 + c1] += cnt0 * cnt1
-        counts = new
-    return sum(counts)

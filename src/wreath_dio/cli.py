@@ -102,17 +102,21 @@ def _emit(text: str, output: Optional[str]) -> None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(output))
-    fd, tmp = tempfile.mkstemp(prefix=".wreath-dio-", dir=directory)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, output)
-    except BaseException:
+        fd, tmp = tempfile.mkstemp(prefix=".wreath-dio-", dir=directory)
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, output)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        reason = exc.strerror or exc
+        raise _CliError(EXIT_PRECONDITION, f"cannot write {output}: {reason}") from None
 
 
 def _budget_from_args(args: argparse.Namespace) -> SolverBudget:

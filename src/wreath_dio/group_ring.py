@@ -6,11 +6,6 @@ convention throughout the codebase:
 
     shift(f, delta)(x) = f(delta + x),  so  supp(shift(f, delta)) = supp(f) - delta.
 
-Ring multiplication treats A as the direct product of cyclic rings given by
-its invariant factors (componentwise coefficient multiplication) and convolves
-support points; the function with the ring unity of A at the origin is the
-multiplicative unit.
-
 shift, pushforward and is_zero_mod run on canonical coordinate tuples:
 each gathers (point, coefficient) coordinates in one dict, kept canonical by
 coord_reducer and the subgroup form's project_coords, and builds its result
@@ -194,34 +189,6 @@ def shift(f: SupportedFunction, delta: GroupElement) -> SupportedFunction:
     # translation keeps points distinct; sorting compares points only
     moved = sorted((red_b(map(sub, p.coords, d)), a) for p, a in f.terms)
     return _function(f.coeff_group, B, tuple((_element(B, q), a) for q, a in moved))
-
-
-def _ring_unity(A: GroupPresentation) -> GroupElement:
-    # unity of the product-of-cyclic-rings structure: 1 in every coordinate
-    return GroupElement(A, (1,) * A.ncoords)
-
-
-def unity(A: GroupPresentation, B: GroupPresentation) -> SupportedFunction:
-    """The multiplicative unit of A^B: ring unity of A at the origin."""
-    return SupportedFunction.atom(_ring_unity(A), B.zero())
-
-
-def _coeff_mul(a: GroupElement, b: GroupElement) -> GroupElement:
-    return GroupElement(a.group, tuple(x * y for x, y in zip(a.coords, b.coords)))
-
-
-def ring_multiply(f: SupportedFunction, g: SupportedFunction) -> SupportedFunction:
-    """Group-ring convolution: support points add, coefficients multiply.
-
-    Coefficient multiplication is componentwise in A's invariant-factor
-    decomposition (a direct product of cyclic rings).
-    """
-    f._check_compatible(g)
-    terms = []
-    for p, a in f.terms:
-        for q, b in g.terms:
-            terms.append((p + q, _coeff_mul(a, b)))
-    return SupportedFunction(f.coeff_group, f.base_group, tuple(terms))
 
 
 def pushforward(f: SupportedFunction, N: Subgroup) -> SupportedFunction:

@@ -1,25 +1,14 @@
 """Exact integer-lattice utilities.
 
 LLL reduction runs entirely over rationals with factor 3/4 (size-reduction
-|mu_ij| <= 1/2 plus the Lovasz condition), Hermite normal form provides the
-canonical-form oracle for lattice equality, and the bounded-generating-set
-construction lifts a subgroup to an integer lattice through symmetric
-torsion representatives, reduces, and projects back into the group.
+|mu_ij| <= 1/2 plus the Lovasz condition), and Hermite normal form provides
+the canonical-form oracle for lattice equality.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-from .abelian import (
-    GroupElement,
-    Subgroup,
-    _relation_columns,
-    subgroup_contains,
-    subgroup_rank,
-)
 
 Vector = tuple[int, ...]
 
@@ -159,77 +148,3 @@ def hermite_form(vectors: Iterable[Sequence[int]]) -> tuple[Vector, ...]:
 def lattice_basis(vectors: Iterable[Sequence[int]]) -> list[Vector]:
     """An independent basis of the integer lattice spanned by the inputs."""
     return [v for v in hermite_form(vectors)]
-
-
-def bounded_generators(S: Subgroup, norm_bound_sq: int) -> list[GroupElement]:
-    """A small generating set of S with controlled Euclidean norms.
-
-    Requires every input generator's symmetric-lift squared norm to be at most
-    norm_bound_sq.  Lifts S to the integer lattice (generators plus the
-    ambient torsion relations), LLL-reduces an independent basis of the lift,
-    and projects back; each output generator then has squared norm at most
-    2^(y-1) * norm_bound_sq where y is the rank of the lifted lattice.  The
-    result is minimized (redundant generators dropped, CRT recombinations via
-    pairwise sums searched) so that at desk scale it has subgroup_rank(S)
-    elements.
-    """
-    B = S.ambient
-    for g in S.generators:
-        if g.norm_sq() > norm_bound_sq:
-            raise ValueError("input generator breaks the norm precondition")
-    if all(g.is_zero() for g in S.generators):
-        return []
-
-    cols = [g.symmetric_lift() for g in S.generators]
-    cols.extend(_relation_columns(B))
-    basis = lattice_basis(cols)
-    reduced = lll_reduce(basis) if basis else []
-    y = len(reduced)
-    bound_sq = (2 ** max(y - 1, 0)) * norm_bound_sq
-
-    candidates: list[GroupElement] = []
-    seen: set[tuple[int, ...]] = set()
-    for vec in reduced:
-        g = B.element(vec)
-        if g.is_zero() or g.coords in seen:
-            continue
-        seen.add(g.coords)
-        candidates.append(g)
-
-    # pairwise sums/differences catch generators of cyclic CRT pieces that
-    # lattice reduction keeps separate (e.g. Z_2 (+) Z_3 needing their sum)
-    pool = list(candidates)
-    for a, b in itertools.combinations(candidates, 2):
-        for extra in (a + b, a - b):
-            if (
-                not extra.is_zero()
-                and extra.coords not in seen
-                and extra.norm_sq() <= bound_sq
-                and subgroup_contains(S, extra)
-            ):
-                seen.add(extra.coords)
-                pool.append(extra)
-
-    def generates(gens: Sequence[GroupElement]) -> bool:
-        T = Subgroup(B, tuple(gens))
-        return all(subgroup_contains(T, g) for g in S.generators)
-
-    # greedy minimization from the reduced basis projections
-    best = list(candidates)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(best)):
-            trial = best[:i] + best[i + 1:]
-            if generates(trial):
-                best = trial
-                changed = True
-                break
-
-    target = subgroup_rank(S)
-    if len(best) > target:
-        for combo in itertools.combinations(pool, target):
-            if generates(combo):
-                best = list(combo)
-                break
-    return best

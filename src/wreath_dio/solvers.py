@@ -57,7 +57,8 @@ class SolverBudget:
 
     def __post_init__(self) -> None:
         for name in ("max_delta_tuples", "max_subgroup_tuples", "max_seconds"):
-            if getattr(self, name) <= 0:
+            # `not > 0` also rejects NaN, which compares false to everything
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 
 

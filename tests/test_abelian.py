@@ -12,7 +12,6 @@ from wreath_dio.abelian import (
     GroupPresentation,
     IntMatrix,
     Subgroup,
-    ball_size,
     enumerate_ball,
     geodesic_length,
     group_rank,
@@ -89,15 +88,6 @@ def test_hash_agrees_with_equality():
     key = {(G, (g,)): 1}
     assert key[(GroupPresentation(1, (6,)), (G.element((1, -2)),))] == 1
     assert (Z4, (Z4.element((1,)),)) not in {(Z2, (Z2.element((1,)),))}
-
-
-def test_symmetric_lift_and_norm():
-    g = Z4.element((3,))
-    assert g.symmetric_lift() == (-1,)
-    assert g.norm_sq() == 1
-    h = GroupPresentation(1, (4,)).element((2, -3))
-    assert h.symmetric_lift() == (2, -3)
-    assert h.norm_sq() == 13
 
 
 def test_has_infinite_order():
@@ -395,13 +385,22 @@ def test_ball_z3_whole_group():
     assert len(list(enumerate_ball(Z3, 2))) == 3
 
 
+def _brute_ball_size(G, r):
+    # every coordinate of a ball element lies in [-r, r]; torsion
+    # coordinates repeat modulo alpha, so collect canonical coordinates
+    box = itertools.product(range(-r, r + 1), repeat=G.ncoords)
+    return len({
+        g.coords for g in map(G.element, box) if geodesic_length(G, g) <= r
+    })
+
+
 def test_ball_monotone_and_counts_match():
     for G in (ZxZ, GroupPresentation(1, (4,)), GroupPresentation(3)):
         prev = set()
         for r in range(4):
             ball = {g.coords for g in enumerate_ball(G, r)}
             assert prev <= ball
-            assert len(ball) == ball_size(G, r)
+            assert len(ball) == _brute_ball_size(G, r)
             prev = ball
 
 
@@ -412,7 +411,6 @@ def test_ball_exact_l1_counts_for_free_groups():
         for coords in itertools.product(range(-r, r + 1), repeat=n):
             if sum(abs(c) for c in coords) <= r:
                 brute += 1
-        assert ball_size(G, r) == brute
         assert len(list(enumerate_ball(G, r))) == brute
 
 

@@ -31,10 +31,8 @@ from wreath_dio.codec import (
 )
 from wreath_dio.group_ring import (
     SupportedFunction,
-    diameter,
     is_zero_mod,
     lambda_map,
-    pushforward,
     shift,
 )
 from wreath_dio.hardness import (

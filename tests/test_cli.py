@@ -130,6 +130,26 @@ def test_qsp_solve_output_file_atomic(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json", "report.json"]
 
 
+@pytest.mark.parametrize("command", [
+    ["qsp", "solve", "inst.json"],
+    ["solve", "eq.json"],
+    ["gen", "zoe", "--matrix", "1,0;0,1"],
+])
+def test_unwritable_output_is_a_precondition_error(tmp_path, capsys, command):
+    _write(tmp_path, "inst.json", encode_instance(_positive_pair_instance()))
+    _write(tmp_path, "eq.json", encode_equation(gen_solvable(7, Z2, Z2, 1, 1)[0]))
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in command]
+    # a missing parent directory fails at the temp file; an existing
+    # directory as the target fails at the final rename
+    for out in (tmp_path / "nodir" / "r.json", tmp_path):
+        code = main([*argv, "--output", str(out)])
+        cap = capsys.readouterr()
+        assert code == EXIT_PRECONDITION
+        assert cap.err.startswith("error: cannot write ")
+        assert "Traceback" not in cap.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["eq.json", "inst.json"]
+
+
 def test_qsp_solve_unknown_budget_exit(tmp_path, capsys):
     fs = tuple(
         atom(Z, ZxZ, (1,), (k, -k)) - atom(Z, ZxZ, (1,), (k + 5, k)) for k in range(4)
@@ -177,10 +197,11 @@ def test_qsp_solve_wrong_schema_exit(tmp_path, capsys):
 
 def test_qsp_solve_bad_budget_flag_exit(tmp_path, capsys):
     path = _write(tmp_path, "inst.json", encode_instance(_negative_instance()))
-    code = main(["qsp", "solve", str(path), "--budget-delta-tuples", "0"])
-    cap = capsys.readouterr()
-    assert code == EXIT_PRECONDITION
-    assert "--budget-" in cap.err
+    for flag in (["--budget-delta-tuples", "0"], ["--budget-seconds", "nan"]):
+        code = main(["qsp", "solve", str(path), *flag])
+        cap = capsys.readouterr()
+        assert code == EXIT_PRECONDITION
+        assert "--budget-" in cap.err
 
 
 @pytest.mark.parametrize("command", [["solve"], ["qsp", "solve"]])

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from wreath_dio.abelian import GroupPresentation, Subgroup
+from wreath_dio.abelian import GroupPresentation
 from wreath_dio.codec import (
     MAX_SAFE_INT,
     CodecError,
@@ -25,7 +25,7 @@ from wreath_dio.codec import (
 )
 from wreath_dio.group_ring import SupportedFunction
 from wreath_dio.qsp import Certificate, QspInstance
-from wreath_dio.wreath import OrientableEquation, WreathElement, gen_solvable
+from wreath_dio.wreath import gen_solvable
 
 Z = GroupPresentation(1)
 Z2 = GroupPresentation(0, (2,))

@@ -1,11 +1,11 @@
-"""Finitely supported functions B -> A: shifts, ring structure, pushforwards."""
+"""Finitely supported functions B -> A: shifts, sums, pushforwards."""
 
 import itertools
 import random
 
 import pytest
 
-from wreath_dio.abelian import GroupPresentation, Subgroup, quotient
+from wreath_dio.abelian import GroupPresentation, Subgroup
 from wreath_dio.group_ring import (
     SupportedFunction,
     diameter,
@@ -13,9 +13,7 @@ from wreath_dio.group_ring import (
     lambda_map,
     lambda_term,
     pushforward,
-    ring_multiply,
     shift,
-    unity,
 )
 
 Z = GroupPresentation(1)
@@ -145,57 +143,18 @@ def test_shift_preserves_coefficients():
 
 
 # ---------------------------------------------------------------------------
-# ring multiplication
+# translation as convolution
 
 
-def test_unity_is_multiplicative_identity():
-    rng = random.Random(6)
-    for A, B in ((Z, Z), (Z4, ZxZ), (GroupPresentation(1, (2,)), Z)):
-        one = unity(A, B)
-        for _ in range(20):
-            f = _random_function(rng, A, B)
-            assert ring_multiply(f, one) == f
-            assert ring_multiply(one, f) == f
-
-
-def test_atom_times_atom():
-    # a^{b1} * c^{b2} = (ac)^{b1+b2}: points add, coefficients multiply
-    f = atom(Z, Z, (2,), (3,))
-    g = atom(Z, Z, (5,), (-1,))
-    assert ring_multiply(f, g) == atom(Z, Z, (10,), (2,))
-
-
-def test_multiplication_example_difference_pair():
-    # (1^0 - 1^b)(1^0 - 1^{-b}) with b=1 -> -1^{-1} + 2*1^0 - 1^1
-    one0 = atom(Z, Z, (1,), (0,))
-    f = one0 - atom(Z, Z, (1,), (1,))
-    g = one0 - atom(Z, Z, (1,), (-1,))
-    prod = ring_multiply(f, g)
-    assert {p.coords: a.coords for p, a in prod.terms} == {
-        (-1,): (-1,),
-        (0,): (2,),
-        (1,): (-1,),
-    }
-
-
-def test_multiplication_componentwise_in_torsion():
-    # over Z_4: coefficient 2 * 2 = 0, so the product collapses
-    f = atom(Z4, Z, (2,), (0,))
-    assert ring_multiply(f, f).is_zero()
-
-
-def test_multiplication_associative_commutative_distributive():
-    rng = random.Random(7)
-    for _ in range(30):
-        A = rng.choice((Z, Z4, GroupPresentation(0, (2, 4))))
-        f = _random_function(rng, A, Z, max_terms=2)
-        g = _random_function(rng, A, Z, max_terms=2)
-        h = _random_function(rng, A, Z, max_terms=2)
-        assert ring_multiply(f, g) == ring_multiply(g, f)
-        assert ring_multiply(ring_multiply(f, g), h) == ring_multiply(
-            f, ring_multiply(g, h)
-        )
-        assert ring_multiply(f, g + h) == ring_multiply(f, g) + ring_multiply(f, h)
+def ring_multiply(f, g):
+    # reference group-ring convolution: support points add, coefficients
+    # multiply componentwise
+    A = f.coeff_group
+    return SupportedFunction(A, f.base_group, tuple(
+        (p + q, A.element(tuple(x * y for x, y in zip(a.coords, b.coords))))
+        for p, a in f.terms
+        for q, b in g.terms
+    ))
 
 
 def test_translate_identity():
@@ -208,7 +167,7 @@ def test_translate_identity():
         assert translate == shift(f, -b)
         # f - f*1^b = f * (1^0 - 1^b)
         assert f - translate == ring_multiply(
-            f, unity(Z, Z) - SupportedFunction.atom(Z.element((1,)), b)
+            f, atom(Z, Z, (1,), (0,)) - SupportedFunction.atom(Z.element((1,)), b)
         )
 
 

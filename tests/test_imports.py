@@ -1,5 +1,5 @@
-"""Every name a library module imports is read somewhere in that module,
-and every name the package exports exists."""
+"""Every name a library module or test file imports is read somewhere in
+that file, and every name the package exports exists."""
 
 import ast
 import pathlib
@@ -10,6 +10,7 @@ import wreath_dio
 
 PACKAGE = pathlib.Path(wreath_dio.__file__).resolve().parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TEST_FILES = sorted(pathlib.Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _imported_names(tree: ast.Module) -> set[str]:
@@ -36,7 +37,7 @@ def test_modules_found():
     assert {p.name for p in MODULES} >= {"abelian.py", "solvers.py", "cli.py"}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_FILES, ids=lambda p: p.name)
 def test_every_import_is_read(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     unused = _imported_names(tree) - _read_names(tree)

@@ -1,12 +1,9 @@
-"""Integer lattices: Hermite form, LLL reduction, bounded generators."""
+"""Integer lattices: Hermite form and LLL reduction."""
 
 import itertools
 import random
-from math import isqrt
 
-from wreath_dio.abelian import GroupPresentation, Subgroup, subgroup_contains
 from wreath_dio.lattice import (
-    bounded_generators,
     hermite_form,
     is_lll_reduced,
     lattice_basis,
@@ -131,62 +128,3 @@ def test_lll_first_vector_bound():
         pts = _lattice_points(red, range(-4, 5)) - {tuple([0] * dim)}
         lam1_sq = min(_norm_sq(p) for p in pts)
         assert _norm_sq(red[0]) <= 2 ** (dim - 1) * lam1_sq
-
-
-# ---------------------------------------------------------------------------
-# bounded generators
-
-
-def test_bounded_generators_trivial_subgroup():
-    G = GroupPresentation(2)
-    assert bounded_generators(Subgroup.trivial(G), 16) == []
-
-
-def test_bounded_generators_z2_three_generators():
-    G = GroupPresentation(2)
-    S = Subgroup(G, (G.element((2, 0)), G.element((0, 2)), G.element((2, 2))))
-    gens = bounded_generators(S, 16)
-    assert len(gens) == 2
-    assert all(g.norm_sq() <= 16 for g in gens)
-    regenerated = Subgroup(G, tuple(gens))
-    for g in S.generators:
-        assert subgroup_contains(regenerated, g)
-    for g in gens:
-        assert subgroup_contains(S, g)
-
-
-def test_bounded_generators_mixed_group():
-    G = GroupPresentation(1, (4,))
-    S = Subgroup(G, (G.element((2, 3)),))
-    gens = bounded_generators(S, 13)
-    assert len(gens) == 1
-    assert all(subgroup_contains(S, g) for g in gens)
-    regenerated = Subgroup(G, tuple(gens))
-    assert subgroup_contains(regenerated, G.element((2, 3)))
-
-
-def test_bounded_generators_norm_bound_respected():
-    rng = random.Random(31)
-    for _ in range(40):
-        free = rng.randint(0, 2)
-        torsion = rng.choice([(), (2,), (4,), (2, 4)])
-        G = GroupPresentation(free, torsion)
-        if G.ncoords == 0:
-            continue
-        gens = []
-        for _ in range(rng.randint(0, 3)):
-            coords = []
-            for t in torsion:
-                coords.append(rng.randrange(t))
-            for _ in range(free):
-                coords.append(rng.randint(-4, 4))
-            gens.append(G.element(tuple(coords)))
-        S = Subgroup(G, tuple(gens))
-        bound_sq = max([g.norm_sq() for g in gens], default=0) or 1
-        out = bounded_generators(S, bound_sq)
-        assert all(g.norm_sq() <= bound_sq for g in out)
-        regenerated = Subgroup(G, tuple(out))
-        for g in gens:
-            assert subgroup_contains(regenerated, g)
-        for g in out:
-            assert subgroup_contains(S, g)

@@ -401,6 +401,8 @@ def test_budget_validation():
         SolverBudget(max_delta_tuples=0)
     with pytest.raises(ValueError):
         SolverBudget(max_seconds=-1)
+    with pytest.raises(ValueError):
+        SolverBudget(max_seconds=float("nan"))
 
 
 def test_counters_present():
