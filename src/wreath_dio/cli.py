@@ -38,6 +38,7 @@ from .codec import (
     digest,
     encode_certificate,
     encode_equation,
+    encode_group,
     encode_instance,
 )
 from .hardness import (
@@ -48,7 +49,7 @@ from .hardness import (
     gen_zoe,
 )
 from .qsp import ShapeMismatch, verify_certificate
-from .solvers import SolveResult, SolverBudget, dispatch
+from .solvers import DEFAULT_BUDGET, SolveResult, SolverBudget, dispatch
 from .wreath import Unsolvable, equation_brute_force, gen_solvable, reduce_to_qsp
 
 EXIT_POSITIVE = 0
@@ -117,6 +118,17 @@ def _emit(text: str, output: Optional[str]) -> None:
     except OSError as exc:
         reason = exc.strerror or exc
         raise _CliError(EXIT_PRECONDITION, f"cannot write {output}: {reason}") from None
+
+
+def _check_output(output: Optional[str]) -> None:
+    """Reject, before any work, an --output that is a directory or lies in a
+    missing one; _emit still reports a write that fails later."""
+    if output is None:
+        return
+    if os.path.isdir(output):
+        raise _CliError(EXIT_PRECONDITION, f"cannot write {output}: Is a directory")
+    if not os.path.isdir(os.path.dirname(os.path.abspath(output))):
+        raise _CliError(EXIT_PRECONDITION, f"cannot write {output}: no such directory")
 
 
 def _budget_from_args(args: argparse.Namespace) -> SolverBudget:
@@ -244,8 +256,8 @@ def _gen_payload(args: argparse.Namespace) -> dict:
             "params": {
                 "values": list(values),
                 "k": args.k,
-                "coeff_group": {"free_rank": A.free_rank, "torsion": list(A.torsion)},
-                "base_group": {"free_rank": B.free_rank, "torsion": list(B.torsion)},
+                "coeff_group": encode_group(A),
+                "base_group": encode_group(B),
             },
             "seed": args.seed,
         }
@@ -283,8 +295,8 @@ def _gen_payload(args: argparse.Namespace) -> dict:
         "params": {
             "genus": args.genus,
             "m": args.m,
-            "coeff_group": {"free_rank": A.free_rank, "torsion": list(A.torsion)},
-            "base_group": {"free_rank": B.free_rank, "torsion": list(B.torsion)},
+            "coeff_group": encode_group(A),
+            "base_group": encode_group(B),
         },
         "seed": args.seed,
     }
@@ -335,9 +347,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget-delta-tuples", type=int, default=1_000_000)
-    p.add_argument("--budget-subgroup-tuples", type=int, default=100_000)
-    p.add_argument("--budget-seconds", type=float, default=60.0)
+    b = DEFAULT_BUDGET
+    p.add_argument("--budget-delta-tuples", type=int, default=b.max_delta_tuples)
+    p.add_argument("--budget-subgroup-tuples", type=int, default=b.max_subgroup_tuples)
+    p.add_argument("--budget-seconds", type=float, default=b.max_seconds)
 
 
 def _add_output_flag(p: argparse.ArgumentParser) -> None:
@@ -461,6 +474,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     _configure_logging()
     args = _parser().parse_args(argv)
     try:
+        _check_output(getattr(args, "output", None))
         return args.func(args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

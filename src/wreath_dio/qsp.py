@@ -8,6 +8,8 @@ is polynomial in the sizes of instance and certificate.
 
 Clusters group function indices whose (projected) shifted supports touch; they
 drive the delta-normalization that bounds witness shifts by the instance size.
+clusters is the one connectivity routine; normalization reruns it after each
+shift in N that merges a plain sub-cluster into its mod-N cluster's anchor.
 
 shifted_sum, satisfies_equation and difference_set run on canonical
 coordinate tuples: every shifted term goes into one dict keyed by its point
@@ -30,7 +32,6 @@ from .abelian import (
     _quotient_form,
     coord_reducer,
     geodesic_length,
-    quotient,
     subgroup_contains,
     subgroup_rank,
 )
@@ -80,25 +81,6 @@ class Certificate:
     def __post_init__(self) -> None:
         object.__setattr__(self, "deltas", tuple(self.deltas))
         object.__setattr__(self, "subgroup_gens", tuple(self.subgroup_gens))
-
-
-@dataclass(frozen=True)
-class ClusterPartition:
-    """A partition of the function index set {0..m-1} into blocks."""
-
-    blocks: tuple[frozenset[int], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "blocks",
-            tuple(sorted((frozenset(b) for b in self.blocks), key=min)),
-        )
-        seen: set[int] = set()
-        for b in self.blocks:
-            if b & seen:
-                raise ValueError("cluster blocks overlap")
-            seen |= b
 
 
 class ShapeMismatch(ValueError):
@@ -184,13 +166,14 @@ def clusters(
     fs: Sequence[SupportedFunction],
     deltas: Sequence[GroupElement],
     N: Subgroup,
-) -> ClusterPartition:
+) -> tuple[frozenset[int], ...]:
     """Connected components of the projected-support intersection graph.
 
     Indices i, j are joined whenever phi(supp(f_i^{delta_i})) meets
     phi(supp(f_j^{delta_j})) for phi: B -> B/N.  With N trivial this is the
     plain cluster partition; functions with empty support sit in singleton
-    blocks.
+    blocks.  The blocks are disjoint, cover 0..m-1 and are sorted by least
+    index.
     """
     m = len(fs)
     if len(deltas) != m:
@@ -209,19 +192,20 @@ def clusters(
             parent[max(rx, ry)] = min(rx, ry)
 
     if m:
-        _, project = quotient(fs[0].base_group, N)
+        project = _quotient_form(fs[0].base_group, N).project_coords
         owner: dict[tuple[int, ...], int] = {}
         for i, (f, d) in enumerate(zip(fs, deltas)):
             for p in shift(f, d).support():
-                key = project(p).coords
+                key = project(p.coords)
                 if key in owner:
                     union(owner[key], i)
                 else:
                     owner[key] = i
+    # every root is its block's least index, so blocks appear in that order
     groups: dict[int, set[int]] = {}
     for i in range(m):
         groups.setdefault(find(i), set()).add(i)
-    return ClusterPartition(tuple(frozenset(v) for v in groups.values()))
+    return tuple(frozenset(v) for v in groups.values())
 
 
 def cluster_shift(
@@ -239,8 +223,7 @@ def cluster_shift(
     translate).
     """
     blk = frozenset(block)
-    part = clusters(fs, deltas, N)
-    if blk not in part.blocks:
+    if blk not in clusters(fs, deltas, N):
         raise ValueError("not a block of the cluster partition")
     return tuple(
         d + shift_by if i in blk else d for i, d in enumerate(deltas)
@@ -321,73 +304,35 @@ def _realign_block(
 ) -> None:
     """Shift sub-clusters by elements of N until the phi-block is one plain cluster.
 
-    Peels non-cut vertices off the sub-cluster adjacency graph (highest index
-    first, per the fixed tie-break), then re-attaches each by translating it
-    so one of its support points lands on the merged component's matching
-    point.  All shifts are by elements of N, so the mod-N picture and
-    the quotient-sum equation are untouched.
+    The plain sub-cluster holding the block's least index is the anchor.
+    While another sub-cluster remains, the first one by least index with a
+    support point p in the N-coset of an anchor point q is shifted by p - q:
+    p lands on q, so it merges with the anchor.  One always qualifies, as the
+    phi-block is connected modulo N.  Every shift lies in N, so the mod-N
+    clusters and the quotient-sum equation are untouched.
     """
-    _, project = quotient(fs[0].base_group, N)
-
-    def plain_subblocks() -> list[frozenset[int]]:
-        sub = [i for i in sorted(phi_block)]
-        part = clusters(
-            [fs[i] for i in sub],
-            [deltas[i] for i in sub],
-            Subgroup.trivial(fs[0].base_group),
-        )
-        return [frozenset(sub[j] for j in b) for b in part.blocks]
-
+    B = fs[0].base_group
+    project = _quotient_form(B, N).project_coords
+    trivial = Subgroup.trivial(B)
+    idx = sorted(phi_block)
     while True:
-        blocks = plain_subblocks()
-        if len(blocks) == 1:
+        part = clusters([fs[i] for i in idx], [deltas[i] for i in idx], trivial)
+        if len(part) == 1:
             return
-        unions = {b: _support_union(fs, deltas, b) for b in blocks}
-        proj_unions = {
-            b: {project(p).coords for p in unions[b]} for b in blocks
-        }
-
-        def adjacent(x: frozenset[int], y: frozenset[int]) -> bool:
-            return bool(proj_unions[x] & proj_unions[y])
-
-        def connected(verts: list[frozenset[int]]) -> bool:
-            if not verts:
-                return True
-            seen = {0}
-            stack = [0]
-            while stack:
-                i = stack.pop()
-                for j in range(len(verts)):
-                    if j not in seen and adjacent(verts[i], verts[j]):
-                        seen.add(j)
-                        stack.append(j)
-            return len(seen) == len(verts)
-
-        # highest-indexed vertex whose removal keeps the graph connected;
-        # ordering by max function index for reproducibility
-        order = sorted(blocks, key=max)
-        victim = None
-        for v in reversed(order):
-            rest = [b for b in blocks if b != v]
-            if connected(rest):
-                victim = v
-                break
-        if victim is None:  # pragma: no cover - connected graphs always have one
-            victim = order[-1]
-
-        rest_indices = sorted(set().union(*(b for b in blocks if b != victim)))
-        rest_union = _support_union(fs, deltas, rest_indices)
-        offset = None
-        for p_v in unions[victim]:
-            for p_k in rest_union:
-                if subgroup_contains(N, p_v - p_k):
-                    offset = p_v - p_k
-                    break
-            if offset is not None:
-                break
+        subs = [[idx[j] for j in b] for b in part]
+        anchor: dict[tuple[int, ...], GroupElement] = {}
+        for q in _support_union(fs, deltas, subs[0]):
+            anchor.setdefault(project(q.coords), q)
+        moves = (
+            (blk, p - anchor[key])
+            for blk in subs[1:]
+            for p in _support_union(fs, deltas, blk)
+            if (key := project(p.coords)) in anchor
+        )
+        blk, offset = next(moves, ((), None))
         if offset is None:
             raise AssertionError("phi-adjacent clusters share no N-coset point")
-        for i in victim:
+        for i in blk:
             deltas[i] = deltas[i] + offset
 
 
@@ -400,10 +345,9 @@ def normalize_deltas(
 
     Two phases, both preserving the quotient-sum equation: first realign
     plain clusters to the mod-N clusters by shifting sub-clusters with
-    elements of N, then
-    translate every cluster so that 0 is in its support union (the
-    lexicographically least union point is moved to the origin).  Functions
-    with empty support get delta 0.
+    elements of N (_realign_block), then translate every cluster so that 0
+    is in its support union (the lexicographically least union point is
+    moved to the origin).  Functions with empty support get delta 0.
     """
     if not satisfies_equation(fs, deltas, N):
         raise ValueError("input shifts do not solve the instance")
@@ -412,12 +356,10 @@ def normalize_deltas(
         return tuple(work)
     B = fs[0].base_group
 
-    phi_part = clusters(fs, work, N)
-    for blk in phi_part.blocks:
+    for blk in clusters(fs, work, N):
         _realign_block(fs, work, N, blk)
 
-    plain = clusters(fs, work, Subgroup.trivial(B))
-    for blk in plain.blocks:
+    for blk in clusters(fs, work, Subgroup.trivial(B)):
         union = _support_union(fs, work, blk)
         if not union:
             for i in blk:

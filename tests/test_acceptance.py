@@ -592,7 +592,7 @@ def test_criterion_08_delta_normalization_restores_bound():
         inflated = deltas
         for magnitude in (10 ** 6, 10 ** 7):
             part = clusters(fs, inflated, N)
-            block = rng.choice(part.blocks)
+            block = rng.choice(part)
             big = B.element(
                 tuple(rng.choice((-1, 1)) * magnitude for _ in range(B.free_rank))
             )
@@ -675,13 +675,13 @@ def test_criterion_10_cluster_lemmas_500_solved_instances():
         Q, project = quotient(B, N)
 
         # each cluster's own shifted sum already vanishes in the quotient
-        for block in part.blocks:
+        for block in part:
             idx = sorted(block)
             partial = shifted_sum([fs[i] for i in idx], [deltas[i] for i in idx])
             assert is_zero_mod(partial, N), (trial, idx)
 
         # a cluster's projected support union is no wider than its total size
-        for block in part.blocks:
+        for block in part:
             union = set()
             total_size = 0
             for i in block:
@@ -698,7 +698,7 @@ def test_criterion_10_cluster_lemmas_500_solved_instances():
         assert verify_certificate(instance, cert)
         N_cert = Subgroup(B, cert.subgroup_gens)
         part_cert = clusters(fs, cert.deltas, N_cert)
-        block = rng.choice(part_cert.blocks)
+        block = rng.choice(part_cert)
         nudge = B.element(tuple(rng.randint(-6, 6) for _ in range(B.free_rank)))
         moved = cluster_shift(fs, cert.deltas, N_cert, block, nudge)
         cert2 = Certificate(moved, cert.subgroup_gens)

@@ -15,6 +15,7 @@ from wreath_dio.cli import (
     EXIT_POSITIVE,
     EXIT_PRECONDITION,
     EXIT_UNKNOWN,
+    _budget_from_args,
     build_parser,
     main,
 )
@@ -29,6 +30,7 @@ from wreath_dio.codec import (
 )
 from wreath_dio.group_ring import SupportedFunction
 from wreath_dio.qsp import Certificate, QspInstance
+from wreath_dio.solvers import DEFAULT_BUDGET
 from wreath_dio.wreath import OrientableEquation, WreathElement, gen_solvable
 
 Z = GroupPresentation(1)
@@ -139,8 +141,7 @@ def test_unwritable_output_is_a_precondition_error(tmp_path, capsys, command):
     _write(tmp_path, "inst.json", encode_instance(_positive_pair_instance()))
     _write(tmp_path, "eq.json", encode_equation(gen_solvable(7, Z2, Z2, 1, 1)[0]))
     argv = [str(tmp_path / a) if a.endswith(".json") else a for a in command]
-    # a missing parent directory fails at the temp file; an existing
-    # directory as the target fails at the final rename
+    # a target in a missing directory, and a target that is a directory
     for out in (tmp_path / "nodir" / "r.json", tmp_path):
         code = main([*argv, "--output", str(out)])
         cap = capsys.readouterr()
@@ -148,6 +149,26 @@ def test_unwritable_output_is_a_precondition_error(tmp_path, capsys, command):
         assert cap.err.startswith("error: cannot write ")
         assert "Traceback" not in cap.err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["eq.json", "inst.json"]
+
+
+@pytest.mark.parametrize("command", [
+    ["qsp", "solve", "inst.json"],
+    ["solve", "eq.json"],
+])
+def test_unwritable_output_is_rejected_before_solving(
+    tmp_path, capsys, monkeypatch, command
+):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("dispatch ran despite an unwritable --output")
+
+    monkeypatch.setattr(wreath_dio.cli, "dispatch", no_solve)
+    _write(tmp_path, "inst.json", encode_instance(_positive_pair_instance()))
+    _write(tmp_path, "eq.json", encode_equation(gen_solvable(7, Z2, Z2, 1, 1)[0]))
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in command]
+    for out in (tmp_path / "missing" / "r.json", tmp_path):
+        code = main([*argv, "--output", str(out)])
+        assert code == EXIT_PRECONDITION
+        assert capsys.readouterr().err.startswith("error: cannot write ")
 
 
 def test_qsp_solve_unknown_budget_exit(tmp_path, capsys):
@@ -371,6 +392,19 @@ def test_gen_solvable_equation_decodes(capsys):
     assert prov["seed"] == 3
 
 
+def test_gen_solvable_provenance_encodes_large_torsion_as_string(capsys):
+    # FORMATS.md: integers past 2^53 - 1 are strings, in provenance too
+    big = 2**54
+    code = main(["gen", "solvable", "--coeff-torsion", str(big)])
+    assert code == EXIT_POSITIVE
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["A"]["torsion"] == [str(big)]
+    assert obj["provenance"]["params"]["coeff_group"] == {
+        "free_rank": 0, "torsion": [str(big)]
+    }
+    assert obj["provenance"]["params"]["base_group"] == {"free_rank": 1, "torsion": []}
+
+
 def test_gen_window_violation_exit(capsys):
     # L = 6: 1 and 3 fall outside (1.5, 3)
     code = main(["gen", "3part-h0", "--values", "1,2,3", "--k", "1"])
@@ -490,6 +524,11 @@ def test_reused_parser_gives_each_call_the_defaults(tmp_path, capsys):
     assert code == EXIT_POSITIVE
     assert _report_from(capsys)["decision"] == "positive"
     assert json.loads(out.read_text())["decision"] == "unknown-budget"
+
+
+def test_budget_flag_defaults_are_the_solver_defaults():
+    args = build_parser().parse_args(["qsp", "solve", "inst.json"])
+    assert _budget_from_args(args) == DEFAULT_BUDGET
 
 
 def test_build_parser_returns_a_fresh_parser():

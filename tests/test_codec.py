@@ -114,6 +114,23 @@ def test_function_roundtrip():
     assert decode_function(Z, ZxZ, encode_function(f)) == f
 
 
+def test_function_repeated_points_sum_on_read():
+    obj = {"terms": [{"coeff": [2], "point": [3]}, {"coeff": [5], "point": [3]}]}
+    assert encode_function(decode_function(Z, Z, obj)) == {
+        "terms": [{"coeff": [7], "point": [3]}]
+    }
+    # the repeats cancel in Z_2, so the point drops out
+    obj = {"terms": [{"coeff": [1], "point": [3]}, {"coeff": [1], "point": [3]}]}
+    assert decode_function(Z2, Z, obj) == SupportedFunction.zero(Z2, Z)
+
+
+def test_torsion_coordinates_reduce_on_read():
+    assert decode_element(Z2, [3]) == Z2.element((1,))
+    assert encode_element(decode_element(Z2, [3])) == [1]
+    Z4 = GroupPresentation(0, (4,))
+    assert encode_element(decode_element(Z4, [-1])) == [3]
+
+
 def test_function_term_shape():
     obj = encode_function(atom(Z, Z, (1,), (2,)))
     assert obj == {"terms": [{"coeff": [1], "point": [2]}]}

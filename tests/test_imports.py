@@ -1,7 +1,9 @@
 """Every name a library module or test file imports is read somewhere in
-that file, and every name the package exports exists."""
+that file, every name the package exports exists, and every library name
+the benchmark in perfbench/ uses resolves."""
 
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -11,6 +13,7 @@ import wreath_dio
 PACKAGE = pathlib.Path(wreath_dio.__file__).resolve().parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TEST_FILES = sorted(pathlib.Path(__file__).resolve().parent.glob("*.py"))
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _imported_names(tree: ast.Module) -> set[str]:
@@ -47,3 +50,44 @@ def test_every_import_is_read(path):
 def test_every_exported_name_resolves():
     missing = [name for name in wreath_dio.__all__ if not hasattr(wreath_dio, name)]
     assert not missing, f"__all__ names {missing} that the package does not define"
+
+
+def _library_names(tree: ast.Module) -> set[tuple[str, str]]:
+    """(module, name) for each name imported from the package and each
+    attribute read off a package module, whether the module is a bare name
+    (abelian.quotient_maps) or an attribute (api.solvers.dispatch).  Names
+    held in strings, such as tracing.TARGETS, are not seen."""
+    submodules = {p.stem for p in MODULES}
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith(
+            "wreath_dio"
+        ):
+            found.update((node.module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                module, _, name = alias.name.rpartition(".")
+                if module.startswith("wreath_dio"):
+                    found.add((module, name))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            base = node.value
+            tail = getattr(base, "id", None) or getattr(base, "attr", None)
+            if tail in submodules:
+                found.add((f"wreath_dio.{tail}", node.attr))
+    return found
+
+
+def test_every_library_name_the_benchmark_uses_resolves():
+    # the benchmark runs the library from its own checkout, so a name it
+    # needs must not be deleted; its files are parsed, not imported
+    files = sorted(PERFBENCH.glob("*.py"))
+    assert files, f"no benchmark files under {PERFBENCH}"
+    for p in MODULES:
+        importlib.import_module(f"wreath_dio.{p.stem}")
+    missing = sorted(
+        f"{path.name}: {module}.{name}"
+        for path in files
+        for module, name in _library_names(ast.parse(path.read_text(encoding="utf-8")))
+        if not hasattr(importlib.import_module(module), name)
+    )
+    assert not missing, f"benchmark names that do not resolve: {missing}"

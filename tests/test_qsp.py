@@ -178,14 +178,14 @@ def test_clusters_disjoint_supports_are_singletons():
     f = atom(Z, Z, (1,), (0,))
     g = atom(Z, Z, (1,), (5,))
     part = clusters((f, g), (Z.zero(), Z.zero()), Subgroup.trivial(Z))
-    assert set(part.blocks) == {frozenset({0}), frozenset({1})}
+    assert set(part) == {frozenset({0}), frozenset({1})}
 
 
 def test_clusters_shared_point_merges():
     f = atom(Z, Z, (1,), (0,)) + atom(Z, Z, (1,), (2,))
     g = atom(Z, Z, (1,), (2,))
     part = clusters((f, g), (Z.zero(), Z.zero()), Subgroup.trivial(Z))
-    assert part.blocks == (frozenset({0, 1}),)
+    assert part == (frozenset({0, 1}),)
 
 
 def test_clusters_merge_modulo_subgroup():
@@ -193,23 +193,23 @@ def test_clusters_merge_modulo_subgroup():
     g = atom(Z, Z, (1,), (2,))
     trivial = Subgroup.trivial(Z)
     part_plain = clusters((f, g), (Z.zero(), Z.zero()), trivial)
-    assert len(part_plain.blocks) == 2
+    assert len(part_plain) == 2
     part_mod = clusters((f, g), (Z.zero(), Z.zero()), Subgroup(Z, (Z.element((2,)),)))
-    assert part_mod.blocks == (frozenset({0, 1}),)
+    assert part_mod == (frozenset({0, 1}),)
 
 
 def test_clusters_deltas_matter():
     f = atom(Z, Z, (1,), (0,))
     g = atom(Z, Z, (1,), (5,))
     part = clusters((f, g), (Z.element((-5,)), Z.zero()), Subgroup.trivial(Z))
-    assert part.blocks == (frozenset({0, 1}),)
+    assert part == (frozenset({0, 1}),)
 
 
 def test_clusters_empty_support_is_singleton():
     f = SupportedFunction.zero(Z, Z)
     g = atom(Z, Z, (1,), (0,))
     part = clusters((f, g), (Z.zero(), Z.zero()), Subgroup.trivial(Z))
-    assert set(part.blocks) == {frozenset({0}), frozenset({1})}
+    assert set(part) == {frozenset({0}), frozenset({1})}
 
 
 def test_plain_clusters_refine_modular_clusters():
@@ -221,8 +221,13 @@ def test_plain_clusters_refine_modular_clusters():
         N = Subgroup(Z, (Z.element((k,)),) if k else ())
         plain = clusters(fs, deltas, Subgroup.trivial(Z))
         modular = clusters(fs, deltas, N)
-        for blk in plain.blocks:
-            assert any(blk <= big for big in modular.blocks)
+        for part in (plain, modular):
+            # disjoint blocks that cover 0..m-1, sorted by least index
+            assert sum(len(blk) for blk in part) == len(fs)
+            assert frozenset().union(*part) == frozenset(range(len(fs)))
+            assert [min(blk) for blk in part] == sorted(min(blk) for blk in part)
+        for blk in plain:
+            assert any(blk <= big for big in modular)
 
 
 def test_cluster_diameter_bound():
@@ -234,7 +239,7 @@ def test_cluster_diameter_bound():
         fs = tuple(_random_function(rng, Z2, Z) for _ in range(rng.randint(1, 4)))
         deltas = tuple(Z.element((rng.randint(-4, 4),)) for _ in fs)
         part = clusters(fs, deltas, Subgroup.trivial(Z))
-        for blk in part.blocks:
+        for blk in part:
             pts = []
             for i in blk:
                 pts.extend(shift(fs[i], deltas[i]).support())
@@ -264,7 +269,7 @@ def test_cluster_shift_preserves_solutions():
         fs, deltas = _solved_pair(rng, Z2, Z)
         N = Subgroup.trivial(Z)
         part = clusters(fs, deltas, N)
-        blk = part.blocks[0]
+        blk = part[0]
         moved = cluster_shift(fs, deltas, N, blk, Z.element((rng.randint(-9, 9),)))
         assert satisfies_equation(fs, moved, N)
 
@@ -279,7 +284,7 @@ def test_cluster_shift_renames_only_block_members():
     deltas = (Z.zero(), Z.zero(), Z.zero())
     assert satisfies_equation(fs, deltas, N)
     part = clusters(fs, deltas, N)
-    blk = next(b for b in part.blocks if 0 in b)
+    blk = next(b for b in part if 0 in b)
     moved = cluster_shift(fs, deltas, N, blk, Z.element((7,)))
     for i in range(3):
         if i in blk:
@@ -420,7 +425,27 @@ def test_normalize_aligns_plain_and_modular_clusters():
         out = normalize_deltas(fs, deltas, N)
         plain = clusters(fs, out, Subgroup.trivial(Z))
         modular = clusters(fs, out, N)
-        assert set(plain.blocks) == set(modular.blocks)
+        assert set(plain) == set(modular)
+
+
+def test_normalize_merges_a_chain_of_sub_clusters():
+    # over N = <10>: three plain clusters, and the third meets only the
+    # second's N-coset (15 = 5 mod 10), so it merges after the second does
+    N = Subgroup(Z, (Z.element((10,)),))
+    fs = (
+        atom(Z, Z, (1,), (0,)),
+        atom(Z, Z, (-1,), (10,)) + atom(Z, Z, (1,), (5,)),
+        atom(Z, Z, (-1,), (15,)),
+    )
+    deltas = (Z.zero(),) * 3
+    assert satisfies_equation(fs, deltas, N)
+    assert len(clusters(fs, deltas, Subgroup.trivial(Z))) == 3
+    assert clusters(fs, deltas, N) == (frozenset({0, 1, 2}),)
+    out = normalize_deltas(fs, deltas, N)
+    assert satisfies_equation(fs, out, N)
+    bound = sum(f.size() for f in fs)
+    assert all(geodesic_length(Z, d) <= bound for d in out)
+    assert clusters(fs, out, Subgroup.trivial(Z)) == clusters(fs, out, N)
 
 
 def test_normalize_keeps_empty_functions_at_zero():
@@ -442,7 +467,7 @@ def test_solution_clusters_vanish_blockwise():
         if not satisfies_equation(fs, deltas, N):
             continue
         part = clusters(fs, deltas, N)
-        for blk in part.blocks:
+        for blk in part:
             partial = shifted_sum([fs[i] for i in blk], [deltas[i] for i in blk])
             assert is_zero_mod(partial, N)
 
