@@ -121,10 +121,13 @@ def _emit(text: str, output: Optional[str]) -> None:
 
 
 def _check_output(output: Optional[str]) -> None:
-    """Reject, before any work, an --output that is a directory or lies in a
-    missing one; _emit still reports a write that fails later."""
+    """Reject, before any work, an --output that is empty, ends in a path
+    separator, is a directory or lies in a missing one; _emit still reports
+    a write that fails later."""
     if output is None:
         return
+    if not os.path.basename(output):
+        raise _CliError(EXIT_PRECONDITION, f"cannot write {output!r}: no file name")
     if os.path.isdir(output):
         raise _CliError(EXIT_PRECONDITION, f"cannot write {output}: Is a directory")
     if not os.path.isdir(os.path.dirname(os.path.abspath(output))):

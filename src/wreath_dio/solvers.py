@@ -133,14 +133,23 @@ def _subgroup_key(S: Subgroup) -> tuple:
     return tuple(lattice_basis(rows + _relation_columns(S.ambient)))
 
 
+_REACH_CAP = 4096
+
+
 class _Level:
     """The anchored search's view of B/N for one subgroup N = <gens>.
 
     gs holds each function that is nonzero in B/N as its sorted (point,
     coeff) coordinate pairs in B/N and A, and vids numbers the functions up
     to equality in B/N.  reps maps every point of B/N met so far to a
-    B-point of that coset; memo holds the failed states met at N, and
-    children the keys of the subgroups N + <d> tried so far, by d in B/N.
+    B-point of that coset, and cosets memoises the projection of each
+    B-point met; memo holds the failed states met at N, and children the
+    keys of the subgroups N + <d> tried so far, by d in B/N.
+
+    tested says whether N has torsion-free rank h; there the search runs
+    the reachability test, in B/N with its first drop coordinates dropped:
+    all of Q's torsion when h >= 1, none when h = 0.  The test's lamp sets
+    and its cache are built on first use.
     """
 
     def __init__(
@@ -148,6 +157,7 @@ class _Level:
         fs: Sequence[SupportedFunction],
         B: GroupPresentation,
         gens: tuple[GroupElement, ...],
+        h: int,
     ) -> None:
         form = _subgroup_form(B, gens)
         self.gens = gens
@@ -155,7 +165,11 @@ class _Level:
         self.red_q = coord_reducer(form.Q)
         self.zero = (0,) * form.Q.ncoords
         self.A = fs[0].coeff_group
+        self.red_a = coord_reducer(self.A)
+        self.tested = B.free_rank - form.Q.free_rank == h
+        self.drop = len(form.Q.torsion) if h else 0
         self.reps: dict[tuple, tuple] = {}
+        self.cosets: dict[tuple, tuple] = {}
         self.memo: set = set()
         self.children: dict[tuple, tuple] = {}
         self.gs = {}
@@ -167,6 +181,8 @@ class _Level:
         self.vids = {
             i: value_id.setdefault(t, len(value_id)) for i, t in self.gs.items()
         }
+        self._neg_lamps: Optional[dict[int, set]] = None
+        self._reach: dict[tuple[int, ...], Optional[frozenset]] = {}
 
     def push(self, pairs) -> dict:
         """Coefficient sums per coset of (B-point, coeff) pairs, zeros
@@ -175,12 +191,59 @@ class _Level:
         return {q: c for q, c in sums.items() if any(c)}
 
     def coset(self, b: tuple) -> tuple:
-        q = self.project(b)
+        cosets = self.cosets
+        if b in cosets:
+            # the miss that stored b already set reps
+            return cosets[b]
+        q = cosets[b] = self.project(b)
         self.reps.setdefault(q, b)
         return q
 
+    def cancellable(self, ids: tuple[int, ...], sum_d: dict) -> bool:
+        """Whether every coefficient of sum_d, pushed past the first drop
+        coordinates, is a sum of at most one negated lamp value of each
+        function in ids, pushed the same way.  True when that set of sums
+        is too big to build."""
+        reach_cache = self._reach
+        if ids in reach_cache:
+            reach = reach_cache[ids]
+        else:
+            reach = reach_cache[ids] = self._reachable(ids)
+        if reach is None:
+            return True
+        drop = self.drop
+        if drop:
+            # zero sums stay: zero is always reachable
+            sum_d = _coeff_sums(self.A, ((p[drop:], c) for p, c in sum_d.items()))
+        return reach.issuperset(sum_d.values())
 
-_REACH_CAP = 4096
+    def _reachable(self, ids: tuple[int, ...]) -> Optional[frozenset]:
+        """Every sum of at most one negated lamp value per id; None = too
+        big.  The lamp sets are built on the first call."""
+        if self._neg_lamps is None:
+            self._neg_lamps = self._lamps()
+        red_a = self.red_a
+        reach = {(0,) * self.A.ncoords}
+        for vid in ids:
+            grown = set(reach)
+            for r in reach:
+                for v in self._neg_lamps[vid]:
+                    grown.add(red_a(map(add, r, v)))
+            reach = grown
+            if len(reach) > _REACH_CAP:
+                return None
+        return frozenset(reach)
+
+    def _lamps(self) -> dict[int, set]:
+        """The negated nonzero lamp values of each function, by value id,
+        with points pushed past the first drop coordinates."""
+        red_a = self.red_a
+        drop = self.drop
+        lamps = {}
+        for i, terms in self.gs.items():
+            sums = _coeff_sums(self.A, ((p[drop:], c) for p, c in terms))
+            lamps[self.vids[i]] = {red_a(map(neg, c)) for c in sums.values() if any(c)}
+        return lamps
 
 
 def _anchored_search(
@@ -222,15 +285,39 @@ def _anchored_search(
 
     Failed (N, remaining functions, translated partial sum) states are
     memoized: levels are keyed by _subgroup_key, and each keeps its own
-    memo.  While N cannot grow (h = 0), a node with a nonempty partial sum
-    also dies if some point's coefficient cannot be cancelled by any subset
-    of the remaining functions' lamp values (each placement lands at most
-    one lamp on a fixed point); growth merges points, so this prune needs
-    h = 0.  The prune runs before the memo, and a pruned node builds no key
-    and leaves no memo entry: the prune reads only the multiset of the
-    remaining functions' value ids and the multiset of coefficients, and the
-    memo key fixes both, so a revisit of the state, or of a translate of it,
-    is pruned again.
+    memo.
+
+    Reachability prune.  At a level whose N has torsion-free rank h
+    (B.free_rank - Q.free_rank for Q = B/N), a node with a nonempty partial
+    sum dies if some coefficient of the partial sum, pushed into B/I, is
+    not a sum of at most one negated lamp value of each remaining
+    function's pushforward to B/I.  I is N itself when h = 0, where N stays
+    trivial, and the isolator I(N), the preimage of the torsion of B/N,
+    when h >= 1.  Completeness: take a witness (delta*, N*) that agrees
+    with the node.  With h = 0, N* = N.  With h >= 1, torsion-free rank is
+    additive along N <= N* and at most the rank, so N*/N has torsion-free
+    rank at most h - h = 0; it is finitely generated, so finite, every
+    element of N* has a multiple in N, and N* lies in I(N).  Either way the
+    witness sum vanishes in B/N*, and so in its quotient B/I.  Q's torsion
+    coordinates come first, and the torsion of Q is exactly its points with
+    free coordinates zero, so B/I(N) = Q/torsion(Q) is B/N with its leading
+    torsion coordinates dropped.  In B/I the pushforward of the partial sum
+    and those of the remaining functions, each shifted, add up to zero.  A
+    shifted function pushes forward to a translate of its own pushforward,
+    which takes one value on each point, so it lands at most one lamp on
+    each point of B/I, and every coefficient there must be cancelled by at
+    most one lamp per remaining function.  (In B/N itself the test would be
+    wrong once h >= 1: growth merges points of B/N, but never points of
+    B/I(N), since N* stays inside I(N).)
+
+    The prune runs before the memo, and a pruned node builds no key and
+    leaves no memo entry: the prune reads only the multiset of the
+    remaining functions' value ids and the coefficients of the partial sum
+    pushed into B/I, and the memo key fixes both.  Value ids number the
+    functions up to equality in B/N, and functions equal in B/N push to
+    equal functions in B/I; a translate of the partial sum in B/N pushes
+    to a translate in B/I, with the same coefficients.  So a revisit of the
+    state, or of a translate of it, is pruned again.
 
     The search runs on canonical coordinate tuples: points of B/N and
     coefficients of A, kept canonical by each group's coord_reducer.  Tuples
@@ -240,15 +327,10 @@ def _anchored_search(
     """
     red_a = coord_reducer(fs[0].coeff_group)
     red_b = coord_reducer(B)
-    root = _Level(fs, B, ())
+    root = _Level(fs, B, (), h)
     levels: dict[tuple, Optional[_Level]] = {}
     assignment: dict[int, tuple[int, ...]] = {}
     zero_b = (0,) * B.ncoords
-    zero_a = (0,) * fs[0].coeff_group.ncoords
-    neg_lamps = {
-        root.vids[i]: {red_a(map(neg, c)) for _, c in t} for i, t in root.gs.items()
-    }
-    reach_cache: dict[tuple[int, ...], Optional[frozenset]] = {}
 
     def place(lvl: _Level, sum_d: dict, terms: tuple, delta, shift_b) -> list:
         """Add the function with these terms, shifted by delta (shift_b in
@@ -278,26 +360,6 @@ def _anchored_search(
             else:
                 sum_d[p] = old
 
-    def reachable(ids: tuple[int, ...]) -> Optional[frozenset]:
-        # every sum of at most one negated lamp value per id: these
-        # functions can cancel a coefficient only if it is in the set;
-        # None = too big
-        if ids in reach_cache:
-            return reach_cache[ids]
-        reach = {zero_a}
-        for vid in ids:
-            grown = set(reach)
-            for r in reach:
-                for v in neg_lamps[vid]:
-                    grown.add(red_a(map(add, r, v)))
-            reach = grown
-            if len(reach) > _REACH_CAP:
-                reach_cache[ids] = None
-                return None
-        out = frozenset(reach)
-        reach_cache[ids] = out
-        return out
-
     def state_key(lvl: _Level, ids: tuple[int, ...], sum_d: dict) -> tuple:
         if not sum_d:
             return ids, ()
@@ -321,7 +383,7 @@ def _anchored_search(
             key = lvl.children[diff] = _subgroup_key(S)
             if key not in levels:
                 fits = subgroup_rank(S) <= h
-                levels[key] = _Level(fs, B, S.generators) if fits else None
+                levels[key] = _Level(fs, B, S.generators, h) if fits else None
         if key in seen:
             return None
         seen.add(key)
@@ -330,11 +392,9 @@ def _anchored_search(
     def dfs(lvl: _Level, unplaced: tuple[int, ...], sum_d: dict) -> Optional[_Level]:
         meter.charge("delta_tuples")
         ids = tuple(sorted(map(lvl.vids.__getitem__, unplaced)))
-        if h == 0 and sum_d:
-            # a function of the memo key, so a pruned state needs no entry
-            reach = reachable(ids)
-            if reach is not None and not reach.issuperset(sum_d.values()):
-                return None
+        # a function of the memo key, so a pruned state needs no entry
+        if sum_d and lvl.tested and not lvl.cancellable(ids, sum_d):
+            return None
         key = state_key(lvl, ids, sum_d)
         if key in lvl.memo:
             return None
@@ -402,8 +462,9 @@ def solve_general(
     every node with a nonempty partial sum, before the memo, and never
     pushes a partial sum into a second quotient; only if it fails and h >= 1
     does a second pass let N grow from differences of support points, up to
-    rank h, without the prune.  Instances that need no subgroup are decided
-    by the cheaper first pass.
+    rank h.  That pass runs the prune only at levels whose N has
+    torsion-free rank h, in B/N with its torsion dropped.  Instances that
+    need no subgroup are decided by the cheaper first pass.
     """
     meter = _Meter(budget)
     if not I.fs:

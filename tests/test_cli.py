@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, report schema, generators, verify."""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -165,10 +166,23 @@ def test_unwritable_output_is_rejected_before_solving(
     _write(tmp_path, "inst.json", encode_instance(_positive_pair_instance()))
     _write(tmp_path, "eq.json", encode_equation(gen_solvable(7, Z2, Z2, 1, 1)[0]))
     argv = [str(tmp_path / a) if a.endswith(".json") else a for a in command]
-    for out in (tmp_path / "missing" / "r.json", tmp_path):
-        code = main([*argv, "--output", str(out)])
+    # an empty --output names the working directory's parent: work there
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    outs = (
+        str(tmp_path / "missing" / "r.json"),
+        str(tmp_path),
+        "",
+        str(tmp_path / "missing") + os.sep,
+        str(tmp_path / "inst.json") + os.sep,
+    )
+    for out in outs:
+        code = main([*argv, "--output", out])
         assert code == EXIT_PRECONDITION
         assert capsys.readouterr().err.startswith("error: cannot write ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["eq.json", "inst.json", "work"]
+    assert not any(work.iterdir())
 
 
 def test_qsp_solve_unknown_budget_exit(tmp_path, capsys):

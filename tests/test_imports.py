@@ -1,6 +1,7 @@
 """Every name a library module or test file imports is read somewhere in
-that file, every name the package exports exists, and every library name
-the benchmark in perfbench/ uses resolves."""
+that file, every name the package exports exists, every library name the
+benchmark in perfbench/ uses resolves, and no library check is a bare
+assert."""
 
 import ast
 import importlib
@@ -45,6 +46,14 @@ def test_every_import_is_read(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     unused = _imported_names(tree) - _read_names(tree)
     assert not unused, f"{path.name} imports but never reads {sorted(unused)}"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_library_has_no_assert_statement(path):
+    # python -O strips assert statements, so no library check may be one
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not lines, f"{path.name} has assert statements on lines {lines}"
 
 
 def test_every_exported_name_resolves():

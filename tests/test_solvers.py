@@ -21,11 +21,12 @@ from wreath_dio.abelian import (
     group_rank,
     subgroup_contains,
 )
-from wreath_dio.group_ring import SupportedFunction, shift
-from wreath_dio.hardness import ThreePartInstance, gen_3part_h0
+from wreath_dio.group_ring import SupportedFunction, pushforward, shift
+from wreath_dio.hardness import ThreePartInstance, gen_3part_h0, gen_3part_midh
 from wreath_dio.qsp import Certificate, QspInstance, make_certificate, verify_certificate
 from wreath_dio.solvers import (
     _subset_subgroups,
+    DEFAULT_BUDGET,
     SolverBudget,
     dispatch,
     oracle_solve,
@@ -562,14 +563,14 @@ def _planted_single(rng, h):
     return QspInstance(Z, B, (shift(f, _small(rng, B, 2)),), h)
 
 
-def _zero_sum(rng, B, m, h):
+def _zero_sum(rng, B, m, h, r=2):
     """m two-atom functions, the last with an atom cancelling the total."""
     fs = [
-        SupportedFunction(Z, B, tuple((_small(rng, B, 2), _unit(rng)) for _ in range(2)))
+        SupportedFunction(Z, B, tuple((_small(rng, B, r), _unit(rng)) for _ in range(2)))
         for _ in range(m)
     ]
     total = sum((f.total_coefficient() for f in fs), Z.zero())
-    fs[-1] = fs[-1] + SupportedFunction.atom(-total, _small(rng, B, 2))
+    fs[-1] = fs[-1] + SupportedFunction.atom(-total, _small(rng, B, r))
     return QspInstance(Z, B, tuple(fs), h)
 
 
@@ -604,6 +605,114 @@ def test_ball_search_draws_are_decided(I, expected):
         assert result.decision == expected
     if result.decision == "positive":
         assert verify_certificate(I, result.certificate)
+
+
+# ---------------------------------------------------------------------------
+# the growth pass against a reference that never grows N: at h = 1 a witness
+# subgroup has rank <= 1, so it is cyclic, <d>, and I is positive exactly
+# when the pushforward of I to B/<d> is positive at h = 0 for some d.
+
+
+def _free_diameter(f):
+    """Largest sup-norm distance between two points of f, free coordinates
+    only."""
+    t = len(f.base_group.torsion)
+    points = [p.coords[t:] for p, _ in f.terms]
+    return max(
+        (abs(a - b) for p in points for q in points for a, b in zip(p, q)), default=0
+    )
+
+
+def _cyclic_reference(I):
+    """Decide I (h = 1) by the h = 0 search over B/<d> for each d in a box.
+
+    The box holds every torsion value and free coordinates in [-R, R], for R
+    the sum of the functions' free diameters, which is at most size(I).  A
+    witness over B/<d> whose d has a free coordinate beyond R lifts to B:
+    lift each class of functions linked by shared points along a spanning
+    tree; two lifted points over the same point of B/<d> then differ by a
+    multiple of d whose free part is at most R in sup norm, so by zero.
+    Such a d therefore adds nothing to d = 0, which the box holds.
+    """
+    B = I.B
+    R = sum(map(_free_diameter, I.fs))
+    assert R <= I.size()
+    box = [range(a) for a in B.torsion] + [range(-R, R + 1)] * B.free_rank
+    for d in itertools.product(*box):
+        N = Subgroup(B, (B.element(d),))
+        pushed = tuple(pushforward(f, N) for f in I.fs)
+        Q = pushed[0].base_group
+        result = solve_general(QspInstance(I.A, Q, pushed, 0), COUNTER_BUDGET)
+        assert result.decision in ("positive", "negative"), result.reason
+        if result.decision == "positive":
+            return "positive"
+    return "negative"
+
+
+def test_growth_pass_agrees_with_cyclic_reference():
+    rng = random.Random(5)
+    bases = (ZxZ, GroupPresentation(1, (2,)), GroupPresentation(1, (3,)))
+    decisions = []
+    for j in range(36):
+        I = _zero_sum(rng, bases[j % 3], 2 + (j // 3) % 2, 1, r=1)
+        result = dispatch(I, COUNTER_BUDGET)
+        assert result.method == "general"
+        assert result.decision == _cyclic_reference(I), j
+        if result.decision == "positive":
+            assert verify_certificate(I, result.certificate)
+        decisions.append(result.decision)
+    assert decisions.count("negative") >= 6
+
+
+# ---------------------------------------------------------------------------
+# the growth pass on the mid-h 3-PARTITION reduction, pinned: decision,
+# counters and certificate.  The isolator prune cuts both counters below
+# the bounds, which were the counters before it; (2, 2, 3) at rank 3 ended
+# unknown-budget then, at 100 001 subgroup tuples.
+
+MIDH_BUDGET = SolverBudget(
+    max_delta_tuples=DEFAULT_BUDGET.max_delta_tuples,
+    max_subgroup_tuples=DEFAULT_BUDGET.max_subgroup_tuples,
+    max_seconds=math.inf,
+)
+# the subgroup every rank-3 certificate names: its generators as coordinates
+_MIDH_R3_GENS = (
+    (-2, 0, 0), (-2, 1, 0), (-2, 2, 0), (-1, 0, 0), (-1, 1, 0), (-1, 2, 0),
+    (0, -2, 0), (0, -1, 0), (0, 1, 0), (0, 2, 0), (1, -2, 0), (1, -1, 0),
+    (1, 0, 0), (2, -2, 0), (2, -1, 0), (2, 0, 0),
+)
+_MIDH_R2_GENS = ((-2, 0), (-1, 0), (1, 0), (2, 0))
+
+
+@pytest.mark.parametrize(
+    "values, rank, counters, bound, deltas, gens",
+    [
+        ((1, 1, 1), 2, (88, 57), (120, 188), ((0, 0), (0, -1), (0, -2), (-2, 0)),
+         _MIDH_R2_GENS),
+        ((2, 2, 2), 2, (756, 628), (1065, 3755), ((0, 0), (0, -2), (0, -4), (-2, 0)),
+         _MIDH_R2_GENS),
+        ((2, 2, 3), 2, (2574, 2216), (3730, 15351),
+         ((0, 0), (0, -2), (0, -4), (-2, 0)), _MIDH_R2_GENS),
+        ((3, 3, 4), 2, (8907, 8003), (12972, 78097),
+         ((0, 0), (0, -3), (0, -6), (-2, 0)), _MIDH_R2_GENS),
+        ((1, 1, 1), 3, (808, 736), (1147, 2229),
+         ((0, 0, 0), (0, 0, -1), (0, 0, -2), (-2, 0, 0)), _MIDH_R3_GENS),
+        ((2, 2, 3), 3, (41595, 40007), None,
+         ((0, 0, 0), (0, 0, -2), (0, 0, -4), (-2, 0, 0)), _MIDH_R3_GENS),
+    ],
+)
+def test_growth_pass_pinned_on_3part_midh(values, rank, counters, bound, deltas, gens):
+    I = gen_3part_midh(ThreePartInstance(values, 1), rank)
+    result = dispatch(I, MIDH_BUDGET)
+    assert (result.decision, result.method) == ("positive", "general"), result.reason
+    got = (result.counters["delta_tuples"], result.counters["subgroup_tuples"])
+    assert got == counters
+    if bound is not None:
+        assert got[0] < bound[0] and got[1] < bound[1]
+    cert = result.certificate
+    assert tuple(d.coords for d in cert.deltas) == deltas
+    assert tuple(g.coords for g in cert.subgroup_gens) == gens
+    assert verify_certificate(I, cert)
 
 
 # ---------------------------------------------------------------------------
