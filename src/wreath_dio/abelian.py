@@ -19,6 +19,8 @@ from functools import cached_property, lru_cache
 from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
+from .lattice import hermite_form
+
 
 class BudgetExceeded(Exception):
     """An enumeration outgrew its configured cap."""
@@ -219,102 +221,25 @@ class Subgroup:
 
 
 # ---------------------------------------------------------------------------
-# integer matrices and Smith normal form
+# integer matrices (tuples of row tuples) and Smith normal form
+
+Matrix = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """An immutable exact integer matrix (tuple of row tuples)."""
-
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(int(x) for x in row) for row in self.entries)
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged matrix")
-        object.__setattr__(self, "entries", rows)
-
-    @property
-    def nrows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    @staticmethod
-    def from_rows(rows: Iterable[Iterable[int]]) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(r) for r in rows))
-
-    @staticmethod
-    def from_columns(cols: Iterable[Iterable[int]]) -> "IntMatrix":
-        cols = [list(c) for c in cols]
-        if not cols:
-            return IntMatrix(())
-        return IntMatrix(tuple(zip(*cols)))
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.entries)
-
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("dimension mismatch")
-        cols = list(zip(*other.entries)) if other.entries else []
-        return IntMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self.entries
-            )
-        )
-
-    def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
-        if len(vec) != self.ncols:
-            raise ValueError("dimension mismatch")
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.entries)
-
-    def determinant(self) -> int:
-        """Exact determinant via fraction-free (Bareiss) elimination."""
-        n = self.nrows
-        if n != self.ncols:
-            raise ValueError("determinant of a non-square matrix")
-        if n == 0:
-            return 1
-        m = [list(row) for row in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
-
-
-def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Diagonalize M as D = U * M * V with U, V unimodular.
+def smith_normal_form(M: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matrix]:
+    """Diagonalize the rows M as D = U * M * V with U, V unimodular.
 
     The diagonal entries are nonnegative and form a divisibility chain
     d_1 | d_2 | ... .  Pivoting picks the smallest nonzero absolute value with
     a deterministic (row, col) tie-break, which keeps intermediate growth tame
-    and output reproducible.
+    and output reproducible.  An n x 0 matrix is n empty rows.
 
-    >>> D, U, V = smith_normal_form(IntMatrix(((2, 4), (6, 8))))
-    >>> D.entries
+    >>> D, U, V = smith_normal_form(((2, 4), (6, 8)))
+    >>> D
     ((2, 0), (0, 4))
     """
-    a = [list(row) for row in M.entries]
-    nr, nc = M.nrows, M.ncols
+    a = [list(row) for row in M]
+    nr, nc = len(a), len(a[0]) if a else 0
     u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
     v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
 
@@ -403,7 +328,7 @@ def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             row_negate(t)
         t += 1
 
-    return IntMatrix.from_rows(a), IntMatrix.from_rows(u), IntMatrix.from_rows(v)
+    return tuple(map(tuple, a)), tuple(map(tuple, u)), tuple(map(tuple, v))
 
 
 # ---------------------------------------------------------------------------
@@ -421,15 +346,10 @@ def _relation_columns(G: GroupPresentation) -> list[tuple[int, ...]]:
     return cols
 
 
-def _preimage_matrix(
-    G: GroupPresentation, gens: tuple[GroupElement, ...]
-) -> IntMatrix:
+def _preimage_matrix(G: GroupPresentation, gens: tuple[GroupElement, ...]) -> Matrix:
     """Columns generating the full preimage of <gens> in Z^ncoords."""
     cols = [g.coords for g in gens] + _relation_columns(G)
-    if not cols:
-        n = G.ncoords
-        return IntMatrix.from_rows([()] * n) if n else IntMatrix(())
-    return IntMatrix.from_columns(cols)
+    return tuple(zip(*cols)) if cols else ((),) * G.ncoords
 
 
 class _SubgroupForm:
@@ -449,9 +369,7 @@ class _SubgroupForm:
         self.gens = gens
         D, self.U, self.V = smith_normal_form(_preimage_matrix(G, gens))
         # factor of coordinate i in the new basis: d_i (0 = free, 1 = dropped)
-        self.factors = [
-            D.entries[i][i] if i < D.ncols else 0 for i in range(G.ncoords)
-        ]
+        self.factors = [row[i] if i < len(row) else 0 for i, row in enumerate(D)]
         self.torsion_pos = [i for i, d in enumerate(self.factors) if d >= 2]
         self.free_pos = [i for i, d in enumerate(self.factors) if d == 0]
         self.Q = GroupPresentation(
@@ -460,7 +378,7 @@ class _SubgroupForm:
         # the rows of U that give Q's coordinates, in Q's order, with their
         # factor (0 for a free coordinate)
         self._rows = [
-            (self.U.entries[i], self.factors[i])
+            (self.U[i], self.factors[i])
             for i in self.torsion_pos + self.free_pos
         ]
 
@@ -489,7 +407,7 @@ class _SubgroupForm:
         return _element(self.Q, self.project_coords(g.coords))
 
     @cached_property
-    def _u_inverse(self) -> IntMatrix:
+    def _u_inverse(self) -> Matrix:
         return _unimodular_inverse(self.U)
 
     def lift(self, q: GroupElement) -> GroupElement:
@@ -498,7 +416,7 @@ class _SubgroupForm:
         y = [0] * self.G.ncoords
         for pos, c in zip(self.torsion_pos + self.free_pos, q.coords):
             y[pos] = c
-        return self.G.element(self._u_inverse.apply(y))
+        return self.G.element([sum(map(mul, row, y)) for row in self._u_inverse])
 
     @cached_property
     def rank(self) -> int:
@@ -509,14 +427,14 @@ class _SubgroupForm:
         # first k coordinates of the kernel of M, spanned by V's columns at
         # zero pivots
         relation_cols = [
-            self.V.column(j)[:k]
-            for j in range(self.V.ncols)
+            [row[j] for row in self.V[:k]]
+            for j in range(len(self.V))
             if j >= len(self.factors) or self.factors[j] == 0
         ]
         if not relation_cols:
             return k
-        D, _, _ = smith_normal_form(IntMatrix.from_columns(relation_cols))
-        return k - sum(D.entries[i][i] == 1 for i in range(min(D.nrows, D.ncols)))
+        D, _, _ = smith_normal_form(tuple(zip(*relation_cols)))
+        return k - sum(row[i] == 1 for i, row in enumerate(D) if i < len(row))
 
 
 # the module's one cache: _subgroup_form(G, gens) is the form of <gens> <= G
@@ -572,27 +490,21 @@ def _quotient_form(G: GroupPresentation, N: Subgroup) -> _SubgroupForm:
     return _subgroup_form(G, N.generators)
 
 
-def _unimodular_inverse(U: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular integer matrix: det(U) * adj(U).
+def _unimodular_inverse(U: Matrix) -> Matrix:
+    """Exact inverse of a unimodular integer matrix, from a Hermite form.
 
-    det(U) = +-1 is its own inverse, and the adjugate's (i, j) entry is the
-    (j, i) cofactor, a Bareiss determinant of U without row j and column i.
+    The rows of [U | I] span the same lattice as those of [I | U^-1], and
+    the latter is already in Hermite form; the left block is I exactly when
+    U is unimodular.
     """
-    det = U.determinant()
-    if det not in (1, -1):
+    n = len(U)
+    if any(len(row) != n for row in U):
+        raise ValueError("matrix is not square")
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    H = hermite_form(tuple(row) + e for row, e in zip(U, identity))
+    if tuple(row[:n] for row in H) != identity:
         raise ValueError("matrix is not unimodular")
-    rows = U.entries
-    n = len(rows)
-
-    def minor(i: int, j: int) -> IntMatrix:
-        return IntMatrix.from_rows(
-            r[:j] + r[j + 1 :] for k, r in enumerate(rows) if k != i
-        )
-
-    return IntMatrix.from_rows(
-        [det * (-1) ** (i + j) * minor(j, i).determinant() for j in range(n)]
-        for i in range(n)
-    )
+    return tuple(row[n:] for row in H)
 
 
 def quotient_maps(

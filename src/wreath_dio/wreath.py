@@ -254,6 +254,8 @@ def gen_solvable(
     the last constant is solved for so the product collapses to the identity.
     With no constants the sampled pairs are made to commute instead.
     """
+    if genus < 0 or m < 0:
+        raise ValueError("genus and m must be nonnegative")
     if genus == 0 and m == 0:
         raise ValueError("genus 0 requires at least one constant")
     rng = random.Random(seed)
@@ -338,6 +340,10 @@ def equation_brute_force(
     Sound always; complete whenever a solution exists inside the window (for
     finite A and B with the ball covering B, that is genuine completeness).
     """
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    if max_assignments < 1:
+        raise ValueError("max_assignments must be positive")
     window = enumerate_window(eq.A, eq.B, radius)
     nvars = 2 * eq.genus + eq.m
     total = len(window) ** nvars

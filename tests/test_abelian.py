@@ -10,7 +10,6 @@ from wreath_dio.abelian import (
     BudgetExceeded,
     GroupElement,
     GroupPresentation,
-    IntMatrix,
     Subgroup,
     enumerate_ball,
     geodesic_length,
@@ -21,6 +20,7 @@ from wreath_dio.abelian import (
     subgroup_contains,
     subgroup_rank,
 )
+from wreath_dio.lattice import hermite_form
 
 Z = GroupPresentation(1)
 Z2 = GroupPresentation(0, (2,))
@@ -101,13 +101,25 @@ def test_has_infinite_order():
 
 
 def _random_matrix(rng, rows, cols, lo=-10, hi=10):
-    return IntMatrix.from_rows(
-        [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
+    return tuple(
+        tuple(rng.randint(lo, hi) for _ in range(cols)) for _ in range(rows)
+    )
+
+
+def _identity(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def _matmul(X, Y):
+    return tuple(
+        tuple(sum(a * b for a, b in zip(row, col)) for col in zip(*Y)) for row in X
     )
 
 
 def _is_unimodular(M):
-    return M.determinant() in (1, -1)
+    # an integer matrix is unimodular iff its rows span Z^n, that is iff its
+    # Hermite form is the n x n identity
+    return hermite_form(M) == _identity(len(M))
 
 
 def test_smith_normal_form_random_matrices():
@@ -117,13 +129,13 @@ def test_smith_normal_form_random_matrices():
         cols = rng.randint(1, 5)
         M = _random_matrix(rng, rows, cols)
         D, U, V = smith_normal_form(M)
-        assert U.mul(M).mul(V).entries == D.entries
+        assert _matmul(_matmul(U, M), V) == D
         assert _is_unimodular(U) and _is_unimodular(V)
-        diag = [D.entries[i][i] for i in range(min(rows, cols))]
+        diag = [D[i][i] for i in range(min(rows, cols))]
         for i in range(len(diag)):
-            for j in range(D.ncols):
-                if j != i and i < D.nrows:
-                    assert D.entries[i][j] == 0
+            for j in range(cols):
+                if j != i and i < rows:
+                    assert D[i][j] == 0
         for a, b in zip(diag, diag[1:]):
             if a != 0:
                 assert b % a == 0
@@ -133,9 +145,38 @@ def test_smith_normal_form_random_matrices():
 
 
 def test_smith_normal_form_known_example():
-    M = IntMatrix.from_rows([[2, 4], [6, 8]])
+    M = ((2, 4), (6, 8))
     D, U, V = smith_normal_form(M)
-    assert [D.entries[0][0], D.entries[1][1]] == [2, 4]
+    assert [D[0][0], D[1][1]] == [2, 4]
+
+
+def test_smith_normal_form_on_empty_shapes():
+    # 0 x 0 is the preimage matrix of the trivial group, 3 x 0 that of the
+    # trivial subgroup of Z^3; U and V are identities of the row and column
+    # counts
+    assert smith_normal_form(()) == ((), (), ())
+    D, U, V = smith_normal_form(((),) * 3)
+    assert (D, U, V) == (((),) * 3, _identity(3), ())
+    D, U, V = smith_normal_form(((0, 0),))
+    assert (D, U, V) == (((0, 0),), _identity(1), _identity(2))
+    assert abelian._unimodular_inverse(()) == ()
+    assert abelian._preimage_matrix(ZxZ, ()) == ((), ())
+    assert abelian._preimage_matrix(GroupPresentation(0), ()) == ()
+
+
+def test_quotients_with_empty_preimage_matrices():
+    S = Subgroup.trivial(ZxZ)
+    Q, project, lift = quotient_maps(ZxZ, ())
+    assert Q == ZxZ and quotient(ZxZ, S)[0] == ZxZ
+    g = ZxZ.element((3, -1))
+    assert project(g) == g and lift(g) == g
+    assert subgroup_rank(S) == 0 and not subgroup_contains(S, g)
+    T = GroupPresentation(0)
+    for gens in ((), (T.zero(),)):
+        Q, project, lift = quotient_maps(T, gens)
+        assert Q == T and project(T.zero()) == T.zero() == lift(T.zero())
+        assert subgroup_rank(Subgroup(T, gens)) == 0
+        assert subgroup_contains(Subgroup(T, gens), T.zero())
 
 
 def test_unimodular_inverse_of_smith_transforms():
@@ -144,18 +185,14 @@ def test_unimodular_inverse_of_smith_transforms():
         M = _random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
         _, U, V = smith_normal_form(M)
         for X in (U, V):
-            n = X.nrows
-            identity = tuple(
-                tuple(int(i == j) for j in range(n)) for i in range(n)
-            )
-            assert abelian._unimodular_inverse(X).mul(X).entries == identity
+            assert _matmul(abelian._unimodular_inverse(X), X) == _identity(len(X))
 
 
 def test_unimodular_inverse_rejects_other_matrices():
     # determinant 2, singular, zero 1x1, non-square
     for rows in ([[2, 0], [0, 1]], [[1, 2], [2, 4]], [[0]], [[1, 0]]):
         with pytest.raises(ValueError):
-            abelian._unimodular_inverse(IntMatrix.from_rows(rows))
+            abelian._unimodular_inverse(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +370,7 @@ def test_one_smith_form_per_subgroup(monkeypatch):
     shapes = []
 
     def counting(M):
-        shapes.append((M.nrows, M.ncols))
+        shapes.append((len(M), len(M[0])))
         return smith_normal_form(M)
 
     monkeypatch.setattr(abelian, "smith_normal_form", counting)

@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from wreath_dio.abelian import (
     GroupPresentation,
-    IntMatrix,
     Subgroup,
     geodesic_length,
     group_rank,
@@ -217,19 +216,19 @@ def test_criterion_02_smith_normal_form_500_random_matrices():
     for trial in range(500):
         r = rng.randint(1, 6)
         c = rng.randint(1, 6)
-        M = IntMatrix.from_rows(
-            [[rng.randint(-10, 10) for _ in range(c)] for _ in range(r)]
+        M = tuple(
+            tuple(rng.randint(-10, 10) for _ in range(c)) for _ in range(r)
         )
         D, U, V = smith_normal_form(M)
-        product = _matmul(_matmul(U.entries, M.entries), V.entries)
-        assert [list(row) for row in D.entries] == product, (trial, M)
-        assert abs(_det(U.entries)) == 1, (trial, M)
-        assert abs(_det(V.entries)) == 1, (trial, M)
+        product = _matmul(_matmul(U, M), V)
+        assert [list(row) for row in D] == product, (trial, M)
+        assert abs(_det(U)) == 1, (trial, M)
+        assert abs(_det(V)) == 1, (trial, M)
         for i in range(r):
             for j in range(c):
                 if i != j:
-                    assert D.entries[i][j] == 0, (trial, M)
-        diag = [D.entries[i][i] for i in range(min(r, c))]
+                    assert D[i][j] == 0, (trial, M)
+        diag = [D[i][i] for i in range(min(r, c))]
         assert all(d >= 0 for d in diag)
         for a, b in zip(diag, diag[1:]):
             if a == 0:

@@ -461,6 +461,15 @@ def test_gen_ragged_matrix_exit(capsys):
     assert code == EXIT_PRECONDITION
 
 
+@pytest.mark.parametrize("shape", [["--m", "-1"], ["--genus", "-1"]])
+def test_gen_solvable_negative_shape_exit(capsys, shape):
+    code = main(["gen", "solvable", *shape])
+    cap = capsys.readouterr()
+    assert code == EXIT_PRECONDITION
+    assert cap.err.startswith("error:") and "nonnegative" in cap.err
+    assert "Traceback" not in cap.err and cap.out == ""
+
+
 # ---------------------------------------------------------------------------
 # oracle
 
@@ -491,6 +500,25 @@ def test_oracle_budget_exit(tmp_path, capsys):
     report = _report_from(capsys)
     assert code == EXIT_UNKNOWN
     assert report["decision"] == "unknown-budget"
+
+
+@pytest.mark.parametrize(
+    "flags", [["--radius", "-1"], ["--max-assignments", "0"], ["--max-assignments", "-5"]]
+)
+def test_oracle_empty_window_or_budget_exit(tmp_path, capsys, flags):
+    path = _write(tmp_path, "eq.json", encode_equation(_delta_sum_equation()))
+    code = main(["oracle", str(path), *flags])
+    cap = capsys.readouterr()
+    assert code == EXIT_PRECONDITION
+    assert cap.err.startswith("error:") and cap.out == ""
+
+
+def test_oracle_radius_zero_searches_the_identity_shift(tmp_path, capsys):
+    path = _write(tmp_path, "eq.json", encode_equation(_delta_sum_equation()))
+    code = main(["oracle", str(path), "--radius", "0"])
+    report = _report_from(capsys)
+    assert code == EXIT_NEGATIVE
+    assert report["counters"] == {"radius": 0}
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Every name a library module or test file imports is read somewhere in
 that file, every name the package exports exists, every library name the
-benchmark in perfbench/ uses resolves, and no library check is a bare
-assert."""
+benchmark in perfbench/ uses resolves, every library definition has a caller
+outside the tests, and no library check is a bare assert."""
 
 import ast
+import collections
 import importlib
 import pathlib
 
@@ -29,12 +30,16 @@ def _imported_names(tree: ast.Module) -> set[str]:
     return names
 
 
-def _read_names(tree: ast.Module) -> set[str]:
-    return {
+def _read_counts(root: ast.AST) -> collections.Counter:
+    return collections.Counter(
         node.id
-        for node in ast.walk(tree)
+        for node in ast.walk(root)
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
-    }
+    )
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    return set(_read_counts(tree))
 
 
 def test_modules_found():
@@ -62,17 +67,19 @@ def test_every_exported_name_resolves():
 
 
 def _library_names(tree: ast.Module) -> set[tuple[str, str]]:
-    """(module, name) for each name imported from the package and each
-    attribute read off a package module, whether the module is a bare name
+    """(module, name) for each name imported from the package, by an
+    absolute or a package-relative import, and each attribute read off a
+    package module, whether the module is a bare name
     (abelian.quotient_maps) or an attribute (api.solvers.dispatch).  Names
     held in strings, such as tracing.TARGETS, are not seen."""
     submodules = {p.stem for p in MODULES}
     found = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith(
-            "wreath_dio"
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").startswith("wreath_dio")
         ):
-            found.update((node.module, alias.name) for alias in node.names)
+            module = f"wreath_dio.{node.module}" if node.level else node.module
+            found.update((module, alias.name) for alias in node.names)
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 module, _, name = alias.name.rpartition(".")
@@ -100,3 +107,65 @@ def test_every_library_name_the_benchmark_uses_resolves():
         if not hasattr(importlib.import_module(module), name)
     )
     assert not missing, f"benchmark names that do not resolve: {missing}"
+
+
+# lemma-library functions that only the acceptance criteria and the tests
+# call: they check the paper's lemmas, so they stay without a library caller
+LEMMA_LIBRARY = {
+    "group_ring.diameter",
+    "group_ring.lambda_map",
+    "lattice.is_lll_reduced",
+    "qsp.cluster_shift",
+    "qsp.normalize_deltas",
+    "wreath.residual_function",
+}
+
+
+def _top_level_definitions(tree: ast.Module):
+    """(name, node) for each module-level function, class and assigned name,
+    dunders such as __all__ left out."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [
+                n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)
+            ]
+        else:
+            continue
+        yield from ((name, node) for name in names if not name.startswith("__"))
+
+
+def test_every_library_definition_has_a_caller():
+    # a definition is called when its own module reads it outside its own
+    # body, a sibling module or the benchmark imports it, or the package
+    # exports it; the lemma library is the only exception, and must stay one
+    trees = {
+        p.stem: ast.parse(p.read_text(encoding="utf-8"))
+        for p in sorted(PACKAGE.glob("*.py"))
+    }
+    callers = set()
+    for stem, tree in trees.items():
+        callers |= {c for c in _library_names(tree) if c[0] != f"wreath_dio.{stem}"}
+    for path in sorted(PERFBENCH.glob("*.py")):
+        callers |= _library_names(ast.parse(path.read_text(encoding="utf-8")))
+    exported = set(wreath_dio.__all__)
+    defined, uncalled = set(), set()
+    for stem, tree in trees.items():
+        module_reads = _read_counts(tree)
+        for name, node in _top_level_definitions(tree):
+            defined.add(f"{stem}.{name}")
+            read_elsewhere = (module_reads - _read_counts(node))[name]
+            called = (f"wreath_dio.{stem}", name) in callers
+            if not (read_elsewhere or called or name in exported):
+                uncalled.add(f"{stem}.{name}")
+    assert not uncalled - LEMMA_LIBRARY, (
+        f"library definitions that nothing outside the tests reads: "
+        f"{sorted(uncalled - LEMMA_LIBRARY)}"
+    )
+    assert LEMMA_LIBRARY <= defined, f"stale: {sorted(LEMMA_LIBRARY - defined)}"
+    assert LEMMA_LIBRARY <= uncalled, (
+        f"lemma-library names that now have a library caller: "
+        f"{sorted(LEMMA_LIBRARY - uncalled)}"
+    )

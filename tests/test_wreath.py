@@ -294,6 +294,12 @@ def test_gen_solvable_rejects_empty_shape():
         gen_solvable(0, Z2, Z, genus=0, m=0)
 
 
+def test_gen_solvable_rejects_negative_shape():
+    for genus, m in ((1, -1), (0, -1), (-1, 1)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            gen_solvable(0, Z2, Z, genus=genus, m=m)
+
+
 def test_gen_solvable_reduction_is_positive_when_in_budget():
     from wreath_dio.solvers import dispatch
 
@@ -335,6 +341,17 @@ def test_brute_force_budget():
     eq = OrientableEquation(Z2, Z, 1, (wreath_identity(Z2, Z),))
     with pytest.raises(BudgetExceeded):
         equation_brute_force(eq, 2, max_assignments=10)
+
+
+def test_brute_force_rejects_empty_window_and_budget():
+    # radius -1 would search an empty window and report a vacuous negative
+    eq = OrientableEquation(Z2, Z2, 0, (w(Z2, Z2, (1,), []),))
+    with pytest.raises(ValueError, match="radius"):
+        equation_brute_force(eq, -1)
+    for cap in (0, -5):
+        with pytest.raises(ValueError, match="max_assignments"):
+            equation_brute_force(eq, 1, max_assignments=cap)
+    assert not equation_brute_force(eq, 0)
 
 
 # ---------------------------------------------------------------------------
