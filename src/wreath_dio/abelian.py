@@ -554,36 +554,31 @@ def enumerate_ball(
 ) -> Iterator[GroupElement]:
     """All elements of geodesic length <= r, lexicographically by coordinates.
 
-    Lazy; raises BudgetExceeded once more than `cap` elements were yielded.
+    Lazy, down to each coordinate's values, so a huge r costs nothing before
+    the first element; raises BudgetExceeded once more than `cap` elements
+    were yielded.
     """
     if r < 0:
         return
     t = len(G.torsion)
     n = G.ncoords
 
-    def coord_choices(i: int, budget: int) -> list[tuple[int, int]]:
-        # (value, cost) pairs for coordinate i, ascending by value
+    def extend(prefix: tuple[int, ...], budget: int) -> Iterator[tuple[int, ...]]:
+        # the elements that start with prefix, within budget, ascending
+        i = len(prefix)
+        if i == n:
+            yield prefix
+            return
         if i < t:
             alpha = G.torsion[i]
-            out = []
-            for v in range(alpha):
-                cost = min(v, alpha - v)
-                if cost <= budget:
-                    out.append((v, cost))
-            return out
-        return [(v, abs(v)) for v in range(-budget, budget + 1)]
+            choices = ((v, min(v, alpha - v)) for v in range(alpha))
+        else:
+            choices = ((v, abs(v)) for v in range(-budget, budget + 1))
+        for v, cost in choices:
+            if cost <= budget:
+                yield from extend((*prefix, v), budget - cost)
 
-    count = 0
-    stack: list[tuple[list[int], int]] = [([], r)]
-    # depth-first with explicit stack, children pushed in reverse for
-    # ascending yield order
-    while stack:
-        prefix, budget = stack.pop()
-        if len(prefix) == n:
-            count += 1
-            if count > cap:
-                raise BudgetExceeded(f"ball enumeration exceeded cap {cap}")
-            yield GroupElement(G, tuple(prefix))
-            continue
-        for v, cost in reversed(coord_choices(len(prefix), budget)):
-            stack.append((prefix + [v], budget - cost))
+    for count, coords in enumerate(extend((), r), 1):
+        if count > cap:
+            raise BudgetExceeded(f"ball enumeration exceeded cap {cap}")
+        yield GroupElement(G, coords)

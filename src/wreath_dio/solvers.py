@@ -15,9 +15,8 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 from operator import add, neg, sub
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .abelian import (
     BudgetExceeded,
@@ -31,12 +30,11 @@ from .abelian import (
     group_rank,
     subgroup_rank,
 )
-from .group_ring import SupportedFunction, _coeff_sums, is_zero_mod
+from .group_ring import SupportedFunction, _coeff_sums
 from .lattice import lattice_basis
 from .qsp import (
     Certificate,
     QspInstance,
-    difference_set,
     make_certificate,
     shifted_sum,
     verify_certificate,
@@ -511,54 +509,35 @@ def dispatch(I: QspInstance, budget: SolverBudget = DEFAULT_BUDGET) -> SolveResu
 # literal double-exhaustion oracle (test reference, deliberately naive)
 
 
-def _subset_generated_subgroups(
-    B: GroupPresentation, points: list[GroupElement], meter: _Meter
-) -> list[Subgroup]:
-    """Every subgroup of the form <T> for T a subset of points, deduplicated.
+def _zero_sum_partitions(
+    terms: Sequence[tuple], meter: _Meter
+) -> Iterator[tuple[GroupElement, ...]]:
+    """For each partition of terms, (point, coeff) pairs, into blocks whose
+    coefficients sum to zero, the differences p - (first point of its block)
+    over every point p of every block.
 
-    The search is _subset_subgroups, memoized on B, the point set and the
-    budget's subgroup_tuples limit.  Its tuple count is charged in one
-    charge, on a miss and on a hit alike, so the oracle's counters and its
-    unknown-budget outcomes are those of a search charged tuple by tuple;
-    only the counter's value at the moment the budget trips can be larger.
-    A search that passes the limit stores nothing.
+    The first pair's block is tried as the first pair with each nonempty
+    subset of the remaining pairs, smallest first, and a block that sums to
+    zero is followed by every partition of what is left.  Each candidate
+    block is one subgroup_tuples charge, so the budget's tuple and time caps
+    bound this step.
     """
-    limit = meter.budget.max_subgroup_tuples
-    try:
-        subgroups, tuples = _subset_subgroups(B, frozenset(points), limit)
-    except BudgetExceeded:
-        subgroups, tuples = (), limit + 1
-    meter.charge("subgroup_tuples", tuples)
-    return list(subgroups)
-
-
-@lru_cache(maxsize=4096)
-def _subset_subgroups(
-    B: GroupPresentation, points: frozenset[GroupElement], limit: int
-) -> tuple[tuple[Subgroup, ...], int]:
-    """(the subgroups <T> for T a subset of points, tuples tried).
-
-    Breadth-first from the trivial subgroup, adding each point in turn to
-    each subgroup found; raises BudgetExceeded once more than limit tuples
-    were tried.
-    """
-    ordered = sorted(points, key=lambda g: g.coords)
-    trivial = Subgroup.trivial(B)
-    found: dict[tuple, Subgroup] = {_subgroup_key(trivial): trivial}
-    queue = [trivial]
-    tuples = 0
-    while queue:
-        S = queue.pop(0)
-        for s in ordered:
-            tuples += 1
-            if tuples > limit:
-                raise BudgetExceeded(f"subgroup_tuples exceeded {limit}")
-            S2 = Subgroup(B, S.generators + (s,))
-            key = _subgroup_key(S2)
-            if key not in found:
-                found[key] = S2
-                queue.append(S2)
-    return tuple(found[k] for k in sorted(found)), tuples
+    if not terms:
+        yield ()
+        return
+    (first, coeff), rest = terms[0], terms[1:]
+    red_a = coord_reducer(coeff.group)
+    # one point alone never cancels: terms carry no zero coefficient
+    for k in range(1, len(rest) + 1):
+        for picked in itertools.combinations(range(len(rest)), k):
+            meter.charge("subgroup_tuples")
+            block = zip(coeff.coords, *(rest[j][1].coords for j in picked))
+            if any(red_a(map(sum, block))):
+                continue
+            diffs = tuple(rest[j][0] - first for j in picked)
+            left = [t for j, t in enumerate(rest) if j not in picked]
+            for tail in _zero_sum_partitions(left, meter):
+                yield diffs + tail
 
 
 def oracle_solve(
@@ -567,10 +546,24 @@ def oracle_solve(
     """Reference decision by double exhaustion; tiny instances only.
 
     Enumerates every shift tuple over the size(I) ball and, for each shifted
-    sum, every subgroup generated by a subset of its difference set, keeping
-    those of rank <= h.  Complete for the same reason the fallback is: a
-    normalized witness fits the ball and its shrunk subgroup is generated by
-    difference-set elements.
+    sum c, every partition of supp(c) into zero-sum blocks, asking whether
+    the subgroup N_pi generated by the differences p - (first point of its
+    block) has rank <= h.  The ball suffices because a normalized witness
+    fits it (qsp.normalize_deltas).  The subgroup half rests on this lemma:
+    c vanishes modulo some N of rank <= h exactly when supp(c) splits into
+    blocks whose coefficients each sum to zero and whose differences to
+    their first points generate an N_pi of rank <= h.
+
+    (=>) Take the partition of supp(c) by N-cosets.  c vanishes in B/N, so
+    each block sums to zero, and its differences lie in N, so N_pi <= N; no
+    subgroup of a finitely generated abelian group needs more generators
+    than the group itself, so rank(N_pi) <= rank(N) <= h.
+    (<=) Two points of one block differ by an element of N_pi, so each
+    N_pi-coset meets supp(c) in a union of blocks; its coefficients sum to
+    zero, and c vanishes modulo N_pi.
+
+    The cost is exponential in the size of each shifted sum's support, not
+    in the number of subgroups its differences generate.
     """
     meter = _Meter(budget)
     if not I.fs:
@@ -581,10 +574,10 @@ def oracle_solve(
         for deltas in itertools.product(ball, repeat=len(I.fs)):
             meter.charge("delta_tuples")
             c = shifted_sum(I.fs, deltas)
-            nonzero = [d for d in difference_set(c) if not d.is_zero()]
-            for S in _subset_generated_subgroups(I.B, nonzero, meter):
-                if subgroup_rank(S) <= I.h and is_zero_mod(c, S):
-                    return _positive(I, "oracle", meter, deltas, S)
+            for gens in _zero_sum_partitions(c.terms, meter):
+                N = Subgroup(I.B, gens)
+                if subgroup_rank(N) <= I.h:
+                    return _positive(I, "oracle", meter, deltas, N)
         return _negative("oracle", meter)
     except BudgetExceeded as exc:
         return _unknown("oracle", meter, exc)

@@ -18,6 +18,7 @@ by the constants' base shifts, with rank budget 2g.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Union
@@ -298,6 +299,14 @@ def _power(u: WreathElement, k: int) -> WreathElement:
     return out
 
 
+def _power_exceeds(base: int, exponent: int, cap: int) -> bool:
+    """Whether base ** exponent > cap, for base >= 1, without building a
+    power far past cap: a base >= 2 passes cap within bit_length + 1 steps."""
+    if base > 1 and exponent > cap.bit_length():
+        return True
+    return base ** exponent > cap
+
+
 def enumerate_window(
     A: GroupPresentation,
     B: GroupPresentation,
@@ -305,20 +314,21 @@ def enumerate_window(
     max_elements: int = 200_000,
 ) -> list[WreathElement]:
     """All (delta, f) with delta and supp(f) in the radius ball of B and
-    coefficients in the radius window of A (full torsion, bounded free)."""
-    ball = list(enumerate_ball(B, radius))
-    coeff_axes: list[list[int]] = []
-    for _ in range(A.free_rank):
-        coeff_axes.append(list(range(-radius, radius + 1)))
-    for alpha in A.torsion:
-        coeff_axes.append(list(range(alpha)))
+    coefficients in the radius window of A (full torsion, bounded free).
+
+    The count, |ball| * per_point ** |ball|, grows with the ball, so the
+    ball is drawn only until the count passes max_elements."""
+    per_point = math.prod(A.torsion) * (2 * radius + 1) ** A.free_rank
+    ball: list[GroupElement] = []
+    for delta in enumerate_ball(B, radius):
+        ball.append(delta)
+        if _power_exceeds(per_point, len(ball), max_elements // len(ball)):
+            raise BudgetExceeded(
+                f"window holds more than {max_elements} wreath elements"
+            )
+    coeff_axes = [range(alpha) for alpha in A.torsion]
+    coeff_axes += [range(-radius, radius + 1)] * A.free_rank
     coeffs = [A.element(c) for c in itertools.product(*coeff_axes)]
-    per_point = len(coeffs)
-    total = len(ball) * per_point ** len(ball)
-    if total > max_elements:
-        raise BudgetExceeded(
-            f"window holds {total} wreath elements (> {max_elements})"
-        )
     out = []
     for delta in ball:
         for assignment in itertools.product(coeffs, repeat=len(ball)):
@@ -346,10 +356,9 @@ def equation_brute_force(
         raise ValueError("max_assignments must be positive")
     window = enumerate_window(eq.A, eq.B, radius)
     nvars = 2 * eq.genus + eq.m
-    total = len(window) ** nvars
-    if total > max_assignments:
+    if _power_exceeds(len(window), nvars, max_assignments):
         raise BudgetExceeded(
-            f"{total} assignments exceed the budget {max_assignments}"
+            f"more than {max_assignments} assignments in the window"
         )
     for values in itertools.product(window, repeat=nvars):
         asn = EquationAssignment(

@@ -77,6 +77,8 @@ Z3 = GroupPresentation(0, (3,))
 Z4 = GroupPresentation(0, (4,))
 Z6 = GroupPresentation(0, (6,))
 Z2xZ2 = GroupPresentation(0, (2, 2))
+ZxZ2 = GroupPresentation(1, (2,))
+ZxZ3 = GroupPresentation(1, (3,))
 
 # (instance, certificate) pairs collected from every positive decision in
 # criteria 4-6; criterion 7 replays them through the command-line verifier.
@@ -419,6 +421,33 @@ def test_criterion_06_solver_cross_agreement():
         h = rng.randint(0, 1)
         _cross_check(QspInstance(A, Z, tuple(fs), h), trial % 5 == 0)
         instances += 1
+
+    # windowed bases with torsion, m = 2, zero total coefficient: a one-atom
+    # function against a cancelling atom, alone or beside a second atom.
+    # At h = 0 the second atom leaves a negative; at h = 1 the growth pass
+    # merges it.  Drawn from their own generator, so the draws above stay.
+    rng = random.Random(60602)
+    decisions = []
+    for trial in range(32):
+        A = (Z3, Z4, Z)[trial % 3]
+        B = (ZxZ2, ZxZ3)[trial % 2]
+        if A.is_finite():
+            coeffs = [a for a in _elements(A) if not a.is_zero()]
+        else:
+            coeffs = [A.element((c,)) for c in (-2, -1, 1, 2)]
+
+        def point():
+            return B.element((rng.randrange(B.torsion[0]), rng.randint(-1, 1)))
+
+        f = SupportedFunction.atom(rng.choice(coeffs), point())
+        g = SupportedFunction.zero(A, B)
+        if rng.random() < 0.5:
+            g = SupportedFunction.atom(rng.choice(coeffs), point())
+        g = g + SupportedFunction.atom(-(f + g).total_coefficient(), point())
+        h = rng.randint(0, 1)
+        decisions.append(_cross_check(QspInstance(A, B, (f, g), h), trial % 5 == 0))
+        instances += 1
+    assert decisions.count("negative") >= 3, decisions
 
     print(f"[criterion 6] pass - {instances} instances: all applicable "
           f"solvers agreed with the exhaustion oracle")

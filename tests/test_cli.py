@@ -513,6 +513,22 @@ def test_oracle_empty_window_or_budget_exit(tmp_path, capsys, flags):
     assert cap.err.startswith("error:") and cap.out == ""
 
 
+def test_oracle_oversized_window_exits_unknown(tmp_path, capsys):
+    # the window holds 16001 * 2^16001 elements: more digits than Python
+    # formats, so the cap is compared without building that count
+    path = tmp_path / "eq.json"
+    code = main(
+        ["gen", "solvable", "--genus", "1", "--m", "1", "--coeff-torsion", "2",
+         "--base-free", "1", "--seed", "3", "--output", str(path)]
+    )
+    assert code == EXIT_POSITIVE
+    code = main(["oracle", str(path), "--radius", "8000"])
+    report = _report_from(capsys)
+    assert code == EXIT_UNKNOWN
+    assert report["decision"] == "unknown-budget"
+    assert report["reason"] == "window holds more than 200000 wreath elements"
+
+
 def test_oracle_radius_zero_searches_the_identity_shift(tmp_path, capsys):
     path = _write(tmp_path, "eq.json", encode_equation(_delta_sum_equation()))
     code = main(["oracle", str(path), "--radius", "0"])

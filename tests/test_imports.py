@@ -1,7 +1,8 @@
 """Every name a library module or test file imports is read somewhere in
 that file, every name the package exports exists, every library name the
 benchmark in perfbench/ uses resolves, every library definition has a caller
-outside the tests, and no library check is a bare assert."""
+outside the tests, no library check is a bare assert, and the exhaustive
+oracle reaches no membership code."""
 
 import ast
 import collections
@@ -169,3 +170,42 @@ def test_every_library_definition_has_a_caller():
         f"lemma-library names that now have a library caller: "
         f"{sorted(LEMMA_LIBRARY - uncalled)}"
     )
+
+
+# names through which the solvers and the certificate path test membership
+# or quotients; the oracle is their reference, so it decides without them
+ORACLE_FORBIDDEN = {
+    "is_zero_mod",
+    "subgroup_contains",
+    "satisfies_equation",
+    "difference_set",
+    "_quotient_form",
+    "_subgroup_form",
+    "project_coords",
+    "_anchored_search",
+}
+
+
+def test_oracle_decides_without_membership():
+    # oracle_solve and every solvers.py function it reaches, directly or
+    # through another, as names or attributes
+    tree = ast.parse((PACKAGE / "solvers.py").read_text(encoding="utf-8"))
+    functions = {
+        node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
+    }
+    reached, queue, offenders = set(), ["oracle_solve"], {}
+    while queue:
+        name = queue.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        names = {
+            getattr(node, "id", None) or getattr(node, "attr", None)
+            for node in ast.walk(functions[name])
+            if isinstance(node, (ast.Name, ast.Attribute))
+        }
+        if names & ORACLE_FORBIDDEN:
+            offenders[name] = sorted(names & ORACLE_FORBIDDEN)
+        queue.extend(names & functions.keys())
+    assert "_zero_sum_partitions" in reached
+    assert not offenders, f"the oracle reaches membership code: {offenders}"

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 import wreath_dio
 from wreath_dio.abelian import (
-    BudgetExceeded,
     GroupPresentation,
     Subgroup,
     group_rank,
@@ -25,7 +24,8 @@ from wreath_dio.group_ring import SupportedFunction, pushforward, shift
 from wreath_dio.hardness import ThreePartInstance, gen_3part_h0, gen_3part_midh
 from wreath_dio.qsp import Certificate, QspInstance, make_certificate, verify_certificate
 from wreath_dio.solvers import (
-    _subset_subgroups,
+    _Meter,
+    _zero_sum_partitions,
     DEFAULT_BUDGET,
     SolverBudget,
     dispatch,
@@ -427,6 +427,63 @@ def test_oracle_ball_past_the_tuple_cap_is_unknown():
     assert result.counters == {"delta_tuples": 0, "subgroup_tuples": 0}
 
 
+def _set_partitions(items):
+    """Every partition of items into blocks, each exactly once."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _set_partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [[first, *part[i]]] + part[i + 1 :]
+        yield [[first], *part]
+
+
+def test_zero_sum_partitions_match_every_set_partition():
+    # the oracle's generator against all set partitions of up to 6 points,
+    # kept when every block sums to zero; each kept partition gives its
+    # differences to the first point of each block, blocks by first point
+    rng = random.Random(1507)
+    for trial in range(120):
+        A = (Z, Z2, Z4, ZxZ2)[trial % 4]
+        points = rng.sample(range(-4, 5), rng.randint(1, 6))
+        terms = []
+        for p in sorted(points):
+            c = A.zero()
+            while c.is_zero():
+                free = tuple(rng.randint(-2, 2) for _ in range(A.free_rank))
+                c = A.element(tuple(rng.randrange(t) for t in A.torsion) + free)
+            terms.append((Z.element((p,)), c))
+        expected = []
+        for part in _set_partitions(list(range(len(terms)))):
+            blocks = sorted(sorted(b) for b in part)
+            sums = [sum((terms[j][1] for j in b), A.zero()) for b in blocks]
+            if all(c.is_zero() for c in sums):
+                expected.append(tuple(
+                    (terms[j][0] - terms[b[0]][0]).coords for b in blocks for j in b[1:]
+                ))
+        found = [
+            tuple(d.coords for d in gens)
+            for gens in _zero_sum_partitions(tuple(terms), _Meter(DEFAULT_BUDGET))
+        ]
+        assert sorted(found) == sorted(expected), terms
+        assert len(set(found)) == len(found)
+
+
+def test_oracle_charges_each_candidate_block():
+    # unit atoms at 0..14 and -15 at 15: the only zero-sum block is the
+    # whole support, so the first shift tuple tries 2^15 - 1 blocks, and the
+    # budget trips on the 1001st
+    f = sum(
+        (atom(Z, Z, (1,), (p,)) for p in range(15)), atom(Z, Z, (-15,), (15,))
+    )
+    I = QspInstance(Z, Z, (f,), 1)
+    result = oracle_solve(I, SolverBudget(max_subgroup_tuples=1000))
+    assert result.decision == "unknown-budget"
+    assert result.reason == "subgroup_tuples exceeded 1000"
+    assert result.counters == {"delta_tuples": 1, "subgroup_tuples": 1001}
+
+
 # ---------------------------------------------------------------------------
 # the anchored search on coordinate tuples
 
@@ -811,26 +868,18 @@ def test_solve_and_verify_leave_kept_objects_unchanged(I):
     _assert_unchanged(after_dispatch)
 
 
-def test_oracle_memo_repeats_counters_and_budget_outcome():
-    # a memo hit charges the stored tuple count, so a repeated oracle call
-    # reports the counters and the unknown-budget outcome of the first one
+def test_oracle_repeats_counters_and_budget_outcome():
+    # a repeated oracle call reports the counters and the unknown-budget
+    # outcome of the first one; at h = 0 every shift tuple before the
+    # aligned one tries a block
     fs = (atom(Z2, ZxZ, (1,), (0, 0)), atom(Z2, ZxZ, (1,), (1, 2)))
-    I = QspInstance(Z2, ZxZ, fs, 1)
-    _subset_subgroups.cache_clear()
+    I = QspInstance(Z2, ZxZ, fs, 0)
     first = oracle_solve(I)
     assert first.decision == "positive"
-    stored = _subset_subgroups.cache_info().currsize
-    assert stored > 0
     assert oracle_solve(I).counters == first.counters
-    assert _subset_subgroups.cache_info().currsize == stored
     assert first.counters["subgroup_tuples"] > 0
     tight = SolverBudget(max_subgroup_tuples=first.counters["subgroup_tuples"] - 1)
     for _ in range(2):
         result = oracle_solve(I, tight)
         assert result.decision == "unknown-budget"
         assert result.reason.startswith("subgroup_tuples exceeded")
-    # a search that passes its limit is not stored
-    stored = _subset_subgroups.cache_info().currsize
-    with pytest.raises(BudgetExceeded):
-        _subset_subgroups(ZxZ, frozenset([ZxZ.element((1, 2))]), 1)
-    assert _subset_subgroups.cache_info().currsize == stored

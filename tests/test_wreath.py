@@ -12,6 +12,7 @@ from wreath_dio.abelian import (
     enumerate_ball,
     group_rank,
 )
+from wreath_dio import wreath
 from wreath_dio.group_ring import SupportedFunction
 from wreath_dio.qsp import QspInstance
 from wreath_dio.solvers import dispatch
@@ -36,6 +37,7 @@ from wreath_dio.wreath import (
 Z = GroupPresentation(1)
 Z2 = GroupPresentation(0, (2,))
 Z3 = GroupPresentation(0, (3,))
+ZxZ2 = GroupPresentation(1, (2,))
 
 
 def w(A, B, delta, terms):
@@ -319,11 +321,41 @@ def test_enumerate_window_lamplighter_count():
     out = enumerate_window(Z2, Z2, 1)
     assert len(out) == 8
     assert len({(e.delta.coords, e.f.terms) for e in out}) == 8
+    # (Z x Z_2) wr Z_2 at radius 1: 2 coefficients of Z_2 times 3 of Z per
+    # point, 2 x 6^2 = 72 elements, every free coefficient in -1..1 met
+    out = enumerate_window(ZxZ2, Z2, 1)
+    assert len({(e.delta.coords, e.f.terms) for e in out}) == 72
+    coeffs = {c.coords for e in out for _, c in e.f.terms}
+    assert coeffs == {(t, v) for t in (0, 1) for v in (-1, 0, 1)} - {(0, 0)}
 
 
 def test_enumerate_window_budget():
     with pytest.raises(BudgetExceeded):
         enumerate_window(Z, Z, 3, max_elements=10)
+
+
+@pytest.mark.parametrize(
+    "A, radius, drawn",
+    [
+        # 2 coefficients per point: 14 * 2^14 passes 200 000, 13 * 2^13 not
+        (Z2, 300_000, 14),
+        # 61^3 = 226 981 coefficients per point pass the cap at the first one
+        (GroupPresentation(3), 30, 1),
+    ],
+)
+def test_enumerate_window_stops_at_the_cap(monkeypatch, A, radius, drawn):
+    # the ball is drawn only until the window count passes the cap
+    pulled = []
+
+    def counting_ball(G, r):
+        for g in enumerate_ball(G, r):
+            pulled.append(g)
+            yield g
+
+    monkeypatch.setattr(wreath, "enumerate_ball", counting_ball)
+    with pytest.raises(BudgetExceeded, match="window holds more than 200000 wreath"):
+        enumerate_window(A, Z, radius)
+    assert len(pulled) == drawn
 
 
 def test_brute_force_finds_generated_solutions():
@@ -341,6 +373,10 @@ def test_brute_force_budget():
     eq = OrientableEquation(Z2, Z, 1, (wreath_identity(Z2, Z),))
     with pytest.raises(BudgetExceeded):
         equation_brute_force(eq, 2, max_assignments=10)
+    # 160^2000 assignments: more digits than Python formats
+    eq = OrientableEquation(Z2, Z, 1000, (wreath_identity(Z2, Z),))
+    with pytest.raises(BudgetExceeded, match="more than 2000000 assignments"):
+        equation_brute_force(eq, 2)
 
 
 def test_brute_force_rejects_empty_window_and_budget():
