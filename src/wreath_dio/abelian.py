@@ -173,7 +173,8 @@ def _element(G: GroupPresentation, coords: tuple[int, ...]) -> GroupElement:
     tuples come out of coord_reducer or _SubgroupForm.project_coords.
     """
     e = object.__new__(GroupElement)
-    e.__dict__.update(group=G, coords=coords)
+    object.__setattr__(e, "group", G)
+    object.__setattr__(e, "coords", coords)
     return e
 
 

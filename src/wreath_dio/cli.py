@@ -11,9 +11,12 @@ Commands
 
 Exit codes: 0 positive / certificate valid; 1 negative / certificate invalid;
 2 budget exhausted before a decision; 3 unreadable or malformed input;
-4 precondition or shape violation, or a command-line usage error.  Reports
-are canonical JSON on stdout (or --output, written atomically).  Set
-WREATH_DIO_LOG=DEBUG|INFO|WARNING for diagnostics on stderr.
+4 precondition or shape violation, any argument the library rejects, or a
+command-line usage error; 5 internal error, a fault in the program and never
+a decision.  main maps exceptions to these codes in one place.  Reports are
+canonical JSON on stdout (or --output, written atomically).  Set
+WREATH_DIO_LOG=DEBUG|INFO|WARNING for diagnostics on stderr; DEBUG adds the
+traceback of an internal error.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .hardness import (
     gen_3part_midh,
     gen_zoe,
 )
-from .qsp import ShapeMismatch, verify_certificate
+from .qsp import verify_certificate
 from .solvers import DEFAULT_BUDGET, SolveResult, SolverBudget, dispatch
 from .wreath import Unsolvable, equation_brute_force, gen_solvable, reduce_to_qsp
 
@@ -57,6 +60,7 @@ EXIT_NEGATIVE = 1
 EXIT_UNKNOWN = 2
 EXIT_PARSE = 3
 EXIT_PRECONDITION = 4
+EXIT_INTERNAL = 5
 
 _DECISION_EXIT = {
     "positive": EXIT_POSITIVE,
@@ -145,15 +149,17 @@ def _budget_from_args(args: argparse.Namespace) -> SolverBudget:
         raise _CliError(EXIT_PRECONDITION, f"--budget-*: {exc}") from None
 
 
-def _report(
-    input_bytes: bytes, result: SolveResult, wall: float
-) -> dict:
+def _finish(
+    input_bytes: bytes, result: SolveResult, wall: float, output: Optional[str]
+) -> int:
+    """Log the decision, emit its report and return its exit code."""
+    log.info("decision=%s method=%s", result.decision, result.method)
     cert = (
         encode_certificate(result.certificate)
         if result.certificate is not None
         else None
     )
-    return {
+    report = {
         "format": 1,
         "input_digest": digest(input_bytes),
         "decision": result.decision,
@@ -163,11 +169,8 @@ def _report(
         "counters": result.counters,
         "reason": result.reason,
     }
-
-
-def _finish(report: dict, output: Optional[str]) -> int:
     _emit(canonical_json(report), output)
-    return _DECISION_EXIT[report["decision"]]
+    return _DECISION_EXIT[result.decision]
 
 
 def _csv_ints(text: str, what: str) -> tuple[int, ...]:
@@ -192,10 +195,7 @@ def _group_from_args(prefix: str, args: argparse.Namespace) -> GroupPresentation
 
 def cmd_solve_equation(args: argparse.Namespace) -> int:
     raw, obj = _read_json(args.equation)
-    try:
-        eq, _ = decode_equation(obj)
-    except CodecError as exc:
-        raise _CliError(EXIT_PARSE, str(exc)) from None
+    eq, _ = decode_equation(obj)
     start = time.monotonic()
     reduced = reduce_to_qsp(eq)
     if isinstance(reduced, Unsolvable):
@@ -208,43 +208,34 @@ def cmd_solve_equation(args: argparse.Namespace) -> int:
         )
         result = dispatch(reduced, _budget_from_args(args))
     wall = time.monotonic() - start
-    log.info("decision=%s method=%s", result.decision, result.method)
-    return _finish(_report(raw, result, wall), args.output)
+    return _finish(raw, result, wall, args.output)
 
 
 def cmd_qsp_solve(args: argparse.Namespace) -> int:
     raw, obj = _read_json(args.instance)
-    try:
-        instance, _ = decode_instance(obj)
-    except CodecError as exc:
-        raise _CliError(EXIT_PARSE, str(exc)) from None
+    instance, _ = decode_instance(obj)
     start = time.monotonic()
     result = dispatch(instance, _budget_from_args(args))
     wall = time.monotonic() - start
-    log.info("decision=%s method=%s", result.decision, result.method)
-    return _finish(_report(raw, result, wall), args.output)
+    return _finish(raw, result, wall, args.output)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     _, inst_obj = _read_json(args.instance)
     _, cert_obj = _read_json(args.certificate)
-    try:
-        instance, _ = decode_instance(inst_obj)
-        cert = decode_certificate(instance.B, cert_obj)
-    except CodecError as exc:
-        raise _CliError(EXIT_PARSE, str(exc)) from None
-    try:
-        ok = verify_certificate(instance, cert)
-    except ShapeMismatch as exc:
-        raise _CliError(EXIT_PRECONDITION, str(exc)) from None
+    instance, _ = decode_instance(inst_obj)
+    cert = decode_certificate(instance.B, cert_obj)
+    ok = verify_certificate(instance, cert)
     print("valid" if ok else "invalid")
     return EXIT_POSITIVE if ok else EXIT_NEGATIVE
 
 
 def _gen_payload(args: argparse.Namespace) -> dict:
-    if args.kind == "3part-h0":
+    if args.kind in ("3part-h0", "3part-midh"):
         values = _csv_ints(args.values, "--values")
-        T = _make_3part(values, args.k)
+        T = ThreePartInstance(values, args.k)
+        params = {"values": list(values), "k": args.k}
+    if args.kind == "3part-h0":
         A = _group_from_args("coeff", args)
         B = _group_from_args("base", args)
         if A.is_trivial():
@@ -253,68 +244,30 @@ def _gen_payload(args: argparse.Namespace) -> dict:
             raise _CliError(EXIT_PRECONDITION, "base group needs an infinite-order element")
         a = A.standard_generators()[0]
         b = B.standard_generators()[len(B.torsion)]
-        instance = _catch_value_error(lambda: gen_3part_h0(T, a, b))
-        provenance = {
-            "generator": "3part-h0",
-            "params": {
-                "values": list(values),
-                "k": args.k,
-                "coeff_group": encode_group(A),
-                "base_group": encode_group(B),
-            },
-            "seed": args.seed,
-        }
-        return encode_instance(instance, provenance)
-    if args.kind == "3part-midh":
-        values = _csv_ints(args.values, "--values")
-        T = _make_3part(values, args.k)
-        instance = _catch_value_error(lambda: gen_3part_midh(T, args.rank))
-        provenance = {
-            "generator": "3part-midh",
-            "params": {"values": list(values), "k": args.k, "h": args.rank},
-            "seed": args.seed,
-        }
-        return encode_instance(instance, provenance)
-    if args.kind == "zoe":
+        payload = gen_3part_h0(T, a, b)
+        params.update(coeff_group=encode_group(A), base_group=encode_group(B))
+    elif args.kind == "3part-midh":
+        payload = gen_3part_midh(T, args.rank)
+        params["h"] = args.rank
+    elif args.kind == "zoe":
         rows = tuple(
             _csv_ints(row, "--matrix") for row in args.matrix.split(";") if row.strip()
         )
-        Z = _catch_value_error(lambda: ZoeInstance(rows))
-        instance = gen_zoe(Z)
-        provenance = {
-            "generator": "zoe",
-            "params": {"matrix": [list(r) for r in rows]},
-            "seed": args.seed,
-        }
-        return encode_instance(instance, provenance)
-    # solvable equation
-    A = _group_from_args("coeff", args)
-    B = _group_from_args("base", args)
-    eq, _ = _catch_value_error(
-        lambda: gen_solvable(args.seed, A, B, args.genus, args.m)
-    )
-    provenance = {
-        "generator": "solvable",
-        "params": {
+        payload = gen_zoe(ZoeInstance(rows))
+        params = {"matrix": [list(r) for r in rows]}
+    else:
+        A = _group_from_args("coeff", args)
+        B = _group_from_args("base", args)
+        payload, _ = gen_solvable(args.seed, A, B, args.genus, args.m)
+        params = {
             "genus": args.genus,
             "m": args.m,
             "coeff_group": encode_group(A),
             "base_group": encode_group(B),
-        },
-        "seed": args.seed,
-    }
-    return encode_equation(eq, provenance)
-
-
-def _make_3part(values: tuple[int, ...], k: int) -> ThreePartInstance:
-    return _catch_value_error(lambda: ThreePartInstance(values, k))
-
-
-def _catch_value_error(thunk):
-    try:
-        return thunk()
-    except ValueError as exc:
-        raise _CliError(EXIT_PRECONDITION, str(exc)) from None
+        }
+    provenance = {"generator": args.kind, "params": params, "seed": args.seed}
+    encode = encode_equation if args.kind == "solvable" else encode_instance
+    return encode(payload, provenance)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -325,15 +278,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     raw, obj = _read_json(args.equation)
-    try:
-        eq, _ = decode_equation(obj)
-    except CodecError as exc:
-        raise _CliError(EXIT_PARSE, str(exc)) from None
+    eq, _ = decode_equation(obj)
     start = time.monotonic()
     try:
-        found = _catch_value_error(
-            lambda: equation_brute_force(eq, args.radius, args.max_assignments)
-        )
+        found = equation_brute_force(eq, args.radius, args.max_assignments)
         decision = "positive" if found else "negative"
         reason = None if found else f"no solution within radius {args.radius}"
     except BudgetExceeded as exc:
@@ -342,7 +290,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     result = SolveResult(
         decision, "equation-brute-force", None, {"radius": args.radius}, reason
     )
-    return _finish(_report(raw, result, wall), args.output)
+    return _finish(raw, result, wall, args.output)
 
 
 # ---------------------------------------------------------------------------
@@ -474,14 +422,29 @@ def _configure_logging() -> None:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one command; the one place exceptions become exit codes.
+
+    CodecError comes before ValueError, which it subclasses.  Any other
+    ValueError is an argument the library rejected.  Anything else is a
+    fault in the program, never a decision: one stderr line, with the
+    traceback only in the DEBUG log.  argparse's SystemExit is left alone.
+    """
     _configure_logging()
     args = _parser().parse_args(argv)
     try:
         _check_output(getattr(args, "output", None))
         return args.func(args)
     except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        code, message = exc.code, str(exc)
+    except CodecError as exc:
+        code, message = EXIT_PARSE, str(exc)
+    except ValueError as exc:
+        code, message = EXIT_PRECONDITION, str(exc)
+    except Exception as exc:
+        log.debug("internal error", exc_info=True)
+        code, message = EXIT_INTERNAL, f"internal: {type(exc).__name__}: {exc}"
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -155,7 +155,9 @@ def _function(
     points of B in sorted order, nonzero coefficients of A.  The kernels
     produce such terms, so the constructor's merge and checks are skipped."""
     f = object.__new__(SupportedFunction)
-    f.__dict__.update(coeff_group=A, base_group=B, terms=terms)
+    object.__setattr__(f, "coeff_group", A)
+    object.__setattr__(f, "base_group", B)
+    object.__setattr__(f, "terms", terms)
     return f
 
 

@@ -79,19 +79,14 @@ class _Meter:
         self.budget = budget
         self.start = time.monotonic()
         self.counters = {"delta_tuples": 0, "subgroup_tuples": 0}
-        self._ticks = 0
 
     def charge(self, key: str, n: int = 1) -> None:
         self.counters[key] += n
         limit = getattr(self.budget, "max_" + key)
         if self.counters[key] > limit:
             raise BudgetExceeded(f"{key} exceeded {limit}")
-        self._ticks += 1
-        if self._ticks % 1024 == 0:
-            if time.monotonic() - self.start > self.budget.max_seconds:
-                raise BudgetExceeded(
-                    f"time exceeded {self.budget.max_seconds}s"
-                )
+        if time.monotonic() - self.start > self.budget.max_seconds:
+            raise BudgetExceeded(f"time exceeded {self.budget.max_seconds}s")
 
 
 def _positive(

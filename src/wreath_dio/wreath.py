@@ -228,16 +228,15 @@ def _random_element(
     delta = ball[rng.randrange(len(ball))]
     npts = rng.randrange(max_support + 1)
     pts = rng.sample(range(len(ball)), min(npts, len(ball)))
-    f = SupportedFunction.zero(A, B)
+    terms = []
     for k in pts:
         coords = []
         for alpha in A.torsion:
             coords.append(rng.randrange(alpha))
         for _ in range(A.free_rank):
             coords.append(rng.randint(-max_length, max_length))
-        coeff = A.element(coords)
-        f = f + SupportedFunction.atom(coeff, ball[k])
-    return WreathElement(delta, f)
+        terms.append((ball[k], A.element(coords)))
+    return WreathElement(delta, SupportedFunction(A, B, tuple(terms)))
 
 
 def gen_solvable(
@@ -332,10 +331,7 @@ def enumerate_window(
     out = []
     for delta in ball:
         for assignment in itertools.product(coeffs, repeat=len(ball)):
-            f = SupportedFunction.zero(A, B)
-            for point, coeff in zip(ball, assignment):
-                if not coeff.is_zero():
-                    f = f + SupportedFunction.atom(coeff, point)
+            f = SupportedFunction(A, B, tuple(zip(ball, assignment)))
             out.append(WreathElement(delta, f))
     return out
 

@@ -1,13 +1,15 @@
 """Every name a library module or test file imports is read somewhere in
 that file, every name the package exports exists, every library name the
 benchmark in perfbench/ uses resolves, every library definition has a caller
-outside the tests, no library check is a bare assert, and the exhaustive
-oracle reaches no membership code."""
+outside the tests, no library check is a bare assert, the exhaustive
+oracle reaches no membership code, every CLI exit code is documented, and
+cli.main is the CLI's one error boundary."""
 
 import ast
 import collections
 import importlib
 import pathlib
+import re
 
 import pytest
 
@@ -209,3 +211,51 @@ def test_oracle_decides_without_membership():
         queue.extend(names & functions.keys())
     assert "_zero_sum_partitions" in reached
     assert not offenders, f"the oracle reaches membership code: {offenders}"
+
+
+REPO = PERFBENCH.parent
+CLI = PACKAGE / "cli.py"
+
+
+def _exit_codes() -> dict[str, int]:
+    tree = ast.parse(CLI.read_text(encoding="utf-8"))
+    return {
+        target.id: node.value.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.startswith("EXIT_")
+    }
+
+
+def test_every_exit_code_is_documented():
+    codes = _exit_codes()
+    formats = (REPO / "FORMATS.md").read_text(encoding="utf-8")
+    table = formats.split("## Exit codes", 1)[1].split("\n## ", 1)[0]
+    rows = {int(m) for m in re.findall(r"^\| (\d+) \|", table, re.M)}
+    assert rows == set(codes.values()), f"FORMATS.md exit-code rows {sorted(rows)}"
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    sentence = re.search(r"exit codes\s+are\s+(.+?)\.\s", readme, re.S)
+    assert sentence, "README.md has no 'exit codes are ...' sentence"
+    named = {int(m) for m in re.findall(r"(?:^|/)\s*(\d+)\s", sentence.group(1))}
+    assert named == set(codes.values()), f"README.md names exit codes {sorted(named)}"
+
+
+# exceptions that cli.main alone turns into exit codes
+BOUNDARY_EXCEPTIONS = {"Exception", "CodecError", "ShapeMismatch"}
+
+
+def test_main_is_the_only_cli_error_boundary():
+    tree = ast.parse(CLI.read_text(encoding="utf-8"))
+    catchers = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for handler in ast.walk(fn):
+            if isinstance(handler, ast.ExceptHandler) and handler.type is not None:
+                caught = {
+                    node.id for node in ast.walk(handler.type) if isinstance(node, ast.Name)
+                }
+                if caught & BOUNDARY_EXCEPTIONS:
+                    catchers.add(fn.name)
+    assert catchers == {"main"}, f"cli.py catches {BOUNDARY_EXCEPTIONS} in {catchers}"

@@ -248,6 +248,19 @@ def test_general_respects_budget_with_unknown():
     assert result.reason
 
 
+def test_time_budget_is_read_on_every_charge(monkeypatch):
+    # a clock one second on per read: the meter's start, then one read per
+    # node, so a 3 s cap trips at the fourth node of a 183-node search
+    ticks = itertools.count()
+    monkeypatch.setattr(wreath_dio.solvers.time, "monotonic", lambda: float(next(ticks)))
+    a = b = Z.element((1,))
+    I = gen_3part_h0(ThreePartInstance((5, 5, 6, 6, 7, 7, 7, 7, 7), 3), a, b)
+    result = dispatch(I, SolverBudget(max_seconds=3))
+    assert result.decision == "unknown-budget"
+    assert result.reason.startswith("time exceeded")
+    assert result.counters["delta_tuples"] <= 4
+
+
 # ---------------------------------------------------------------------------
 # dispatch
 
