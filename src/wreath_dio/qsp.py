@@ -11,11 +11,11 @@ drive the delta-normalization that bounds witness shifts by the instance size.
 clusters is the one connectivity routine; normalization reruns it after each
 shift in N that merges a plain sub-cluster into its mod-N cluster's anchor.
 
-shifted_sum, satisfies_equation and difference_set run on canonical
-coordinate tuples: every shifted term goes into one dict keyed by its point
-(or, for the equation, by the point's coordinates in B/N), so the work is
-linear in the number of terms.  GroupElement and SupportedFunction appear
-only at the API boundary.
+shifted_sum and satisfies_equation run on canonical coordinate tuples:
+every shifted term goes into one dict keyed by its point (or, for the
+equation, by the point's coordinates in B/N), so the work is linear in the
+number of terms.  GroupElement and SupportedFunction appear only at the API
+boundary.
 """
 
 from __future__ import annotations
@@ -28,11 +28,9 @@ from .abelian import (
     GroupElement,
     GroupPresentation,
     Subgroup,
-    _element,
     _quotient_form,
     coord_reducer,
     geodesic_length,
-    subgroup_contains,
     subgroup_rank,
 )
 from .group_ring import (
@@ -231,34 +229,7 @@ def cluster_shift(
 
 
 # ---------------------------------------------------------------------------
-# difference sets and the good-subgroup shrink
-
-
-def difference_set(f: SupportedFunction) -> list[GroupElement]:
-    """All pairwise support-point differences, deduplicated, sorted.
-
-    Includes 0 whenever the support is nonempty.
-    """
-    B = f.base_group
-    red_b = coord_reducer(B)
-    points = [p.coords for p, _ in f.terms]
-    seen = {red_b(map(sub, p, q)) for p in points for q in points}
-    return [_element(B, d) for d in sorted(seen)]
-
-
-def shrink_subgroup(f: SupportedFunction, N: Subgroup) -> Subgroup:
-    """N' = <difference_set(f) restricted to N>; vanishing mod N' iff mod N.
-
-    Two support points of f lie in the same N-coset exactly when their
-    difference is a difference-set element of N, so the fiber partitions of
-    supp(f) under N and N' coincide and the pushforward vanishing transfers
-    both ways.  rank(N') <= rank(N) and every generator has geodesic length at
-    most size(f).
-    """
-    gens = tuple(
-        d for d in difference_set(f) if not d.is_zero() and subgroup_contains(N, d)
-    )
-    return Subgroup(f.base_group, gens)
+# certificates
 
 
 def make_certificate(
@@ -266,18 +237,31 @@ def make_certificate(
     deltas: Sequence[GroupElement],
     N: Subgroup,
 ) -> Certificate:
-    """Shrink N through the shifted sum's difference set and package.
+    """Package deltas with generators of N' <= N read off the shifted sum c.
 
-    All solvers emit certificates through this helper, which keeps the
-    generator-norm invariant (every generator is a support difference of the
-    sum function, hence of geodesic length at most its size) and can only
-    lower the subgroup rank.
+    One pass over supp(c) keeps the first point q of each N-coset and takes
+    p - q for every later point p of it; the certificate lists these
+    differences distinct and sorted by coordinates.  All solvers emit
+    certificates here.  What a verifier relies on:
+
+    - N' <= N, as each p - q joins two points of one N-coset; so
+      rank(N') <= rank(N), a subgroup needing no more generators than N.
+    - An N'-coset lies in one N-coset, whose support points are its first
+      point plus generators, so it meets supp(c) in that whole block or not
+      at all, and c vanishes mod N' exactly when it vanishes mod N.
+    - Each generator p - q is a support difference of c, so its geodesic
+      length is at most |p| + |q| <= size(c).
     """
     if not instance.fs:
         return Certificate((), ())
-    c = shifted_sum(instance.fs, deltas)
-    shrunk = shrink_subgroup(c, N)
-    return Certificate(tuple(deltas), shrunk.generators)
+    project = _quotient_form(instance.B, N).project_coords
+    first: dict[tuple[int, ...], GroupElement] = {}
+    gens: set[GroupElement] = set()
+    for p, _ in shifted_sum(instance.fs, deltas).terms:
+        q = first.setdefault(project(p.coords), p)
+        if q is not p:
+            gens.add(p - q)
+    return Certificate(tuple(deltas), tuple(sorted(gens, key=lambda g: g.coords)))
 
 
 # ---------------------------------------------------------------------------

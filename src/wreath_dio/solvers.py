@@ -540,11 +540,15 @@ def oracle_solve(
 ) -> SolveResult:
     """Reference decision by double exhaustion; tiny instances only.
 
-    Enumerates every shift tuple over the size(I) ball and, for each shifted
-    sum c, every partition of supp(c) into zero-sum blocks, asking whether
+    Fixes delta_1 = 0 and enumerates the other m - 1 shifts over the ball of
+    radius 2 * sum size(f_i), built only when m >= 2; for each shifted sum c
+    it tries every partition of supp(c) into zero-sum blocks, asking whether
     the subgroup N_pi generated by the differences p - (first point of its
-    block) has rank <= h.  The ball suffices because a normalized witness
-    fits it (qsp.normalize_deltas).  The subgroup half rests on this lemma:
+    block) has rank <= h.  The ball suffices: qsp.normalize_deltas gives a
+    witness with every |delta_i| <= sum size(f_i), and the joint translation
+    by -delta_1, which moves c and its N-cosets alike, keeps it a witness
+    with |delta_i - delta_1| <= 2 * sum size(f_i).  The subgroup half rests
+    on this lemma:
     c vanishes modulo some N of rank <= h exactly when supp(c) splits into
     blocks whose coefficients each sum to zero and whose differences to
     their first points generate an N_pi of rank <= h.
@@ -564,9 +568,12 @@ def oracle_solve(
     if not I.fs:
         return _positive(I, "oracle", meter, (), Subgroup.trivial(I.B))
     try:
-        # m >= 1 here, so a ball past the tuple cap means more tuples than it
-        ball = list(enumerate_ball(I.B, I.size(), cap=meter.budget.max_delta_tuples))
-        for deltas in itertools.product(ball, repeat=len(I.fs)):
+        free = len(I.fs) - 1
+        radius = 2 * sum(f.size() for f in I.fs)
+        # with free >= 1, a ball past the tuple cap means more tuples than it
+        cap = meter.budget.max_delta_tuples
+        ball = list(enumerate_ball(I.B, radius, cap=cap)) if free else []
+        for deltas in itertools.product([I.B.zero()], *[ball] * free):
             meter.charge("delta_tuples")
             c = shifted_sum(I.fs, deltas)
             for gens in _zero_sum_partitions(c.terms, meter):

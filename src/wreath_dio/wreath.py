@@ -21,7 +21,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 from .abelian import (
     BudgetExceeded,
@@ -220,11 +220,10 @@ def reduce_to_qsp(eq: OrientableEquation) -> Union[QspInstance, Unsolvable]:
 def _random_element(
     rng: random.Random,
     A: GroupPresentation,
-    B: GroupPresentation,
+    ball: Sequence[GroupElement],
     max_length: int,
     max_support: int,
 ) -> WreathElement:
-    ball = list(enumerate_ball(B, max_length))
     delta = ball[rng.randrange(len(ball))]
     npts = rng.randrange(max_support + 1)
     pts = rng.sample(range(len(ball)), min(npts, len(ball)))
@@ -236,7 +235,7 @@ def _random_element(
         for _ in range(A.free_rank):
             coords.append(rng.randint(-max_length, max_length))
         terms.append((ball[k], A.element(coords)))
-    return WreathElement(delta, SupportedFunction(A, B, tuple(terms)))
+    return WreathElement(delta, SupportedFunction(A, delta.group, tuple(terms)))
 
 
 def gen_solvable(
@@ -259,18 +258,19 @@ def gen_solvable(
     if genus == 0 and m == 0:
         raise ValueError("genus 0 requires at least one constant")
     rng = random.Random(seed)
+    ball = list(enumerate_ball(B, max_length))
     xs, ys = [], []
     for _ in range(genus):
-        x = _random_element(rng, A, B, max_length, max_support)
+        x = _random_element(rng, A, ball, max_length, max_support)
         xs.append(x)
         if m:
-            ys.append(_random_element(rng, A, B, max_length, max_support))
+            ys.append(_random_element(rng, A, ball, max_length, max_support))
         else:
             # no constant can absorb the prefix, so force [x_i, y_i] = 1
             ys.append(_power(x, rng.choice((-1, 0, 1, 2))))
-    zs = [_random_element(rng, A, B, max_length, max_support) for _ in range(m)]
+    zs = [_random_element(rng, A, ball, max_length, max_support) for _ in range(m)]
     consts = [
-        _random_element(rng, A, B, max_length, max_support) for _ in range(m - 1)
+        _random_element(rng, A, ball, max_length, max_support) for _ in range(m - 1)
     ]
     if m:
         prefix = wreath_identity(A, B)

@@ -180,7 +180,6 @@ ORACLE_FORBIDDEN = {
     "is_zero_mod",
     "subgroup_contains",
     "satisfies_equation",
-    "difference_set",
     "_quotient_form",
     "_subgroup_form",
     "project_coords",

@@ -21,12 +21,10 @@ from wreath_dio.qsp import (
     ShapeMismatch,
     cluster_shift,
     clusters,
-    difference_set,
     make_certificate,
     normalize_deltas,
     satisfies_equation,
     shifted_sum,
-    shrink_subgroup,
     verify_certificate,
 )
 from wreath_dio.solvers import dispatch
@@ -304,54 +302,6 @@ def test_cluster_shift_rejects_non_blocks():
 
 
 # ---------------------------------------------------------------------------
-# difference sets and subgroup shrinking
-
-
-def test_difference_set_examples():
-    assert [d.coords for d in difference_set(atom(Z, Z, (1,), (7,)))] == [(0,)]
-    f = atom(Z, Z, (1,), (0,)) + atom(Z, Z, (2,), (3,))
-    assert [d.coords for d in difference_set(f)] == [(-3,), (0,), (3,)]
-    assert difference_set(SupportedFunction.zero(Z, Z)) == []
-
-
-def test_difference_set_quadratic_bound():
-    rng = random.Random(25)
-    for _ in range(30):
-        f = _random_function(rng, Z, GroupPresentation(2), max_terms=5)
-        k = len(f.support())
-        assert len(difference_set(f)) <= k * k or k == 0
-
-
-def test_shrink_subgroup_trivial_stays_trivial():
-    f = atom(Z, Z, (1,), (0,))
-    out = shrink_subgroup(f, Subgroup.trivial(Z))
-    assert subgroup_rank(out) == 0
-
-
-def test_shrink_subgroup_whole_group_to_difference():
-    a = Z2.element((1,))
-    f = SupportedFunction.atom(a, Z.element((0,))) + SupportedFunction.atom(
-        a, Z.element((2,))
-    )
-    out = shrink_subgroup(f, Subgroup.whole(Z))
-    assert subgroup_contains(out, Z.element((2,)))
-    assert not subgroup_contains(out, Z.element((1,)))
-
-
-def test_shrink_preserves_vanishing_both_ways():
-    rng = random.Random(26)
-    for _ in range(60):
-        f = _random_function(rng, Z2, Z)
-        k = rng.randint(0, 4)
-        N = Subgroup(Z, (Z.element((k,)),) if k else ())
-        out = shrink_subgroup(f, N)
-        assert is_zero_mod(f, N) == is_zero_mod(f, out)
-        assert subgroup_rank(out) <= subgroup_rank(N)
-        for g in out.generators:
-            assert subgroup_contains(N, g)
-
-
-# ---------------------------------------------------------------------------
 # make_certificate
 
 
@@ -369,6 +319,74 @@ def test_make_certificate_generator_norms_bounded():
         c = shifted_sum(fs, deltas)
         for g in cert.subgroup_gens:
             assert geodesic_length(Z, g) <= max(c.size(), 0) or c.is_zero()
+
+
+def _pairwise_in(c, N):
+    """Reference N' for c: every pairwise support difference that lies in N."""
+    pts = [p for p, _ in c.terms]
+    return Subgroup(c.base_group, tuple(
+        p - q for p in pts for q in pts if p != q and subgroup_contains(N, p - q)
+    ))
+
+
+def _cancel_mod(c, N):
+    """A function g with c + g vanishing mod N: minus each N-coset block's
+    coefficient sum, put on the block's first point."""
+    sums = {}
+    for p, a in c.terms:
+        q = next((q for q in sums if subgroup_contains(N, p - q)), p)
+        sums[q] = sums.get(q, c.coeff_group.zero()) + a
+    g = SupportedFunction.zero(c.coeff_group, c.base_group)
+    for q, a in sums.items():
+        g = g + SupportedFunction.atom(-a, q)
+    return g
+
+
+def test_make_certificate_names_the_pairwise_difference_subgroup():
+    rng = random.Random(28)
+    bases = (Z, GroupPresentation(1, (2,)), GroupPresentation(2))
+    answers = set()
+    for trial in range(90):
+        A, B = (Z2, Z)[trial % 2], bases[trial % 3]
+        fs = tuple(_random_function(rng, A, B) for _ in range(rng.randint(1, 3)))
+        deltas = tuple(
+            B.element(tuple(rng.randint(-2, 2) for _ in range(B.ncoords)))
+            for _ in fs
+        )
+        N = Subgroup(B, tuple(
+            B.element(tuple(rng.randint(-2, 2) for _ in range(B.ncoords)))
+            for _ in range(rng.randint(0, 2))
+        ))
+        if trial % 3:
+            # solve mod N with one more function at shift 0
+            fs += (_cancel_mod(shifted_sum(fs, deltas), N),)
+            deltas += (B.zero(),)
+        I = QspInstance(A, B, fs, subgroup_rank(N))
+        cert = make_certificate(I, deltas, N)
+        assert cert.deltas == deltas
+        c = shifted_sum(fs, deltas)
+        got, ref = Subgroup(B, cert.subgroup_gens), _pairwise_in(c, N)
+        assert all(subgroup_contains(ref, g) for g in got.generators)
+        assert all(subgroup_contains(got, g) for g in ref.generators)
+        solved = satisfies_equation(fs, deltas, N)
+        assert satisfies_equation(fs, deltas, got) == solved
+        assert verify_certificate(I, cert) == solved
+        answers.add(solved)
+        assert subgroup_rank(got) <= subgroup_rank(N)
+        coords = [g.coords for g in cert.subgroup_gens]
+        assert coords == sorted(set(coords))
+        for g in cert.subgroup_gens:
+            assert not g.is_zero() and geodesic_length(B, g) <= c.size()
+        if not N.generators:
+            assert cert.subgroup_gens == ()
+    assert answers == {False, True}
+    # two points of one Z-coset: the certificate names <2>, not Z
+    a = Z2.element((1,))
+    f = SupportedFunction.atom(a, Z.element((0,))) + SupportedFunction.atom(
+        a, Z.element((2,))
+    )
+    cert = make_certificate(QspInstance(Z2, Z, (f,), 1), (Z.zero(),), Subgroup.whole(Z))
+    assert cert.subgroup_gens == (Z.element((2,)),)
 
 
 def test_make_certificate_empty_instance():

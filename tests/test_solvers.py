@@ -25,6 +25,7 @@ from wreath_dio.hardness import ThreePartInstance, gen_3part_h0, gen_3part_midh
 from wreath_dio.qsp import Certificate, QspInstance, make_certificate, verify_certificate
 from wreath_dio.solvers import (
     _Meter,
+    _subgroup_key,
     _zero_sum_partitions,
     DEFAULT_BUDGET,
     SolverBudget,
@@ -427,17 +428,31 @@ def test_counters_present():
 
 
 def test_oracle_ball_past_the_tuple_cap_is_unknown():
-    # with m >= 1 functions a ball of more than max_delta_tuples elements
-    # means more shift tuples than that, so the oracle gives up before it
+    # with m >= 2 functions a ball of more than max_delta_tuples elements
+    # means more tuples of the m - 1 free shifts than that, so the oracle
+    # gives up before it; the ball's radius is 2 * sum size(f_i)
     fs = (atom(Z, Z, (1,), (0,)), atom(Z, Z, (-1,), (5,)))
     I = QspInstance(Z, Z, fs, 0)
-    ball = 2 * I.size() + 1
+    ball = 2 * (2 * sum(f.size() for f in fs)) + 1
     assert oracle_solve(I, SolverBudget(max_delta_tuples=ball)).decision == "positive"
     result = oracle_solve(I, SolverBudget(max_delta_tuples=ball - 1))
     assert result.decision == "unknown-budget"
     assert result.certificate is None
     assert result.reason == f"ball enumeration exceeded cap {ball - 1}"
     assert result.counters == {"delta_tuples": 0, "subgroup_tuples": 0}
+
+
+@pytest.mark.parametrize("h, decision", [(0, "negative"), (1, "positive")])
+def test_oracle_single_function_builds_no_ball(h, decision):
+    # with m = 1 the anchored shift is the only tuple, whatever the cap
+    f = atom(Z, Z, (1,), (0,)) + atom(Z, Z, (-1,), (3,))
+    I = QspInstance(Z, Z, (f,), h)
+    result = oracle_solve(I, SolverBudget(max_delta_tuples=1))
+    assert result.decision == decision
+    assert result.counters["delta_tuples"] == 1
+    if decision == "positive":
+        assert result.certificate.deltas == (Z.zero(),)
+        assert verify_certificate(I, result.certificate)
 
 
 def _set_partitions(items):
@@ -746,12 +761,17 @@ MIDH_BUDGET = SolverBudget(
     max_seconds=math.inf,
 )
 # the subgroup every rank-3 certificate names: its generators as coordinates
-_MIDH_R3_GENS = (
-    (-2, 0, 0), (-2, 1, 0), (-2, 2, 0), (-1, 0, 0), (-1, 1, 0), (-1, 2, 0),
-    (0, -2, 0), (0, -1, 0), (0, 1, 0), (0, 2, 0), (1, -2, 0), (1, -1, 0),
-    (1, 0, 0), (2, -2, 0), (2, -1, 0), (2, 0, 0),
-)
-_MIDH_R2_GENS = ((-2, 0), (-1, 0), (1, 0), (2, 0))
+_MIDH_R3_GENS = ((1, 0, 0), (2, -2, 0), (2, -1, 0), (2, 0, 0))
+_MIDH_R2_GENS = ((1, 0), (2, 0))
+# the same subgroups as named by every pairwise support difference in N
+_MIDH_PAIRWISE_GENS = {
+    _MIDH_R3_GENS: (
+        (-2, 0, 0), (-2, 1, 0), (-2, 2, 0), (-1, 0, 0), (-1, 1, 0), (-1, 2, 0),
+        (0, -2, 0), (0, -1, 0), (0, 1, 0), (0, 2, 0), (1, -2, 0), (1, -1, 0),
+        (1, 0, 0), (2, -2, 0), (2, -1, 0), (2, 0, 0),
+    ),
+    _MIDH_R2_GENS: ((-2, 0), (-1, 0), (1, 0), (2, 0)),
+}
 
 
 @pytest.mark.parametrize(
@@ -783,6 +803,10 @@ def test_growth_pass_pinned_on_3part_midh(values, rank, counters, bound, deltas,
     assert tuple(d.coords for d in cert.deltas) == deltas
     assert tuple(g.coords for g in cert.subgroup_gens) == gens
     assert verify_certificate(I, cert)
+    pairwise = tuple(map(I.B.element, _MIDH_PAIRWISE_GENS[gens]))
+    assert _subgroup_key(Subgroup(I.B, cert.subgroup_gens)) == _subgroup_key(
+        Subgroup(I.B, pairwise)
+    )
 
 
 # ---------------------------------------------------------------------------

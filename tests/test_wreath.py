@@ -12,7 +12,7 @@ from wreath_dio.abelian import (
     enumerate_ball,
     group_rank,
 )
-from wreath_dio import wreath
+from wreath_dio import codec, wreath
 from wreath_dio.group_ring import SupportedFunction
 from wreath_dio.qsp import QspInstance
 from wreath_dio.solvers import dispatch
@@ -278,6 +278,26 @@ def test_gen_solvable_seed_determinism():
     assert a1 == a2
     b = gen_solvable(43, Z2, Z, 1, 2)
     assert b != a1
+
+
+ZxZ = GroupPresentation(2)
+
+
+@pytest.mark.parametrize("A, B, genus, m, digest", [
+    (Z2, Z, 0, 1, "858e13e3cc72e3a7f48d9823e50db857a8d18a269370ed8218e8d57872861af6"),
+    (Z2, Z, 1, 2, "2ccea2846eee57fed109d7c35c84ebba8aa6c7d255042493cea4d02a702443be"),
+    (Z2, Z, 2, 0, "8949eff5434cd2614c06f1873b818159a456baf37f8e5ea83387c146a6771e8a"),
+    (Z, ZxZ2, 0, 2, "f2b2c64e99d762d4722e6d73029a37715126135a8a8c1fe248e7dacc0fea0185"),
+    (Z, ZxZ2, 1, 1, "43ab93389431de7334b60d786b8dc85c6a1b6448098819ce480f5401d57254f6"),
+    (Z, ZxZ2, 2, 2, "eb769789489c1cd3e6fa65f66fbc29900f62d94b3c6b6b7eb1c0b17cc8f9af65"),
+    (Z2, ZxZ, 1, 0, "e767ab7e856e831cabb71fd3e0bd84abcfe7178eb774271fd3d0aeb1fe6249b4"),
+    (Z2, ZxZ, 2, 1, "ed10c8f5cbf38c5fe51a02ead38863ac3c0cf5e41b4b468d64cb46667f620e35"),
+])
+def test_gen_solvable_draws_are_pinned(A, B, genus, m, digest):
+    # the equations the seed draws, so that generator rewrites keep the
+    # benchmark's inputs
+    eq, _ = gen_solvable(11, A, B, genus, m)
+    assert codec.digest(codec.canonical_json(codec.encode_equation(eq))) == digest
 
 
 def test_gen_solvable_spherical_single_constant_is_identity():
