@@ -9,6 +9,8 @@ precision integers; no floating point enters this module.
 The workhorse is the Smith normal form.  Each subgroup's preimage matrix is
 diagonalised once, in one cached form, and that one Smith form serves
 membership, rank, the quotient with its projection map, and the lift back.
+The Smith form and the inverse of its change of basis both come from
+lattice.hermite_form: this module does no elimination of its own.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import mul
+from operator import add, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .lattice import hermite_form
@@ -94,12 +96,7 @@ class GroupPresentation:
         return GroupElement(self, tuple(coords))
 
     def standard_generators(self) -> tuple["GroupElement", ...]:
-        gens = []
-        for i in range(self.ncoords):
-            coords = [0] * self.ncoords
-            coords[i] = 1
-            gens.append(GroupElement(self, tuple(coords)))
-        return tuple(gens)
+        return tuple(GroupElement(self, e) for e in _identity(self.ncoords))
 
     def elements(self) -> Iterator["GroupElement"]:
         """All elements of a finite group, in lexicographic coordinate order."""
@@ -227,109 +224,55 @@ class Subgroup:
 Matrix = tuple[tuple[int, ...], ...]
 
 
+def _identity(n: int) -> Matrix:
+    return tuple([(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)])
+
+
+def _hermite_pair(left: Iterable, right: Iterable, n: int) -> tuple[Matrix, Matrix]:
+    """The Hermite form of the rows [left | right], cut after column n."""
+    H = hermite_form(map(add, left, right))
+    return tuple([r[:n] for r in H]), tuple([r[n:] for r in H])
+
+
+def _is_diagonal(a: Matrix) -> bool:
+    return not any(any(r[:i]) or any(r[i + 1:]) for i, r in enumerate(a))
+
+
 def smith_normal_form(M: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matrix]:
     """Diagonalize the rows M as D = U * M * V with U, V unimodular.
 
     The diagonal entries are nonnegative and form a divisibility chain
-    d_1 | d_2 | ... .  Pivoting picks the smallest nonzero absolute value with
-    a deterministic (row, col) tie-break, which keeps intermediate growth tame
-    and output reproducible.  An n x 0 matrix is n empty rows.
+    d_1 | d_2 | ... .  An n x 0 matrix is n empty rows.  As Kannan and
+    Bachem (1979) do, row steps (the Hermite form of [M | U]) and column
+    steps (that of [M^T | V^T]) alternate, a row step first, until M is
+    diagonal; [M | U] has full row rank, so no row is dropped.  This ends:
+    each pass strictly lowers the first pivot not yet alone in its row and
+    column, or leaves it dividing both, and then the next step clears them.
+    Where d_(i-1) does not divide d_i, column i is added into column i - 1,
+    and the next row step puts their gcd at (i - 1, i - 1), which lowers
+    the diagonal lexicographically.  An input already in Smith form comes
+    back with U and V the identities.
 
     >>> D, U, V = smith_normal_form(((2, 4), (6, 8)))
     >>> D
     ((2, 0), (0, 4))
     """
-    a = [list(row) for row in M]
+    a = tuple(map(tuple, M))
     nr, nc = len(a), len(a[0]) if a else 0
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
-
-    def row_swap(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def col_swap(i: int, j: int) -> None:
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def row_addmul(dst: int, src: int, q: int) -> None:
-        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-    def col_addmul(dst: int, src: int, q: int) -> None:
-        for row in a:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
-    def row_negate(i: int) -> None:
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    def find_pivot(t: int) -> tuple[int, int] | None:
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        return best
-
-    t = 0
-    while t < min(nr, nc):
-        pos = find_pivot(t)
-        if pos is None:
-            break
-        if pos != (t, t):
-            if pos[0] != t:
-                row_swap(t, pos[0])
-            if pos[1] != t:
-                col_swap(t, pos[1])
-        # clear below and to the right of the pivot, restarting after any
-        # remainder improves the pivot
-        while True:
-            pivot = a[t][t]
-            dirty = False
-            for i in range(t + 1, nr):
-                if a[i][t] != 0:
-                    q = a[i][t] // pivot
-                    row_addmul(i, t, -q)
-                    if a[i][t] != 0:
-                        row_swap(t, i)
-                        dirty = True
-                        break
-            if dirty:
+    u, v = _identity(nr), _identity(nc)
+    while True:
+        a, u = _hermite_pair(a, u, nc)
+        if not _is_diagonal(a):
+            at, vt = _hermite_pair(zip(*a), zip(*v), nr)
+            a, v = tuple(zip(*at)), tuple(zip(*vt))
+            if not _is_diagonal(a):
                 continue
-            for j in range(t + 1, nc):
-                if a[t][j] != 0:
-                    q = a[t][j] // pivot
-                    col_addmul(j, t, -q)
-                    if a[t][j] != 0:
-                        col_swap(t, j)
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            # pivot must divide the rest of the submatrix
-            pivot = a[t][t]
-            offender = None
-            for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if a[i][j] % pivot != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            row_addmul(t, offender, 1)
-        if a[t][t] < 0:
-            row_negate(t)
-        t += 1
-
-    return tuple(map(tuple, a)), tuple(map(tuple, u)), tuple(map(tuple, v))
+        d = [a[i][i] for i in range(min(nr, nc))]
+        i = next((i for i in range(1, len(d)) if d[i - 1] and d[i] % d[i - 1]), 0)
+        if not i:
+            return a, u, v
+        a, v = (tuple(r[:i - 1] + (r[i - 1] + r[i],) + r[i:] for r in x)
+                for x in (a, v))
 
 
 # ---------------------------------------------------------------------------
@@ -338,13 +281,7 @@ def smith_normal_form(M: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matri
 
 def _relation_columns(G: GroupPresentation) -> list[tuple[int, ...]]:
     """Columns spanning the kernel of Z^ncoords -> G (torsion relations)."""
-    cols = []
-    n = G.ncoords
-    for i, alpha in enumerate(G.torsion):
-        col = [0] * n
-        col[i] = alpha
-        cols.append(tuple(col))
-    return cols
+    return [tuple(a * x for x in e) for a, e in zip(G.torsion, _identity(G.ncoords))]
 
 
 def _preimage_matrix(G: GroupPresentation, gens: tuple[GroupElement, ...]) -> Matrix:
@@ -376,12 +313,10 @@ class _SubgroupForm:
         self.Q = GroupPresentation(
             len(self.free_pos), tuple(self.factors[i] for i in self.torsion_pos)
         )
-        # the rows of U that give Q's coordinates, in Q's order, with their
-        # factor (0 for a free coordinate)
-        self._rows = [
-            (self.U[i], self.factors[i])
-            for i in self.torsion_pos + self.free_pos
-        ]
+        # the positions of U x that are Q's coordinates, in Q's order, and
+        # the rows of U there with their factor (0 for a free coordinate)
+        self.order = self.torsion_pos + self.free_pos
+        self._rows = [(self.U[i], self.factors[i]) for i in self.order]
 
     def project_coords(self, coords: Sequence[int]) -> tuple[int, ...]:
         """Canonical coordinates in Q of the element with these coordinates.
@@ -415,7 +350,7 @@ class _SubgroupForm:
         if q.group != self.Q:
             raise ValueError("element outside the quotient group")
         y = [0] * self.G.ncoords
-        for pos, c in zip(self.torsion_pos + self.free_pos, q.coords):
+        for pos, c in zip(self.order, q.coords):
             y[pos] = c
         return self.G.element([sum(map(mul, row, y)) for row in self._u_inverse])
 
@@ -501,11 +436,10 @@ def _unimodular_inverse(U: Matrix) -> Matrix:
     n = len(U)
     if any(len(row) != n for row in U):
         raise ValueError("matrix is not square")
-    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    H = hermite_form(tuple(row) + e for row, e in zip(U, identity))
-    if tuple(row[:n] for row in H) != identity:
+    left, right = _hermite_pair(map(tuple, U), _identity(n), n)
+    if left != _identity(n):
         raise ValueError("matrix is not unimodular")
-    return tuple(row[n:] for row in H)
+    return right
 
 
 def quotient_maps(

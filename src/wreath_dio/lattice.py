@@ -2,7 +2,10 @@
 
 LLL reduction runs entirely over rationals with factor 3/4 (size-reduction
 |mu_ij| <= 1/2 plus the Lovasz condition), and Hermite normal form provides
-the canonical-form oracle for lattice equality.
+the canonical-form oracle for lattice equality.  hermite_form is the
+package's one exact elimination routine: abelian.smith_normal_form, the
+inverse of a unimodular matrix, the search's subgroup keys and the oracle's
+relation lattices are all computed through it.
 """
 
 from __future__ import annotations
@@ -78,17 +81,13 @@ def lll_reduce(
     if any(all(x == 0 for x in o) for o in ortho):
         raise ValueError("dependent input basis")
 
-    def refresh() -> None:
-        nonlocal ortho, mus
-        ortho, mus = _gram_schmidt(vecs)
-
     k = 1
     while k < n:
         for j in reversed(range(k)):
             if abs(mus[k][j]) > Fraction(1, 2):
                 q = round(mus[k][j])
                 vecs[k] = tuple(x - q * y for x, y in zip(vecs[k], vecs[j]))
-                refresh()
+                ortho, mus = _gram_schmidt(vecs)
         lovasz_rhs = _dot(ortho[k], ortho[k]) + mus[k][k - 1] ** 2 * _dot(
             ortho[k - 1], ortho[k - 1]
         )
@@ -96,7 +95,7 @@ def lll_reduce(
             k += 1
         else:
             vecs[k], vecs[k - 1] = vecs[k - 1], vecs[k]
-            refresh()
+            ortho, mus = _gram_schmidt(vecs)
             k = max(k - 1, 1)
     return vecs
 
@@ -106,45 +105,34 @@ def hermite_form(vectors: Iterable[Sequence[int]]) -> tuple[Vector, ...]:
 
     Canonical: two generating sets span the same lattice iff their forms are
     equal.  Pivots are positive, entries above a pivot are reduced into
-    [0, pivot), and zero rows are dropped.
+    [0, pivot), and zero rows are dropped.  Each column is one Euclid sweep:
+    the rows still nonzero in it are reduced by the smallest until one pivot
+    is left, and the rows above are reduced by that pivot at once.
     """
-    work = [list(int(x) for x in v) for v in vectors]
-    if not work:
-        return ()
-    ncols = len(work[0])
+    work = [list(map(int, v)) for v in vectors]
     out: list[list[int]] = []
-    for col in range(ncols):
-        # combine rows by gcd steps until one pivot remains in this column
-        while True:
-            nz = sorted(
-                (r for r in work if r[col] != 0), key=lambda r: abs(r[col])
-            )
-            if len(nz) <= 1:
-                break
-            a, b = nz[0], nz[1]
-            q = b[col] // a[col]
-            for i in range(ncols):
-                b[i] -= q * a[i]
-        pivot_row = next((r for r in work if r[col] != 0), None)
-        if pivot_row is not None:
-            work = [r for r in work if r is not pivot_row]
-            if pivot_row[col] < 0:
-                pivot_row[:] = [-x for x in pivot_row]
-            out.append(pivot_row)
-
-    # reduce entries above each pivot, ascending so later columns stay clean
-    pivots = [(next(i for i, x in enumerate(r) if x != 0), r) for r in out]
-    for idx in range(len(pivots)):
-        pcol, prow = pivots[idx]
-        for jdx in range(idx):
-            row = pivots[jdx][1]
-            q = row[pcol] // prow[pcol]
-            if q:
-                for i in range(len(row)):
-                    row[i] -= q * prow[i]
-    return tuple(tuple(r) for r in out)
+    for col in range(len(work[0]) if work else 0):
+        live = [r for r in work if r[col]]
+        while len(live) > 1:
+            p = min(live, key=lambda r: abs(r[col]))
+            for r in live:
+                if r is not p:
+                    q = r[col] // p[col]
+                    r[col:] = [x - q * y for x, y in zip(r[col:], p[col:])]
+            live = [r for r in live if r[col]]
+        if live:
+            p = live[0]
+            work = [r for r in work if r is not p]
+            if p[col] < 0:
+                p[col:] = [-x for x in p[col:]]
+            for r in out:
+                q = r[col] // p[col]
+                if q:
+                    r[col:] = [x - q * y for x, y in zip(r[col:], p[col:])]
+            out.append(p)
+    return tuple(map(tuple, out))
 
 
 def lattice_basis(vectors: Iterable[Sequence[int]]) -> list[Vector]:
     """An independent basis of the integer lattice spanned by the inputs."""
-    return [v for v in hermite_form(vectors)]
+    return list(hermite_form(vectors))

@@ -23,15 +23,17 @@ from .abelian import (
     GroupElement,
     GroupPresentation,
     Subgroup,
+    _identity,
     _relation_columns,
     _subgroup_form,
     coord_reducer,
     enumerate_ball,
     group_rank,
+    smith_normal_form,
     subgroup_rank,
 )
 from .group_ring import SupportedFunction, _coeff_sums
-from .lattice import lattice_basis
+from .lattice import hermite_form
 from .qsp import (
     Certificate,
     QspInstance,
@@ -123,7 +125,7 @@ def _total_sum_is_zero(I: QspInstance) -> bool:
 def _subgroup_key(S: Subgroup) -> tuple:
     """Canonical form of <gens>: Hermite basis of lifts plus relations."""
     rows = [g.coords for g in S.generators]
-    return tuple(lattice_basis(rows + _relation_columns(S.ambient)))
+    return hermite_form(rows + _relation_columns(S.ambient))
 
 
 _REACH_CAP = 4096
@@ -535,6 +537,19 @@ def _zero_sum_partitions(
                 yield diffs + tail
 
 
+def _generated_rank(B: GroupPresentation, gens: Sequence[GroupElement]) -> int:
+    """Minimum number of generators of <gens> <= B: k less the invariant
+    factors equal to 1 of the relations among the k gens, which are the
+    right blocks of the Hermite rows of [g_i | e_i] and [B's relations | 0]
+    whose left block is zero."""
+    n, k = B.ncoords, len(gens)
+    rows = [g.coords + e for g, e in zip(gens, _identity(k))]
+    rows += [r + (0,) * k for r in _relation_columns(B)]
+    relations = [r[n:] for r in hermite_form(rows) if not any(r[:n])]
+    D, _, _ = smith_normal_form(relations)
+    return k - sum(row[i] == 1 for i, row in enumerate(D))
+
+
 def oracle_solve(
     I: QspInstance, budget: SolverBudget = DEFAULT_BUDGET
 ) -> SolveResult:
@@ -544,11 +559,13 @@ def oracle_solve(
     radius 2 * sum size(f_i), built only when m >= 2; for each shifted sum c
     it tries every partition of supp(c) into zero-sum blocks, asking whether
     the subgroup N_pi generated by the differences p - (first point of its
-    block) has rank <= h.  The ball suffices: qsp.normalize_deltas gives a
-    witness with every |delta_i| <= sum size(f_i), and the joint translation
-    by -delta_1, which moves c and its N-cosets alike, keeps it a witness
-    with |delta_i - delta_1| <= 2 * sum size(f_i).  The subgroup half rests
-    on this lemma:
+    block) has rank <= h: at once when there are at most h differences,
+    else by _generated_rank, which reads the rank off a Smith form of their
+    relations, not off any cached subgroup form.  The ball suffices:
+    qsp.normalize_deltas gives a witness with every |delta_i| <= sum
+    size(f_i), and the joint translation by -delta_1, which moves c and its
+    N-cosets alike, keeps it a witness with |delta_i - delta_1| <= 2 * sum
+    size(f_i).  The subgroup half rests on this lemma:
     c vanishes modulo some N of rank <= h exactly when supp(c) splits into
     blocks whose coefficients each sum to zero and whose differences to
     their first points generate an N_pi of rank <= h.
@@ -577,9 +594,8 @@ def oracle_solve(
             meter.charge("delta_tuples")
             c = shifted_sum(I.fs, deltas)
             for gens in _zero_sum_partitions(c.terms, meter):
-                N = Subgroup(I.B, gens)
-                if subgroup_rank(N) <= I.h:
-                    return _positive(I, "oracle", meter, deltas, N)
+                if len(gens) <= I.h or _generated_rank(I.B, gens) <= I.h:
+                    return _positive(I, "oracle", meter, deltas, Subgroup(I.B, gens))
         return _negative("oracle", meter)
     except BudgetExceeded as exc:
         return _unknown("oracle", meter, exc)

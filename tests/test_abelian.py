@@ -179,6 +179,34 @@ def test_quotients_with_empty_preimage_matrices():
         assert subgroup_contains(Subgroup(T, gens), T.zero())
 
 
+def test_smith_normal_form_fixes_smith_inputs_and_edge_shapes():
+    # a matrix already in Smith form comes back with identity transforms:
+    # the trivial subgroup's preimage matrix (B's relation columns padded
+    # with zero rows) keeps B's coordinates in B/{0}
+    smith_inputs = [
+        abelian._preimage_matrix(G, ())
+        for G in (GroupPresentation(2, (2, 4)), GroupPresentation(1, (3,)), ZxZ)
+    ] + [((1, 0, 0), (0, 6, 0)), ((2, 0), (0, 0), (0, 0))]
+    for M in smith_inputs:
+        assert smith_normal_form(M) == (M, _identity(len(M)), _identity(len(M[0])))
+    # n x 0, all zero, 1 x 1 negative
+    assert smith_normal_form(((),) * 4) == (((),) * 4, _identity(4), ())
+    zero = ((0, 0, 0),) * 2
+    assert smith_normal_form(zero) == (zero, _identity(2), _identity(3))
+    assert smith_normal_form(((-5,),)) == (((5,),), ((-1,),), ((1,),))
+    rng = random.Random(20261019)
+    for _ in range(6):
+        M = _random_matrix(rng, 7, 7, -10**30, 10**30)
+        D, U, V = smith_normal_form(M)
+        assert _matmul(_matmul(U, M), V) == D
+        assert _is_unimodular(U) and _is_unimodular(V)
+        assert all(D[i][j] == 0 for i in range(7) for j in range(7) if i != j)
+        diag = [D[i][i] for i in range(7)]
+        assert all(d >= 0 for d in diag)
+        for a, b in zip(diag, diag[1:]):
+            assert (b % a == 0) if a else b == 0
+
+
 def test_unimodular_inverse_of_smith_transforms():
     rng = random.Random(20261018)
     for _ in range(200):

@@ -184,6 +184,7 @@ ORACLE_FORBIDDEN = {
     "_subgroup_form",
     "project_coords",
     "_anchored_search",
+    "subgroup_rank",
 }
 
 

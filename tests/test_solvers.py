@@ -19,12 +19,14 @@ from wreath_dio.abelian import (
     Subgroup,
     group_rank,
     subgroup_contains,
+    subgroup_rank,
 )
 from wreath_dio.group_ring import SupportedFunction, pushforward, shift
 from wreath_dio.hardness import ThreePartInstance, gen_3part_h0, gen_3part_midh
 from wreath_dio.qsp import Certificate, QspInstance, make_certificate, verify_certificate
 from wreath_dio.solvers import (
     _Meter,
+    _generated_rank,
     _subgroup_key,
     _zero_sum_partitions,
     DEFAULT_BUDGET,
@@ -512,6 +514,25 @@ def test_oracle_charges_each_candidate_block():
     assert result.counters == {"delta_tuples": 1, "subgroup_tuples": 1001}
 
 
+def test_generated_rank_matches_subgroup_rank():
+    # the oracle's rank, from the relations among the generators, against
+    # the one the search reads off the subgroup's cached Smith form
+    rng = random.Random(1808)
+    bases = (ZxZ, GroupPresentation(1, (2,)), GroupPresentation(1, (4,)),
+             GroupPresentation(0, (2, 4)))
+    ranks = set()
+    for trial in range(300):
+        B = bases[trial % 4]
+        gens = tuple(
+            B.element([rng.randint(-3, 3) for _ in range(B.ncoords)])
+            for _ in range(rng.randint(0, 4))
+        )
+        rank = _generated_rank(B, gens)
+        assert rank == subgroup_rank(Subgroup(B, gens)), (B, gens)
+        ranks.add(rank)
+    assert ranks == {0, 1, 2}
+
+
 # ---------------------------------------------------------------------------
 # the anchored search on coordinate tuples
 
@@ -753,7 +774,8 @@ def test_growth_pass_agrees_with_cyclic_reference():
 # the growth pass on the mid-h 3-PARTITION reduction, pinned: decision,
 # counters and certificate.  The isolator prune cuts both counters below
 # the bounds, which were the counters before it; (2, 2, 3) at rank 3 ended
-# unknown-budget then, at 100 001 subgroup tuples.
+# unknown-budget then, at 100 001 subgroup tuples.  The counters also hang on
+# the coordinates the Smith form picks for each B/N, which order the search.
 
 MIDH_BUDGET = SolverBudget(
     max_delta_tuples=DEFAULT_BUDGET.max_delta_tuples,
@@ -785,9 +807,9 @@ _MIDH_PAIRWISE_GENS = {
          ((0, 0), (0, -2), (0, -4), (-2, 0)), _MIDH_R2_GENS),
         ((3, 3, 4), 2, (8907, 8003), (12972, 78097),
          ((0, 0), (0, -3), (0, -6), (-2, 0)), _MIDH_R2_GENS),
-        ((1, 1, 1), 3, (808, 736), (1147, 2229),
+        ((1, 1, 1), 3, (779, 707), (1147, 2229),
          ((0, 0, 0), (0, 0, -1), (0, 0, -2), (-2, 0, 0)), _MIDH_R3_GENS),
-        ((2, 2, 3), 3, (41595, 40007), None,
+        ((2, 2, 3), 3, (37104, 35769), None,
          ((0, 0, 0), (0, 0, -2), (0, 0, -4), (-2, 0, 0)), _MIDH_R3_GENS),
     ],
 )
