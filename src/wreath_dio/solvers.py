@@ -158,7 +158,6 @@ class _Level:
         self.gens = gens
         self.project = form.project_coords
         self.red_q = coord_reducer(form.Q)
-        self.zero = (0,) * form.Q.ncoords
         self.A = fs[0].coeff_group
         self.red_a = coord_reducer(self.A)
         self.tested = B.free_rank - form.Q.free_rank == h
@@ -250,13 +249,14 @@ def _anchored_search(
     """Shifts and a subgroup N of rank <= h that make the sum vanish in
     A^(B/N), as (deltas, N), or None.  With h = 0, N stays trivial.
 
-    The search starts at N = 0 and anchors the first nonzero function at
-    shift 0 (the total sum is translation-invariant).  At each node it takes
-    the least point p of the partial sum in B/N that is not yet cancelled
+    The search starts at N = 0.  At each node it takes p, the least point
+    of the partial sum in B/N that is not yet cancelled, or, when the
+    partial sum is empty, the first lamp of the first unplaced function,
     and branches:
 
     - placement: an unplaced function is shifted so that one of its lamps
-      lands on p;
+      lands on p; with an empty partial sum only the first unplaced
+      function on its own first lamp, which is shift 0 (the anchor);
     - growth (h >= 1): N becomes N' = N + <p~ - q~> for another point q of
       the partial sum, where p~ and q~ are B-points of the two cosets.  An
       N' of rank above h, or one already tried at the node, is skipped;
@@ -277,6 +277,10 @@ def _anchored_search(
     changes, so anchoring the next one at 0 keeps the agreement.  The
     search ends because placements shrink the unplaced set and growth
     branches shrink the support of the partial sum.
+
+    The search is depth-first on an explicit stack of child generators,
+    one per node that survived the prune and the memo, so memory bounds
+    its depth, not Python's recursion limit.
 
     Failed (N, remaining functions, translated partial sum) states are
     memoized: levels are keyed by _subgroup_key, and each keeps its own
@@ -325,7 +329,6 @@ def _anchored_search(
     root = _Level(fs, B, (), h)
     levels: dict[tuple, Optional[_Level]] = {}
     assignment: dict[int, tuple[int, ...]] = {}
-    zero_b = (0,) * B.ncoords
 
     def place(lvl: _Level, sum_d: dict, terms: tuple, delta, shift_b) -> list:
         """Add the function with these terms, shifted by delta (shift_b in
@@ -384,68 +387,60 @@ def _anchored_search(
         seen.add(key)
         return levels[key]
 
-    def dfs(lvl: _Level, unplaced: tuple[int, ...], sum_d: dict) -> Optional[_Level]:
-        meter.charge("delta_tuples")
-        ids = tuple(sorted(map(lvl.vids.__getitem__, unplaced)))
-        # a function of the memo key, so a pruned state needs no entry
-        if sum_d and lvl.tested and not lvl.cancellable(ids, sum_d):
-            return None
-        key = state_key(lvl, ids, sum_d)
-        if key in lvl.memo:
-            return None
-        if not sum_d:
-            if not unplaced:
-                return lvl
-            i0 = unplaced[0]
-            # anchor: sums are translation-invariant
-            undo = place(lvl, sum_d, lvl.gs[i0], lvl.zero, zero_b)
-            assignment[i0] = zero_b
-            found = dfs(lvl, unplaced[1:], sum_d)
-            if found:
-                return found
-            del assignment[i0]
-            unplace(sum_d, undo)
-            lvl.memo.add(key)
-            return None
+    def children(lvl: _Level, unplaced: tuple[int, ...], sum_d: dict, key: tuple):
+        """The children of a node that passed the prune and the memo, in
+        visit order; a placement stays in sum_d and assignment while its
+        child is out.  After the last child, key goes into the memo."""
         red_q, reps = lvl.red_q, lvl.reps
-        p = min(sum_d)
+        # anchor: sums are translation-invariant, so with nothing placed the
+        # first function goes with its first lamp on its own point, shift 0
+        anchor = not sum_d
+        p = lvl.gs[unplaced[0]][0][0] if anchor else min(sum_d)
         tried = set()
-        for pos, i in enumerate(unplaced):
+        for pos, i in enumerate(unplaced[:1] if anchor else unplaced):
             vid = lvl.vids[i]
             if vid in tried:
                 continue
             tried.add(vid)
             rest = unplaced[:pos] + unplaced[pos + 1 :]
-            for point, _coeff in lvl.gs[i]:
+            for point, _coeff in lvl.gs[i][:1] if anchor else lvl.gs[i]:
                 delta = red_q(map(sub, point, p))
                 shift_b = red_b(map(sub, reps[point], reps[p]))
                 undo = place(lvl, sum_d, lvl.gs[i], delta, shift_b)
                 assignment[i] = shift_b
-                found = dfs(lvl, rest, sum_d)
-                if found:
-                    return found
+                yield lvl, rest, sum_d
                 del assignment[i]
                 unplace(sum_d, undo)
         if h > 0:
             seen: set = set()
             for q in sorted(sum_d)[1:]:
                 nxt = grow(lvl, p, q, seen)
-                if nxt is None:
-                    continue
-                pushed = nxt.push((reps[x], c) for x, c in sum_d.items())
-                found = dfs(nxt, tuple(i for i in unplaced if i in nxt.gs), pushed)
-                if found:
-                    return found
+                if nxt is not None:
+                    pushed = nxt.push((reps[x], c) for x, c in sum_d.items())
+                    yield nxt, tuple(i for i in unplaced if i in nxt.gs), pushed
         lvl.memo.add(key)
-        return None
 
-    found = dfs(root, tuple(root.gs), {})
-    if found is None:
-        return None
-    deltas = [B.zero()] * len(fs)
-    for i, shift_b in assignment.items():
-        deltas[i] = B.element(shift_b)
-    return tuple(deltas), Subgroup(B, found.gens)
+    # the top generator yields the next node; break descends into its children
+    stack = [iter([(root, tuple(root.gs), {})])]
+    while stack:
+        for lvl, unplaced, sum_d in stack[-1]:
+            meter.charge("delta_tuples")
+            ids = tuple(sorted(map(lvl.vids.__getitem__, unplaced)))
+            # a function of the memo key, so a pruned state needs no entry
+            if sum_d and lvl.tested and not lvl.cancellable(ids, sum_d):
+                continue
+            key = state_key(lvl, ids, sum_d)
+            if key in lvl.memo:
+                continue
+            if not sum_d and not unplaced:
+                zero = B.zero().coords
+                shifts = (assignment.get(i, zero) for i in range(len(fs)))
+                return tuple(map(B.element, shifts)), Subgroup(B, lvl.gens)
+            stack.append(children(lvl, unplaced, sum_d, key))
+            break
+        else:
+            stack.pop()
+    return None
 
 
 def solve_general(
@@ -590,11 +585,14 @@ def oracle_solve(
         # with free >= 1, a ball past the tuple cap means more tuples than it
         cap = meter.budget.max_delta_tuples
         ball = list(enumerate_ball(I.B, radius, cap=cap)) if free else []
+        ranks: dict[tuple, int] = {}  # the same tuples recur across shifts
         for deltas in itertools.product([I.B.zero()], *[ball] * free):
             meter.charge("delta_tuples")
             c = shifted_sum(I.fs, deltas)
             for gens in _zero_sum_partitions(c.terms, meter):
-                if len(gens) <= I.h or _generated_rank(I.B, gens) <= I.h:
+                if len(gens) > I.h and gens not in ranks:
+                    ranks[gens] = _generated_rank(I.B, gens)
+                if len(gens) <= I.h or ranks[gens] <= I.h:
                     return _positive(I, "oracle", meter, deltas, Subgroup(I.B, gens))
         return _negative("oracle", meter)
     except BudgetExceeded as exc:

@@ -272,19 +272,17 @@ def gen_solvable(
     consts = [
         _random_element(rng, A, ball, max_length, max_support) for _ in range(m - 1)
     ]
+    asn = EquationAssignment(tuple(xs), tuple(ys), tuple(zs))
     if m:
-        prefix = wreath_identity(A, B)
-        for x, y in zip(xs, ys):
-            prefix = wreath_multiply(prefix, commutator(x, y))
-        for z, c in zip(zs, consts):
-            prefix = wreath_multiply(prefix, conjugate(c, z))
+        # z_m^-1 1 z_m = 1, so closed by the identity the product is the prefix
+        closed = OrientableEquation(A, B, genus, (*consts, wreath_identity(A, B)))
+        prefix = evaluate(closed, asn)
         z_m = zs[-1]
         c_m = wreath_multiply(
             wreath_multiply(z_m, wreath_inverse(prefix)), wreath_inverse(z_m)
         )
         consts.append(c_m)
     eq = OrientableEquation(A, B, genus, tuple(consts))
-    asn = EquationAssignment(tuple(xs), tuple(ys), tuple(zs))
     if not evaluate(eq, asn).is_identity():
         raise AssertionError("generated assignment does not solve the equation")
     return eq, asn

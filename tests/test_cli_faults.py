@@ -67,9 +67,16 @@ def _solve_under_shallow_stack(tmp_path, pairs):
         sys.setrecursionlimit(limit)
 
 
-def test_recursion_fault_exits_internal(tmp_path, capsys):
-    # the search recurses once per node, so 200 functions pass the limit
-    assert _solve_under_shallow_stack(tmp_path, 100) == EXIT_INTERNAL
+def test_recursion_fault_exits_internal(tmp_path, capsys, monkeypatch):
+    # the search keeps its own stack, so 200 functions fit under the limit
+    assert _solve_under_shallow_stack(tmp_path, 100) == EXIT_POSITIVE
+    capsys.readouterr()
+
+    def unbounded(instance, budget):
+        return unbounded(instance, budget)
+
+    monkeypatch.setattr(wreath_dio.cli, "dispatch", unbounded)
+    assert _solve_under_shallow_stack(tmp_path, 1) == EXIT_INTERNAL
     err = capsys.readouterr().err
     assert err.startswith("error: internal: RecursionError: ")
     assert err.count("\n") == 1 and "Traceback" not in err
