@@ -80,13 +80,16 @@ class _Meter:
     def __init__(self, budget: SolverBudget) -> None:
         self.budget = budget
         self.start = time.monotonic()
-        self.counters = {"delta_tuples": 0, "subgroup_tuples": 0}
+        self.caps = {
+            "delta_tuples": budget.max_delta_tuples,
+            "subgroup_tuples": budget.max_subgroup_tuples,
+        }
+        self.counters = dict.fromkeys(self.caps, 0)
 
     def charge(self, key: str, n: int = 1) -> None:
         self.counters[key] += n
-        limit = getattr(self.budget, "max_" + key)
-        if self.counters[key] > limit:
-            raise BudgetExceeded(f"{key} exceeded {limit}")
+        if self.counters[key] > self.caps[key]:
+            raise BudgetExceeded(f"{key} exceeded {self.caps[key]}")
         if time.monotonic() - self.start > self.budget.max_seconds:
             raise BudgetExceeded(f"time exceeded {self.budget.max_seconds}s")
 
@@ -157,6 +160,7 @@ class _Level:
         form = _subgroup_form(B, gens)
         self.gens = gens
         self.project = form.project_coords
+        self.red_b = coord_reducer(B)
         self.red_q = coord_reducer(form.Q)
         self.A = fs[0].coeff_group
         self.red_a = coord_reducer(self.A)
@@ -193,16 +197,71 @@ class _Level:
         self.reps.setdefault(q, b)
         return q
 
+    def place(
+        self,
+        sum_d: dict,
+        terms: tuple,
+        delta: tuple,
+        shift_b: tuple,
+        reach: Optional[frozenset] = None,
+    ) -> Optional[list]:
+        """Add the function with these terms, shifted by delta (shift_b in
+        B), into sum_d; return an undo log.  Given a reach set, stop at the
+        first new nonzero coefficient outside it instead: undo, and return
+        None.  Either way each entry it adds to reps is one a full placement
+        adds, and at N != 0 it adds them all."""
+        red_q, red_a, red_b, reps = self.red_q, self.red_a, self.red_b, self.reps
+        undo = []
+        for point, coeff in terms:
+            p = red_q(map(sub, point, delta))
+            old = sum_d.get(p)
+            if old is None:
+                new = coeff
+                if p not in reps:
+                    reps[p] = red_b(map(sub, reps[point], shift_b))
+            else:
+                new = red_a(map(add, old, coeff))
+                if not any(new):
+                    undo.append((p, old))
+                    del sum_d[p]
+                    continue
+            if reach is not None and new not in reach:
+                self.unplace(sum_d, undo)
+                if self.gens:
+                    # a point of B/N is a coset, and reps keeps its first
+                    # B-point, which shows in the certificate; at N = 0 a
+                    # point has one B-point, whichever placement sets it
+                    for point, _coeff in terms:
+                        p = red_q(map(sub, point, delta))
+                        if p not in reps:
+                            reps[p] = red_b(map(sub, reps[point], shift_b))
+                return None
+            undo.append((p, old))
+            sum_d[p] = new
+        return undo
+
+    @staticmethod
+    def unplace(sum_d: dict, undo: list) -> None:
+        for p, old in reversed(undo):
+            if old is None:
+                sum_d.pop(p, None)
+            else:
+                sum_d[p] = old
+
+    def reach(self, ids: tuple[int, ...]) -> Optional[frozenset]:
+        """_reachable(ids), built once per ids."""
+        reach_cache = self._reach
+        if ids in reach_cache:
+            return reach_cache[ids]
+        reach = reach_cache[ids] = self._reachable(ids)
+        return reach
+
     def cancellable(self, ids: tuple[int, ...], sum_d: dict) -> bool:
         """Whether every coefficient of sum_d, pushed past the first drop
         coordinates, is a sum of at most one negated lamp value of each
         function in ids, pushed the same way.  True when that set of sums
         is too big to build."""
-        reach_cache = self._reach
-        if ids in reach_cache:
-            reach = reach_cache[ids]
-        else:
-            reach = reach_cache[ids] = self._reachable(ids)
+        reach = self.reach(ids)
         if reach is None:
             return True
         drop = self.drop
@@ -309,14 +368,24 @@ def _anchored_search(
     wrong once h >= 1: growth merges points of B/N, but never points of
     B/I(N), since N* stays inside I(N).)
 
-    The prune runs before the memo, and a pruned node builds no key and
-    leaves no memo entry: the prune reads only the multiset of the
-    remaining functions' value ids and the coefficients of the partial sum
-    pushed into B/I, and the memo key fixes both.  Value ids number the
-    functions up to equality in B/N, and functions equal in B/N push to
-    equal functions in B/I; a translate of the partial sum in B/N pushes
-    to a translate in B/I, with the same coefficients.  So a revisit of the
-    state, or of a translate of it, is pruned again.
+    The prune runs on each child as it is made, before the memo: a pruned
+    child is charged like any node, but it is never yielded, builds no key
+    and leaves no memo entry.  That is sound because the prune reads only
+    the multiset of the remaining functions' value ids and the coefficients
+    of the partial sum pushed into B/I, and the memo key fixes both.  Value
+    ids number the functions up to equality in B/N, and functions equal in
+    B/N push to equal functions in B/I; a translate of the partial sum in
+    B/N pushes to a translate in B/I, with the same coefficients.  So a
+    revisit of the state, or of a translate of it, is pruned again.
+
+    When B/I is B/N itself (h = 0, or Q torsion-free) and a placement
+    leaves a point of the partial sum untouched, because the function has
+    fewer lamps than the partial sum has points, the child cannot vanish.
+    Its reach set is then fetched before placing, and the placement stops
+    at its first new coefficient outside that set: the full prune would
+    reject that coefficient too, so the verdict is the same, and the
+    pruned child's remaining lamps are never added.  A child that passes
+    still gets the full prune, for the points the placement did not touch.
 
     The search runs on canonical coordinate tuples: points of B/N and
     coefficients of A, kept canonical by each group's coord_reducer.  Tuples
@@ -324,39 +393,9 @@ def _anchored_search(
     order.  Shifts and generators are differences of B-points, so no point
     of B/N is ever lifted back to B.
     """
-    red_a = coord_reducer(fs[0].coeff_group)
-    red_b = coord_reducer(B)
     root = _Level(fs, B, (), h)
     levels: dict[tuple, Optional[_Level]] = {}
     assignment: dict[int, tuple[int, ...]] = {}
-
-    def place(lvl: _Level, sum_d: dict, terms: tuple, delta, shift_b) -> list:
-        """Add the function with these terms, shifted by delta (shift_b in
-        B), into sum_d; return an undo log."""
-        red_q, reps = lvl.red_q, lvl.reps
-        undo = []
-        for point, coeff in terms:
-            p = red_q(map(sub, point, delta))
-            old = sum_d.get(p)
-            undo.append((p, old))
-            if old is None:
-                sum_d[p] = coeff
-                if p not in reps:
-                    reps[p] = red_b(map(sub, reps[point], shift_b))
-                continue
-            new = red_a(map(add, old, coeff))
-            if any(new):
-                sum_d[p] = new
-            else:
-                del sum_d[p]
-        return undo
-
-    def unplace(sum_d: dict, undo: list) -> None:
-        for p, old in reversed(undo):
-            if old is None:
-                sum_d.pop(p, None)
-            else:
-                sum_d[p] = old
 
     def state_key(lvl: _Level, ids: tuple[int, ...], sum_d: dict) -> tuple:
         if not sum_d:
@@ -387,15 +426,22 @@ def _anchored_search(
         seen.add(key)
         return levels[key]
 
-    def children(lvl: _Level, unplaced: tuple[int, ...], sum_d: dict, key: tuple):
+    def children(lvl: _Level, unplaced: tuple, ids: tuple, sum_d: dict, key: tuple):
         """The children of a node that passed the prune and the memo, in
-        visit order; a placement stays in sum_d and assignment while its
+        visit order, as (level, unplaced, sorted value ids, partial sum);
+        ids are the node's own, sorted.  A child that fails the
+        reachability prune is charged and never yielded, and a placement
+        that can test it in place stops at its first unreachable
+        coefficient.  A placement stays in sum_d and assignment while its
         child is out.  After the last child, key goes into the memo."""
-        red_q, reps = lvl.red_q, lvl.reps
+        red_q, red_b, reps = lvl.red_q, lvl.red_b, lvl.reps
         # anchor: sums are translation-invariant, so with nothing placed the
         # first function goes with its first lamp on its own point, shift 0
         anchor = not sum_d
         p = lvl.gs[unplaced[0]][0][0] if anchor else min(sum_d)
+        # the prune compares coefficients in B/N itself, so it can run while
+        # placing a function whose child keeps a point of sum_d
+        in_place = lvl.tested and not lvl.drop
         tried = set()
         for pos, i in enumerate(unplaced[:1] if anchor else unplaced):
             vid = lvl.vids[i]
@@ -403,32 +449,47 @@ def _anchored_search(
                 continue
             tried.add(vid)
             rest = unplaced[:pos] + unplaced[pos + 1 :]
-            for point, _coeff in lvl.gs[i][:1] if anchor else lvl.gs[i]:
+            k = ids.index(vid)
+            rest_ids = ids[:k] + ids[k + 1 :]
+            terms = lvl.gs[i]
+            reach = None
+            if in_place and len(terms) < len(sum_d):
+                reach = lvl.reach(rest_ids)
+            for point, _coeff in terms[:1] if anchor else terms:
                 delta = red_q(map(sub, point, p))
                 shift_b = red_b(map(sub, reps[point], reps[p]))
-                undo = place(lvl, sum_d, lvl.gs[i], delta, shift_b)
-                assignment[i] = shift_b
-                yield lvl, rest, sum_d
-                del assignment[i]
-                unplace(sum_d, undo)
+                undo = lvl.place(sum_d, terms, delta, shift_b, reach)
+                if undo is None:
+                    meter.charge("delta_tuples")
+                    continue
+                if sum_d and lvl.tested and not lvl.cancellable(rest_ids, sum_d):
+                    meter.charge("delta_tuples")
+                else:
+                    assignment[i] = shift_b
+                    yield lvl, rest, rest_ids, sum_d
+                    del assignment[i]
+                lvl.unplace(sum_d, undo)
         if h > 0:
             seen: set = set()
             for q in sorted(sum_d)[1:]:
                 nxt = grow(lvl, p, q, seen)
-                if nxt is not None:
-                    pushed = nxt.push((reps[x], c) for x, c in sum_d.items())
-                    yield nxt, tuple(i for i in unplaced if i in nxt.gs), pushed
+                if nxt is None:
+                    continue
+                pushed = nxt.push((reps[x], c) for x, c in sum_d.items())
+                kept = tuple(i for i in unplaced if i in nxt.gs)
+                kept_ids = tuple(sorted(map(nxt.vids.__getitem__, kept)))
+                if pushed and nxt.tested and not nxt.cancellable(kept_ids, pushed):
+                    meter.charge("delta_tuples")
+                    continue
+                yield nxt, kept, kept_ids, pushed
         lvl.memo.add(key)
 
     # the top generator yields the next node; break descends into its children
-    stack = [iter([(root, tuple(root.gs), {})])]
+    ids = tuple(sorted(root.vids.values()))
+    stack = [iter([(root, tuple(root.gs), ids, {})])]
     while stack:
-        for lvl, unplaced, sum_d in stack[-1]:
+        for lvl, unplaced, ids, sum_d in stack[-1]:
             meter.charge("delta_tuples")
-            ids = tuple(sorted(map(lvl.vids.__getitem__, unplaced)))
-            # a function of the memo key, so a pruned state needs no entry
-            if sum_d and lvl.tested and not lvl.cancellable(ids, sum_d):
-                continue
             key = state_key(lvl, ids, sum_d)
             if key in lvl.memo:
                 continue
@@ -436,7 +497,7 @@ def _anchored_search(
                 zero = B.zero().coords
                 shifts = (assignment.get(i, zero) for i in range(len(fs)))
                 return tuple(map(B.element, shifts)), Subgroup(B, lvl.gens)
-            stack.append(children(lvl, unplaced, sum_d, key))
+            stack.append(children(lvl, unplaced, ids, sum_d, key))
             break
         else:
             stack.pop()

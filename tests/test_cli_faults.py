@@ -12,6 +12,7 @@ from wreath_dio.cli import EXIT_INTERNAL, EXIT_POSITIVE, main
 from wreath_dio.codec import canonical_json, encode_equation, encode_instance
 from wreath_dio.group_ring import SupportedFunction
 from wreath_dio.qsp import QspInstance
+from wreath_dio.solvers import _Level, dispatch
 from wreath_dio.wreath import gen_solvable
 
 Z = GroupPresentation(1)
@@ -80,6 +81,21 @@ def test_recursion_fault_exits_internal(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: internal: RecursionError: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_pairs_build_no_reach_set_for_a_child_that_vanishes(monkeypatch):
+    # each placement of a pair's second atom cancels the partial sum, so
+    # only the child that keeps a point needs a reach set: one per pair
+    builds = []
+    reachable = _Level._reachable
+
+    def spy(level, ids):
+        builds.append(ids)
+        return reachable(level, ids)
+
+    monkeypatch.setattr(_Level, "_reachable", spy)
+    assert dispatch(_pairs_instance(100)).decision == "positive"
+    assert len(builds) <= 100
 
 
 def test_shallow_search_under_the_same_limit_decides(tmp_path, capsys):

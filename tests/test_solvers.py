@@ -3,6 +3,7 @@ routing, and cross-oracle agreement."""
 
 import itertools
 import math
+import operator
 import pathlib
 import random
 import subprocess
@@ -14,9 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wreath_dio
+from wreath_dio import solvers
 from wreath_dio.abelian import (
     GroupPresentation,
     Subgroup,
+    coord_reducer,
     group_rank,
     subgroup_contains,
     subgroup_rank,
@@ -942,3 +945,108 @@ def test_oracle_repeats_counters_and_budget_outcome():
         result = oracle_solve(I, tight)
         assert result.decision == "unknown-budget"
         assert result.reason.startswith("subgroup_tuples exceeded")
+
+
+# ---------------------------------------------------------------------------
+# _Level.place with a reach set, which stops at the first unreachable
+# coefficient, against a full placement followed by _Level.cancellable
+
+
+def _full_place(lvl, red_b, sum_d, terms, delta, shift_b):
+    """Add every lamp, shifted by delta, into sum_d; return an undo log."""
+    undo = []
+    for point, coeff in terms:
+        p = lvl.red_q(map(operator.sub, point, delta))
+        old = sum_d.get(p)
+        undo.append((p, old))
+        if old is None:
+            sum_d[p] = coeff
+            lvl.reps.setdefault(p, red_b(map(operator.sub, lvl.reps[point], shift_b)))
+            continue
+        new = lvl.red_a(map(operator.add, old, coeff))
+        if any(new):
+            sum_d[p] = new
+        else:
+            del sum_d[p]
+    return undo
+
+
+def test_place_with_reach_matches_full_placement_then_prune(monkeypatch):
+    rng = random.Random(20)
+    Z3 = GroupPresentation(0, (3,))
+    bases = (Z, Z2, GroupPresentation(1, (2,)), ZxZ)
+    cases = ("stopped", "stopped-at-N-nonzero", "vanished", "no-reach", "kept")
+    seen = dict.fromkeys(cases, 0)
+    for _ in range(300):
+        B = rng.choice(bases)
+        A = rng.choice((Z, Z3))
+        red_b = coord_reducer(B)
+
+        def lamps(count):
+            return tuple(
+                (_small(rng, B, 2), A.element((rng.choice((-2, -1, 1, 2)),)))
+                for _ in range(count)
+            )
+
+        fs = tuple(
+            SupportedFunction(A, B, lamps(rng.randint(1, 3)))
+            for _ in range(rng.randint(2, 4))
+        )
+        gens = ()
+        if rng.random() < 0.5:
+            gens = (_small(rng, B, 2),)
+            if not any(gens[0].coords):
+                gens = ()
+        # h = 0 keeps drop = 0: the prune compares coefficients in B/N itself
+        new, ref = (solvers._Level(fs, B, gens, 0) for _ in range(2))
+        if not new.gs:
+            continue
+        cap = rng.choice((solvers._REACH_CAP, 2))
+        monkeypatch.setattr(solvers, "_REACH_CAP", cap)
+        vids = sorted(set(new.vids.values()))
+        for _ in range(4):
+            # a partial sum that function j, shifted by s, cancels, plus up
+            # to two more lamps; half the time j is placed, shifted by s
+            j = rng.randrange(len(fs))
+            s = _small(rng, B, 2)
+            pairs = [((b + s).coords, (-c).coords) for b, c in fs[j].terms]
+            pairs += [(b.coords, c.coords) for b, c in lamps(rng.randint(0, 2))]
+            sum_new, sum_ref = new.push(pairs), ref.push(pairs)
+            if not sum_new:
+                continue
+            if j in new.gs and rng.random() < 0.5:
+                i, b = j, fs[j].terms[0][0]
+                point, p = new.coset(b.coords), new.coset((b + s).coords)
+                ref.coset(b.coords), ref.coset((b + s).coords)
+            else:
+                i = rng.choice(sorted(new.gs))
+                point = rng.choice(new.gs[i])[0]
+                p = rng.choice(sorted(sum_new))
+            terms = new.gs[i]
+            delta = new.red_q(map(operator.sub, point, p))
+            shift_b = red_b(map(operator.sub, new.reps[point], new.reps[p]))
+            ids = tuple(sorted(rng.choice(vids) for _ in range(rng.randint(0, 3))))
+
+            reach = new.reach(ids)
+            undo = new.place(sum_new, terms, delta, shift_b, reach)
+            kept = undo is not None and (not sum_new or new.cancellable(ids, sum_new))
+            undo_ref = _full_place(ref, red_b, sum_ref, terms, delta, shift_b)
+            expected = not sum_ref or ref.cancellable(ids, sum_ref)
+            assert kept == expected
+            seen["vanished"] += not sum_ref
+            if undo is not None:
+                assert sum_new == sum_ref
+                new.unplace(sum_new, undo)
+            ref.unplace(sum_ref, undo_ref)
+            assert sum_new == sum_ref
+            if gens:
+                assert new.reps == ref.reps
+            else:
+                # at N = 0 each point has one B-point, whichever sets it
+                assert new.reps.items() <= ref.reps.items()
+
+            seen["stopped"] += undo is None
+            seen["stopped-at-N-nonzero"] += undo is None and bool(gens)
+            seen["no-reach"] += reach is None and bool(ids)
+            seen["kept"] += kept
+    assert min(seen.values()) > 0, seen
