@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from operator import add as _add, sub
+from operator import add as _add, neg, sub
 from typing import Iterable, Sequence
 
 from .abelian import (
@@ -114,17 +114,21 @@ class SupportedFunction:
 
     # -- abelian-group structure --------------------------------------------
 
+    # both operands are canonical, so the results skip the constructor
+
     def __add__(self, other: "SupportedFunction") -> "SupportedFunction":
         self._check_compatible(other)
-        return SupportedFunction(
-            self.coeff_group, self.base_group, self.terms + other.terms
-        )
+        pairs = ((p.coords, a.coords) for p, a in self.terms + other.terms)
+        sums = _coeff_sums(self.coeff_group, pairs)
+        return _from_sums(self.coeff_group, self.base_group, sums)
 
     def __neg__(self) -> "SupportedFunction":
-        return SupportedFunction(
-            self.coeff_group,
+        A = self.coeff_group
+        red_a = coord_reducer(A)
+        return _function(
+            A,
             self.base_group,
-            tuple((p, -a) for p, a in self.terms),
+            tuple((p, _element(A, red_a(map(neg, a.coords)))) for p, a in self.terms),
         )
 
     def __sub__(self, other: "SupportedFunction") -> "SupportedFunction":

@@ -87,9 +87,14 @@ class _Meter:
         self.counters = dict.fromkeys(self.caps, 0)
 
     def charge(self, key: str, n: int = 1) -> None:
-        self.counters[key] += n
-        if self.counters[key] > self.caps[key]:
-            raise BudgetExceeded(f"{key} exceeded {self.caps[key]}")
+        """Count n units of key.  n at once trips the cap where n single
+        charges would: the counter then reads cap + 1."""
+        count = self.counters[key] + n
+        cap = self.caps[key]
+        if count > cap:
+            self.counters[key] = cap + 1
+            raise BudgetExceeded(f"{key} exceeded {cap}")
+        self.counters[key] = count
         if time.monotonic() - self.start > self.budget.max_seconds:
             raise BudgetExceeded(f"time exceeded {self.budget.max_seconds}s")
 
@@ -387,6 +392,21 @@ def _anchored_search(
     pruned child's remaining lamps are never added.  A child that passes
     still gets the full prune, for the points the placement did not touch.
 
+    At N = 0 over a torsion-free B (the h = 0 pass), that test also rules
+    out placements before they are made.  There B/N = Z^r, whose
+    lexicographic order is unchanged by translation.  A placement that puts
+    lamp t on p = min(sum_d) puts each earlier lamp s < t on p + (s - t),
+    below p, so on a point of B/N that sum_d does not hold: the child's
+    coefficient there is lamp s's own value, whatever the shift.  So if j
+    is the function's first lamp whose value lies outside the reach set,
+    every placement of a lamp after j stops at lamp j.  Only lamps up to j
+    are tried; the others are charged with one call after them, which is
+    where they fall in lamp order, and the budget trips at the same count.
+    With torsion in B/N translation wraps around modulo its orders, so the
+    earlier lamps may land above p, on points of sum_d.  At N != 0 a
+    stopped placement still records the first B-point of each coset it
+    meets in reps, which shows in the certificate.  So neither case skips.
+
     The search runs on canonical coordinate tuples: points of B/N and
     coefficients of A, kept canonical by each group's coord_reducer.  Tuples
     order as their GroupElements do, so nodes are visited in coordinate
@@ -432,8 +452,10 @@ def _anchored_search(
         ids are the node's own, sorted.  A child that fails the
         reachability prune is charged and never yielded, and a placement
         that can test it in place stops at its first unreachable
-        coefficient.  A placement stays in sum_d and assignment while its
-        child is out.  After the last child, key goes into the memo."""
+        coefficient; at N = 0 over a free B, the placements of lamps past the
+        first unreachable one are charged with one call and never made.  A
+        placement stays in sum_d and assignment while its child is out.
+        After the last child, key goes into the memo."""
         red_q, red_b, reps = lvl.red_q, lvl.red_b, lvl.reps
         # anchor: sums are translation-invariant, so with nothing placed the
         # first function goes with its first lamp on its own point, shift 0
@@ -442,6 +464,9 @@ def _anchored_search(
         # the prune compares coefficients in B/N itself, so it can run while
         # placing a function whose child keeps a point of sum_d
         in_place = lvl.tested and not lvl.drop
+        # at N = 0 over a free B, lamps before the one put on p land on
+        # fresh points below p, whatever the shift
+        free = in_place and not lvl.gens and not B.torsion
         tried = set()
         for pos, i in enumerate(unplaced[:1] if anchor else unplaced):
             vid = lvl.vids[i]
@@ -452,10 +477,18 @@ def _anchored_search(
             k = ids.index(vid)
             rest_ids = ids[:k] + ids[k + 1 :]
             terms = lvl.gs[i]
+            window = terms[:1] if anchor else terms
             reach = None
             if in_place and len(terms) < len(sum_d):
                 reach = lvl.reach(rest_ids)
-            for point, _coeff in terms[:1] if anchor else terms:
+                if free and reach is not None:
+                    # a placement of any later lamp stops at the first
+                    # unreachable one
+                    for j, (_point, coeff) in enumerate(terms):
+                        if coeff not in reach:
+                            window = terms[: j + 1]
+                            break
+            for point, _coeff in window:
                 delta = red_q(map(sub, point, p))
                 shift_b = red_b(map(sub, reps[point], reps[p]))
                 undo = lvl.place(sum_d, terms, delta, shift_b, reach)
@@ -469,6 +502,8 @@ def _anchored_search(
                     yield lvl, rest, rest_ids, sum_d
                     del assignment[i]
                 lvl.unplace(sum_d, undo)
+            if not anchor and len(window) < len(terms):
+                meter.charge("delta_tuples", len(terms) - len(window))
         if h > 0:
             seen: set = set()
             for q in sorted(sum_d)[1:]:

@@ -186,6 +186,20 @@ def test_function_kernels_match_reference(case):
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
+@given(groups_and_functions())
+def test_add_and_neg_match_the_constructor(case):
+    # + and unary - skip the constructor's merge and checks; their results
+    # must equal what it builds from the concatenated or negated terms
+    A, B, fs, _, _ = case
+    negated = [tuple((p, -a) for p, a in f.terms) for f in fs]
+    for f, minus_f in zip(fs, negated):
+        assert -f == SupportedFunction(A, B, minus_f)
+        for g, minus_g in zip(fs, negated):
+            assert f + g == SupportedFunction(A, B, f.terms + g.terms)
+            assert f - g == SupportedFunction(A, B, f.terms + minus_g)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
 @given(planted_certificates())
 def test_verify_certificate_matches_reference(case):
     I, cert = case

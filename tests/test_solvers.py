@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import wreath_dio
 from wreath_dio import solvers
 from wreath_dio.abelian import (
+    BudgetExceeded,
     GroupPresentation,
     Subgroup,
     coord_reducer,
@@ -265,6 +266,78 @@ def test_time_budget_is_read_on_every_charge(monkeypatch):
     assert result.decision == "unknown-budget"
     assert result.reason.startswith("time exceeded")
     assert result.counters["delta_tuples"] <= 4
+
+
+def _charges(budget, before, n):
+    """The meter after `before` single charges and then n: at once, or one
+    at a time; each as (counters, BudgetExceeded message or None)."""
+    out = []
+    for steps in ((n,), (1,) * n):
+        meter = _Meter(budget)
+        for _ in range(before):
+            meter.charge("delta_tuples")
+        message = None
+        try:
+            for step in steps:
+                meter.charge("delta_tuples", step)
+        except BudgetExceeded as exc:
+            message = str(exc)
+        out.append((meter.counters, message))
+    return out
+
+
+def test_bulk_charge_trips_the_cap_where_single_charges_do():
+    budget = SolverBudget(max_delta_tuples=10, max_seconds=math.inf)
+    for before, n in ((7, 5), (9, 2), (10, 1), (0, 11), (0, 40), (4, 6), (3, 2)):
+        bulk, single = _charges(budget, before, n)
+        assert bulk == single, (before, n)
+    assert _charges(budget, 7, 5)[0] == (
+        {"delta_tuples": 11, "subgroup_tuples": 0},
+        "delta_tuples exceeded 10",
+    )
+    assert _charges(budget, 4, 6)[0] == ({"delta_tuples": 10, "subgroup_tuples": 0}, None)
+
+
+_PINNED_K2_NEGATIVES = {
+    (4, 4, 4, 4, 4, 6): 714,
+    (4, 4, 4, 6, 6, 6): 1090,
+    (5, 5, 5, 5, 5, 7): 1019,
+    (5, 5, 5, 5, 6, 8): 2464,
+    (5, 5, 5, 7, 7, 7): 1498,
+    (5, 5, 5, 7, 8, 8): 3493,
+    (6, 6, 6, 6, 6, 8): 1378,
+    (6, 6, 6, 8, 8, 8): 1970,
+    (6, 8, 8, 8, 8, 8): 728,
+}
+
+
+@pytest.mark.parametrize("cap", [50, 300, 1000])
+def test_delta_cap_trips_at_cap_plus_one_inside_bulk_charges(monkeypatch, cap):
+    # the search charges the placements it rules out in one step with one
+    # call; the cap must still read cap + 1 with the usual reason, as it did
+    # when each was charged on its own
+    inside = []
+    charge = _Meter.charge
+
+    def spy(meter, key, n=1):
+        before = meter.counters[key]
+        if before + n > meter.caps[key] + 1:
+            inside.append(n)
+        charge(meter, key, n)
+
+    monkeypatch.setattr(_Meter, "charge", spy)
+    a = b = Z.element((1,))
+    budget = SolverBudget(max_delta_tuples=cap, max_seconds=math.inf)
+    for values, nodes in _PINNED_K2_NEGATIVES.items():
+        result = solve_general(gen_3part_h0(ThreePartInstance(values, 2), a, b), budget)
+        if nodes <= cap:
+            assert (result.decision, result.counters["delta_tuples"]) == ("negative", nodes)
+        else:
+            assert result.decision == "unknown-budget"
+            assert result.counters["delta_tuples"] == cap + 1
+            assert result.reason == f"delta_tuples exceeded {cap}"
+    # the cap fell inside a bulk charge, not only on a single one
+    assert inside
 
 
 # ---------------------------------------------------------------------------
@@ -636,6 +709,28 @@ def test_general_search_order_pinned_on_3part_h0(values, k, decision, nodes, del
     else:
         assert result.certificate.deltas == tuple(Z.element((d,)) for d in deltas)
         assert result.certificate.subgroup_gens == ()
+
+
+# Placements made, pinned: one per child before the search ruled out, in one
+# step, every placement past a function's first unreachable lamp (713, 3 492
+# and 169 then).  The nodes charged are the pinned ones above.
+@pytest.mark.parametrize(
+    "values, k, nodes, placements",
+    [
+        ((4, 4, 4, 4, 4, 6), 2, 714, 177),
+        ((5, 5, 5, 7, 8, 8), 2, 3493, 568),
+        ((4, 4, 4, 4, 5, 5, 6, 6, 7), 3, 170, 58),
+    ],
+)
+def test_h0_search_places_only_inside_the_window(monkeypatch, values, k, nodes, placements):
+    calls = []
+    place = solvers._Level.place
+    monkeypatch.setattr(
+        solvers._Level, "place", lambda *args: calls.append(1) or place(*args)
+    )
+    a = b = Z.element((1,))
+    result = solve_general(gen_3part_h0(ThreePartInstance(values, k), a, b))
+    assert (result.counters["delta_tuples"], len(calls)) == (nodes, placements)
 
 
 # ---------------------------------------------------------------------------
@@ -1049,4 +1144,90 @@ def test_place_with_reach_matches_full_placement_then_prune(monkeypatch):
             seen["stopped-at-N-nonzero"] += undo is None and bool(gens)
             seen["no-reach"] += reach is None and bool(ids)
             seen["kept"] += kept
+    assert min(seen.values()) > 0, seen
+
+
+# ---------------------------------------------------------------------------
+# the placement window: at N = 0 over a free B, a function's placements stop
+# at its first lamp outside the reach set, and the rest are charged unmade
+
+
+def _placement_groups(calls):
+    """The place calls grouped by node and function, as (level, partial sum,
+    terms, reach set, indices of the lamps put on p); the indices of one
+    group rise, since a node places a function's lamps in order."""
+    groups, open_groups = [], {}
+    for lvl, items, terms, delta, reach in calls:
+        p = items[0][0]
+        t = next(
+            t for t, (point, _c) in enumerate(terms)
+            if lvl.red_q(map(operator.sub, point, p)) == delta
+        )
+        key = (id(lvl), items, terms, id(reach))
+        group = open_groups.get(key)
+        if group is None or t <= group[-1][-1]:
+            group = open_groups[key] = (lvl, items, terms, reach, [])
+            groups.append(group)
+        group[-1].append(t)
+    return groups
+
+
+def test_window_skips_only_placements_the_full_prune_rejects(monkeypatch):
+    rng = random.Random(21)
+    Z3 = GroupPresentation(0, (3,))
+    bases = (Z, ZxZ, GroupPresentation(1, (2,)), Z2)
+    seen = dict.fromkeys(("skipped", "torsion", "N-nonzero", "negatives"), 0)
+    calls = []
+    place = solvers._Level.place
+
+    def spy(lvl, sum_d, terms, delta, shift_b, reach=None):
+        if sum_d:  # the anchor places one lamp on an empty sum
+            calls.append((lvl, tuple(sorted(sum_d.items())), terms, delta, reach))
+        return place(lvl, sum_d, terms, delta, shift_b, reach)
+
+    monkeypatch.setattr(solvers._Level, "place", spy)
+    for _ in range(240):
+        B = rng.choice(bases)
+        A = rng.choice((Z, Z3))
+        h = rng.choice((0, 1)) if B is ZxZ else 0
+        fs = [
+            SupportedFunction(A, B, tuple(
+                (_small(rng, B, 2), A.element((rng.choice((-2, -1, 1, 2)),)))
+                for _ in range(rng.randint(1, 3))
+            ))
+            for _ in range(rng.randint(3, 5))
+        ]
+        total = sum((f.total_coefficient() for f in fs), A.zero())
+        fs[-1] = fs[-1] + SupportedFunction.atom(-total, _small(rng, B, 2))
+        if any(f.is_zero() for f in fs):
+            continue
+        calls.clear()
+        meter = _Meter(COUNTER_BUDGET)
+        # a positive ends with placements not yet made; a negative makes or
+        # skips every one
+        try:
+            if solvers._anchored_search(tuple(fs), B, h, meter) is not None:
+                continue
+        except BudgetExceeded:
+            continue
+        seen["negatives"] += 1
+        for lvl, items, terms, reach, tried in _placement_groups(calls):
+            assert tried == list(range(len(tried)))
+            if reach is None or B.torsion or lvl.gens:
+                # no window: translation wraps modulo the torsion, and at
+                # N != 0 a skipped placement would still add reps entries
+                assert len(tried) == len(terms)
+                seen["torsion"] += bool(B.torsion and reach is not None)
+                seen["N-nonzero"] += bool(lvl.gens and reach is not None)
+                continue
+            ids = next(ids for ids, r in lvl._reach.items() if r is reach)
+            red_b = coord_reducer(B)
+            p = items[0][0]
+            for point, _coeff in terms[len(tried):]:
+                sum_d = dict(items)
+                delta = lvl.red_q(map(operator.sub, point, p))
+                shift_b = red_b(map(operator.sub, lvl.reps[point], lvl.reps[p]))
+                _full_place(lvl, red_b, sum_d, terms, delta, shift_b)
+                assert sum_d and not lvl.cancellable(ids, sum_d)
+                seen["skipped"] += 1
     assert min(seen.values()) > 0, seen
