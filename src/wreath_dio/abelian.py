@@ -11,6 +11,7 @@ diagonalised once, in one cached form, and that one Smith form serves
 membership, rank, the quotient with its projection map, and the lift back.
 The Smith form and the inverse of its change of basis both come from
 lattice.hermite_form: this module does no elimination of its own.
+The trivial subgroup needs no Smith form: G/{0} projects by coord_reducer.
 """
 
 from __future__ import annotations
@@ -299,15 +300,22 @@ class _SubgroupForm:
     diagonalisation serves membership (project to zero), the quotient
     (project), its section (lift, through U^-1) and the rank (the columns of
     V at zero pivots span the relations among the generators).  U^-1 and the
-    rank are computed on first use.
+    rank are computed on first use.  With no generators, M is G's relation
+    matrix: already in Smith form with U = V = I, so none is computed, Q = G
+    and project_coords is coord_reducer(G).
     """
 
     def __init__(self, G: GroupPresentation, gens: tuple[GroupElement, ...]):
         self.G = G
         self.gens = gens
-        D, self.U, self.V = smith_normal_form(_preimage_matrix(G, gens))
-        # factor of coordinate i in the new basis: d_i (0 = free, 1 = dropped)
-        self.factors = [row[i] if i < len(row) else 0 for i, row in enumerate(D)]
+        if gens:
+            D, self.U, self.V = smith_normal_form(_preimage_matrix(G, gens))
+            # factor of coordinate i in the new basis: d_i (0 = free, 1 = dropped)
+            self.factors = [row[i] if i < len(row) else 0 for i, row in enumerate(D)]
+        else:
+            self.U, self.V = _identity(G.ncoords), _identity(len(G.torsion))
+            self.factors = [*G.torsion, *(0,) * G.free_rank]
+            self.project_coords = coord_reducer(G)
         self.torsion_pos = [i for i, d in enumerate(self.factors) if d >= 2]
         self.free_pos = [i for i, d in enumerate(self.factors) if d == 0]
         self.Q = GroupPresentation(

@@ -117,10 +117,21 @@ class SupportedFunction:
     # both operands are canonical, so the results skip the constructor
 
     def __add__(self, other: "SupportedFunction") -> "SupportedFunction":
+        # merge the sorted terms: only a point of both gets a new coefficient
         self._check_compatible(other)
-        pairs = ((p.coords, a.coords) for p, a in self.terms + other.terms)
-        sums = _coeff_sums(self.coeff_group, pairs)
-        return _from_sums(self.coeff_group, self.base_group, sums)
+        A, x, y = self.coeff_group, self.terms, other.terms
+        red_a, out, i, j = coord_reducer(A), [], 0, 0
+        while i < len(x) and j < len(y):
+            p, q = x[i][0].coords, y[j][0].coords
+            if p != q:
+                out.append(x[i] if p < q else y[j])
+                i, j = (i + 1, j) if p < q else (i, j + 1)
+                continue
+            c = red_a(map(_add, x[i][1].coords, y[j][1].coords))
+            if any(c):
+                out.append((x[i][0], _element(A, c)))
+            i, j = i + 1, j + 1
+        return _function(A, self.base_group, (*out, *x[i:], *y[j:]))
 
     def __neg__(self) -> "SupportedFunction":
         A = self.coeff_group

@@ -28,6 +28,7 @@ from .abelian import (
     GroupElement,
     GroupPresentation,
     Subgroup,
+    _element,
     _quotient_form,
     coord_reducer,
     geodesic_length,
@@ -239,10 +240,12 @@ def make_certificate(
 ) -> Certificate:
     """Package deltas with generators of N' <= N read off the shifted sum c.
 
-    One pass over supp(c) keeps the first point q of each N-coset and takes
-    p - q for every later point p of it; the certificate lists these
-    differences distinct and sorted by coordinates.  All solvers emit
-    certificates here.  What a verifier relies on:
+    One pass over supp(c), in sorted order and on coordinate tuples, keeps
+    the first point q of each N-coset and takes p - q for every later point
+    p of it; the certificate lists these differences distinct and sorted by
+    coordinates.  Only they become elements, so none do for a solution at
+    N = 0, whose c is empty.  All solvers emit certificates here.  What a
+    verifier relies on:
 
     - N' <= N, as each p - q joins two points of one N-coset; so
       rank(N') <= rank(N), a subgroup needing no more generators than N.
@@ -255,13 +258,16 @@ def make_certificate(
     if not instance.fs:
         return Certificate((), ())
     project = _quotient_form(instance.B, N).project_coords
-    first: dict[tuple[int, ...], GroupElement] = {}
-    gens: set[GroupElement] = set()
-    for p, _ in shifted_sum(instance.fs, deltas).terms:
-        q = first.setdefault(project(p.coords), p)
+    A, B = _home_groups(instance.fs, deltas)
+    red_b = coord_reducer(B)
+    sums = _coeff_sums(A, _shifted_pairs(instance.fs, deltas, red_b))
+    first: dict[tuple[int, ...], tuple[int, ...]] = {}
+    gens: set[tuple[int, ...]] = set()
+    for p in sorted(p for p, c in sums.items() if any(c)):
+        q = first.setdefault(project(p), p)
         if q is not p:
-            gens.add(p - q)
-    return Certificate(tuple(deltas), tuple(sorted(gens, key=lambda g: g.coords)))
+            gens.add(red_b(map(sub, p, q)))
+    return Certificate(tuple(deltas), tuple([_element(B, g) for g in sorted(gens)]))
 
 
 # ---------------------------------------------------------------------------

@@ -416,6 +416,75 @@ def test_one_smith_form_per_subgroup(monkeypatch):
     assert shapes == [(3, 4), (2, 1)]
 
 
+def test_trivial_subgroup_form_equals_the_smith_form_route():
+    """The form of <> is built without elimination; it must be the one the
+    Smith form of the relation matrix gives, on unreduced lifts too."""
+    rng = random.Random(20261019)
+    groups = [
+        GroupPresentation(0),
+        Z,
+        ZxZ,
+        Z2,
+        Z2xZ2,
+        GroupPresentation(0, (2, 4, 8)),
+        GroupPresentation(1, (2, 6)),
+        GroupPresentation(2, (3,)),
+    ]
+    for _ in range(12):
+        torsion, a = [], 1
+        for _ in range(rng.randint(0, 3)):
+            a *= rng.randint(2, 4)
+            torsion.append(a)
+        groups.append(GroupPresentation(rng.randint(0, 3), tuple(torsion)))
+    for G in groups:
+        abelian._subgroup_form.cache_clear()
+        form = abelian._subgroup_form(G, ())
+        D, U, V = smith_normal_form(abelian._preimage_matrix(G, ()))
+        factors = [row[i] if i < len(row) else 0 for i, row in enumerate(D)]
+        order = [i for i, d in enumerate(factors) if d >= 2]
+        order += [i for i, d in enumerate(factors) if d == 0]
+        Q = GroupPresentation(
+            sum(factors[i] == 0 for i in order),
+            tuple(factors[i] for i in order if factors[i]),
+        )
+        assert (form.Q, form.factors, form.U, form.V) == (Q, factors, U, V)
+        assert form.order == order and form.rank == 0
+        for _ in range(20):
+            lift = tuple(rng.randint(-50, 50) for _ in range(G.ncoords))
+            y = [(sum(u * c for u, c in zip(U[i], lift)), factors[i]) for i in order]
+            expected = tuple(v % d if d else v for v, d in y)
+            assert form.project_coords(lift) == expected
+            assert form.project_coords(list(lift)) == expected
+            g = G.element(lift)
+            assert form.project(g) == Q.element(expected) == g
+            assert form.lift(form.project(g)) == g
+
+
+def test_h0_positive_makes_no_smith_form(monkeypatch):
+    # at h = 0 only the trivial subgroup is a candidate; the search, the
+    # certificate and its check all project through coord_reducer
+    from wreath_dio import solvers
+    from wreath_dio.hardness import ThreePartInstance, gen_3part_h0
+    from wreath_dio.qsp import verify_certificate
+
+    calls = []
+
+    def counting(M):
+        calls.append(M)
+        return smith_normal_form(M)
+
+    monkeypatch.setattr(abelian, "smith_normal_form", counting)
+    monkeypatch.setattr(solvers, "smith_normal_form", counting)
+    abelian._subgroup_form.cache_clear()
+    T = ThreePartInstance((5, 5, 5, 5, 5, 5), 2)
+    I = gen_3part_h0(T, Z.element((1,)), Z.element((1,)))
+    result = solvers.dispatch(I)
+    assert result.decision == "positive"
+    assert result.certificate.subgroup_gens == ()
+    assert verify_certificate(I, result.certificate)
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # Cayley metric and balls
 

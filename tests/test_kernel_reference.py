@@ -1,8 +1,8 @@
 """The coordinate-tuple kernels against a naive GroupElement reference.
 
-shift, pushforward, is_zero_mod, shifted_sum and verify_certificate all run
-on coordinate tuples, and the solvers' certificates are checked by the same
-kernels.  The reference below is the old algorithm, written here with
+shift, pushforward, is_zero_mod, shifted_sum, make_certificate and
+verify_certificate all run on coordinate tuples, and the solvers'
+certificates are checked by the same kernels.  The reference below is the old algorithm, written here with
 GroupElement arithmetic only: shift each function, add the translates one at
 a time through the SupportedFunction constructor, and test vanishing mod N by
 grouping points whose difference lies in N.  Membership is decided by
@@ -23,7 +23,13 @@ from wreath_dio.abelian import (
 )
 from wreath_dio.group_ring import SupportedFunction, is_zero_mod, pushforward, shift
 from wreath_dio.lattice import hermite_form
-from wreath_dio.qsp import Certificate, QspInstance, shifted_sum, verify_certificate
+from wreath_dio.qsp import (
+    Certificate,
+    QspInstance,
+    make_certificate,
+    shifted_sum,
+    verify_certificate,
+)
 
 BASES = (
     GroupPresentation(1),
@@ -104,6 +110,19 @@ def ref_verify(I, cert):
     return ref_is_zero_mod(ref_shifted_sum(I.fs, cert.deltas), N)
 
 
+def ref_make_certificate(I, deltas, N):
+    """The first support point of each N-coset, in sorted order, against
+    every later point of it: the differences, distinct and sorted."""
+    firsts, gens = [], set()
+    for p, _ in ref_shifted_sum(I.fs, deltas).terms:
+        q = next((q for q in firsts if ref_contains(N, p - q)), None)
+        if q is None:
+            firsts.append(p)
+        else:
+            gens.add(p - q)
+    return Certificate(deltas, sorted(gens, key=lambda g: g.coords))
+
+
 # ---------------------------------------------------------------------------
 # strategies
 
@@ -122,8 +141,8 @@ def _function(draw, A, B, min_terms=0, max_terms=4):
 
 
 @st.composite
-def groups_and_functions(draw, min_terms=0):
-    B = draw(st.sampled_from(BASES))
+def groups_and_functions(draw, min_terms=0, bases=BASES):
+    B = draw(st.sampled_from(bases))
     A = draw(st.sampled_from(COEFFS))
     m = draw(st.integers(1, 3))
     fs = tuple(_function(draw, A, B, min_terms) for _ in range(m))
@@ -133,13 +152,13 @@ def groups_and_functions(draw, min_terms=0):
 
 
 @st.composite
-def planted_certificates(draw):
+def planted_certificates(draw, bases=BASES):
     """An instance with a certificate that solves it, then maybe one mutation.
 
     The last function cancels the others' shifted sum, plus a term
     g - shift(g, n) with n in N so that the sum vanishes only modulo N.
     """
-    A, B, fs, deltas, N = draw(groups_and_functions(min_terms=1))
+    A, B, fs, deltas, N = draw(groups_and_functions(min_terms=1, bases=bases))
     others = SupportedFunction.zero(A, B)
     if len(fs) > 1:
         others = ref_shifted_sum(fs[:-1], deltas[:-1])
@@ -204,6 +223,25 @@ def test_add_and_neg_match_the_constructor(case):
 def test_verify_certificate_matches_reference(case):
     I, cert = case
     assert verify_certificate(I, cert) == ref_verify(I, cert)
+
+
+# with two torsion coordinates, a difference of sorted points can leave a
+# later coordinate negative, so the generators must be reduced in B
+CERT_BASES = BASES + (GroupPresentation(0, (2, 4)),)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(groups_and_functions(bases=CERT_BASES), planted_certificates(CERT_BASES))
+def test_make_certificate_matches_reference(case, planted):
+    # on arbitrary shifts, and on planted solutions whose shifted sum has
+    # several points per coset of N
+    A, B, fs, deltas, N = case
+    I = QspInstance(A, B, fs, 2)
+    assert make_certificate(I, deltas, N) == ref_make_certificate(I, deltas, N)
+    I, cert = planted
+    N = Subgroup(I.B, cert.subgroup_gens)
+    expected = ref_make_certificate(I, cert.deltas, N)
+    assert make_certificate(I, cert.deltas, N) == expected
 
 
 def test_verify_certificate_matches_reference_on_a_sweep():
