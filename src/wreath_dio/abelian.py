@@ -12,6 +12,9 @@ membership, rank, the quotient with its projection map, and the lift back.
 The Smith form and the inverse of its change of basis both come from
 lattice.hermite_form: this module does no elimination of its own.
 The trivial subgroup needs no Smith form: G/{0} projects by coord_reducer.
+A rank budget is checked against min(#generators, rank G) first, so the
+Smith form of the generators' relations is built only when that bound
+exceeds it (subgroup_rank_at_most).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import add, mul
+from operator import add, index, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .lattice import hermite_form
@@ -51,17 +54,19 @@ class GroupPresentation:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.free_rank < 0:
+        free_rank = _integer(self.free_rank, "free rank")
+        if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
-        cleaned = tuple(int(a) for a in self.torsion if a != 1)
+        orders = tuple(_integer(a, "torsion order") for a in self.torsion)
+        cleaned = tuple(a for a in orders if a != 1)
         if any(a < 1 for a in cleaned):
             raise ValueError("torsion orders must be positive")
         for prev, nxt in zip(cleaned, cleaned[1:]):
             if nxt % prev != 0:
                 raise ValueError("torsion orders must form a divisibility chain")
         object.__setattr__(self, "torsion", cleaned)
-        object.__setattr__(self, "free_rank", int(self.free_rank))
-        object.__setattr__(self, "_hash", hash((self.free_rank, cleaned)))
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "_hash", hash((free_rank, cleaned)))
 
     def __hash__(self) -> int:
         # computed once: every cache key on a group hashes it
@@ -90,14 +95,17 @@ class GroupPresentation:
         """Additive size of the presentation data (binary digit lengths)."""
         return self.free_rank + sum(a.bit_length() for a in self.torsion)
 
+    # every torsion order is at least 2, so 0 and 1 are canonical
+    # coordinates and zero() and standard_generators() skip the reduction
+
     def zero(self) -> "GroupElement":
-        return GroupElement(self, (0,) * self.ncoords)
+        return _element(self, (0,) * self.ncoords)
 
     def element(self, coords: Sequence[int]) -> "GroupElement":
         return GroupElement(self, tuple(coords))
 
     def standard_generators(self) -> tuple["GroupElement", ...]:
-        return tuple(GroupElement(self, e) for e in _identity(self.ncoords))
+        return tuple([_element(self, e) for e in _identity(self.ncoords)])
 
     def elements(self) -> Iterator["GroupElement"]:
         """All elements of a finite group, in lexicographic coordinate order."""
@@ -125,9 +133,14 @@ class GroupElement:
             raise ValueError(
                 f"expected {g.ncoords} coordinates, got {len(self.coords)}"
             )
+        try:
+            coords = tuple(map(index, self.coords))
+        except TypeError:
+            # the first coordinate that is not an integer raises ValueError
+            coords = tuple([_integer(c, "coordinate") for c in self.coords])
         reduced = tuple(
-            int(c) % a for c, a in zip(self.coords, g.torsion)
-        ) + tuple(int(c) for c in self.coords[len(g.torsion):])
+            c % a for c, a in zip(coords, g.torsion)
+        ) + coords[len(g.torsion):]
         object.__setattr__(self, "coords", reduced)
 
     def __hash__(self) -> int:
@@ -162,6 +175,14 @@ class GroupElement:
 
     def has_infinite_order(self) -> bool:
         return any(c != 0 for c in self.coords[len(self.group.torsion):])
+
+
+def _integer(x: object, what: str) -> int:
+    """x as an exact int; a float or any other non-integer is a ValueError."""
+    try:
+        return index(x)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {type(x).__name__}") from None
 
 
 def _element(G: GroupPresentation, coords: tuple[int, ...]) -> GroupElement:
@@ -411,6 +432,20 @@ def subgroup_rank(S: Subgroup) -> int:
     rank = k - #(invariant factors equal to 1).
     """
     return _subgroup_form(S.ambient, S.generators).rank
+
+
+def subgroup_rank_at_most(S: Subgroup, h: int) -> bool:
+    """Whether rank<S.generators> <= h, reading a rank only when needed.
+
+    No subgroup of a finitely generated abelian group needs more generators
+    than the group itself, and <gens> needs at most len(gens), so the rank
+    is at most min(len(gens), rank(ambient)).  When that bound is at most h
+    the answer is yes with no Smith form; only otherwise is the rank read,
+    from the Smith form of the generators' relations (subgroup_rank).
+    """
+    if min(len(S.generators), group_rank(S.ambient)) <= h:
+        return True
+    return subgroup_rank(S) <= h
 
 
 def quotient(

@@ -5,16 +5,22 @@ separators, and a trailing newline, so equal values always serialize to
 identical bytes.  Integers within the 64-bit-safe JSON range appear as JSON
 numbers; anything larger is carried as a decimal string and restored exactly
 on decode.
+
+Decoding validates each coordinate list once into an int tuple, canonical in
+its group by coord_reducer, and builds the element from it directly.  A
+function's terms are gathered on those tuples: repeated points are merged in
+one dict of coefficient sums, zero sums dropped, and the function is built
+once in sorted order, as the SupportedFunction constructor would build it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Optional, Union
+from typing import Any, Callable, Iterable, Optional, Union
 
-from .abelian import GroupElement, GroupPresentation
-from .group_ring import SupportedFunction
+from .abelian import GroupElement, GroupPresentation, _element, coord_reducer
+from .group_ring import SupportedFunction, _coeff_sums, _from_sums
 from .qsp import Certificate, QspInstance
 from .wreath import OrientableEquation, WreathElement
 
@@ -30,6 +36,8 @@ def _enc_int(x: int) -> Union[int, str]:
 
 
 def _dec_int(v: Any, what: str) -> int:
+    if type(v) is int:
+        return v
     if isinstance(v, bool):
         raise CodecError(f"{what}: expected an integer, got a boolean")
     if isinstance(v, int):
@@ -84,13 +92,21 @@ def encode_element(g: GroupElement) -> list:
     return [_enc_int(c) for c in g.coords]
 
 
+def _dec_coords(
+    G: GroupPresentation, obj: Any, reduce: Callable[[Iterable[int]], tuple]
+) -> tuple[int, ...]:
+    """The canonical coordinates of an encoded element of G; reduce is
+    coord_reducer(G)."""
+    coords = [_dec_int(c, "element coordinate") for c in _expect_list(obj, "element")]
+    if len(coords) != G.ncoords:
+        raise CodecError(
+            f"element: expected {G.ncoords} coordinates, got {len(coords)}"
+        )
+    return reduce(coords)
+
+
 def decode_element(G: GroupPresentation, obj: Any) -> GroupElement:
-    arr = _expect_list(obj, "element")
-    coords = tuple(_dec_int(c, "element coordinate") for c in arr)
-    try:
-        return G.element(coords)
-    except ValueError as exc:
-        raise CodecError(f"element: {exc}") from None
+    return _element(G, _dec_coords(G, obj, coord_reducer(G)))
 
 
 # ---------------------------------------------------------------------------
@@ -116,15 +132,15 @@ def decode_function(
         raise CodecError("function: embedded coefficient group disagrees")
     if "B" in d and decode_group(d["B"]) != B:
         raise CodecError("function: embedded base group disagrees")
+    red_a, red_b = coord_reducer(A), coord_reducer(B)
     terms = []
     for entry in _expect_list(d.get("terms", []), "function.terms"):
         t = _expect_dict(entry, "function term")
         if "coeff" not in t or "point" not in t:
             raise CodecError('function term: expected {"coeff", "point"}')
-        point = decode_element(B, t["point"])
-        coeff = decode_element(A, t["coeff"])
-        terms.append((point, coeff))
-    return SupportedFunction(A, B, tuple(terms))
+        point = _dec_coords(B, t["point"], red_b)
+        terms.append((point, _dec_coords(A, t["coeff"], red_a)))
+    return _from_sums(A, B, _coeff_sums(A, terms))
 
 
 # ---------------------------------------------------------------------------

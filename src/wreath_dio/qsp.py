@@ -32,7 +32,7 @@ from .abelian import (
     _quotient_form,
     coord_reducer,
     geodesic_length,
-    subgroup_rank,
+    subgroup_rank_at_most,
 )
 from .group_ring import (
     SupportedFunction,
@@ -142,7 +142,14 @@ def satisfies_equation(
 
 
 def verify_certificate(instance: QspInstance, cert: Certificate) -> bool:
-    """Check the quotient-sum equation and rank(N) <= h; polynomial in both sizes."""
+    """Check the quotient-sum equation and rank(N) <= h; polynomial in both sizes.
+
+    The rank is bounded first by min(#generators, rank(B)): when that bound
+    is at most h the rank needs no Smith form, and only a certificate whose
+    bound exceeds h has its rank read off the Smith form of its generators'
+    relations (abelian.subgroup_rank_at_most).  The equation is checked on
+    coordinate tuples by satisfies_equation.
+    """
     if len(cert.deltas) != len(instance.fs):
         raise ShapeMismatch("certificate delta count differs from fs count")
     for d in cert.deltas:
@@ -152,7 +159,7 @@ def verify_certificate(instance: QspInstance, cert: Certificate) -> bool:
         if g.group != instance.B:
             raise ShapeMismatch("certificate generator outside the base group")
     N = Subgroup(instance.B, cert.subgroup_gens)
-    if subgroup_rank(N) > instance.h:
+    if not subgroup_rank_at_most(N, instance.h):
         return False
     return satisfies_equation(instance.fs, cert.deltas, N)
 

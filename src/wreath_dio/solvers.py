@@ -30,7 +30,7 @@ from .abelian import (
     enumerate_ball,
     group_rank,
     smith_normal_form,
-    subgroup_rank,
+    subgroup_rank_at_most,
 )
 from .group_ring import SupportedFunction, _coeff_sums
 from .lattice import hermite_form
@@ -439,7 +439,7 @@ def _anchored_search(
             S = Subgroup(B, lvl.gens + (gen,))
             key = lvl.children[diff] = _subgroup_key(S)
             if key not in levels:
-                fits = subgroup_rank(S) <= h
+                fits = subgroup_rank_at_most(S, h)
                 levels[key] = _Level(fs, B, S.generators, h) if fits else None
         if key in seen:
             return None

@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wreath_dio import abelian
 from wreath_dio.abelian import (
@@ -19,6 +21,7 @@ from wreath_dio.abelian import (
     smith_normal_form,
     subgroup_contains,
     subgroup_rank,
+    subgroup_rank_at_most,
 )
 from wreath_dio.lattice import hermite_form
 
@@ -60,6 +63,46 @@ def test_element_canonical_torsion_reduction():
     assert g.coords == (3,)
     mixed = GroupPresentation(1, (3,))
     assert mixed.element((-1, 5)).coords == (2, 5)  # torsion first, then free
+
+
+TEST_GROUPS = (
+    GroupPresentation(0),
+    Z,
+    Z2,
+    Z4,
+    Z2xZ2,
+    ZxZ,
+    GroupPresentation(1, (2,)),
+    GroupPresentation(2, (2, 4)),
+)
+
+
+@pytest.mark.parametrize("G", TEST_GROUPS, ids=repr)
+def test_zero_and_standard_generators_match_the_constructor(G):
+    # both skip the constructor's reduction: their coordinates are 0 and 1,
+    # canonical because every torsion order is at least 2
+    n = G.ncoords
+    assert G.zero() == GroupElement(G, (0,) * n)
+    expected = tuple(
+        GroupElement(G, tuple(int(i == j) for j in range(n))) for i in range(n)
+    )
+    assert G.standard_generators() == expected
+
+
+def test_floats_are_rejected_not_truncated():
+    G = GroupPresentation(1, (2,))
+    with pytest.raises(ValueError, match="coordinate must be an integer"):
+        G.element((1.7, 2.5))
+    with pytest.raises(ValueError, match="coordinate must be an integer"):
+        G.element((1, 2.0))
+    with pytest.raises(ValueError, match="free rank must be an integer"):
+        GroupPresentation(1.5)
+    for torsion in ((2.0,), (1.0, 2), (2, 4.0)):
+        with pytest.raises(ValueError, match="torsion order must be an integer"):
+            GroupPresentation(0, torsion)
+    # anything with __index__ is an exact integer and still accepted
+    assert G.element((True, -3)).coords == (1, -3)
+    assert GroupPresentation(True, (True, 6)) == GroupPresentation(1, (6,))
 
 
 def test_element_addition_and_negation():
@@ -320,6 +363,27 @@ def test_subgroup_rank_agrees_with_brute_force():
             for gens in itertools.combinations(elements, r):
                 S = Subgroup(B, gens)
                 assert subgroup_rank(S) == _brute_subgroup_rank(B, gens)
+
+
+SUBGROUP_AMBIENTS = TEST_GROUPS + (GroupPresentation(3), GroupPresentation(1, (6,)))
+
+
+@st.composite
+def subgroups(draw):
+    B = draw(st.sampled_from(SUBGROUP_AMBIENTS))
+    gens = draw(st.lists(
+        st.tuples(*[st.integers(-6, 6)] * B.ncoords).map(B.element), max_size=5
+    ))
+    return Subgroup(B, tuple(gens))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(subgroups(), st.integers(0, 5))
+def test_rank_is_at_most_the_generator_count_and_the_ambient_rank(S, h):
+    # the lemma behind subgroup_rank_at_most's shortcut
+    rank = subgroup_rank(S)
+    assert rank <= min(len(S.generators), group_rank(S.ambient))
+    assert subgroup_rank_at_most(S, h) == (rank <= h)
 
 
 def test_group_rank():

@@ -1,8 +1,9 @@
 """The coordinate-tuple kernels against a naive GroupElement reference.
 
-shift, pushforward, is_zero_mod, shifted_sum, make_certificate and
-verify_certificate all run on coordinate tuples, and the solvers'
-certificates are checked by the same kernels.  The reference below is the old algorithm, written here with
+shift, pushforward, is_zero_mod, shifted_sum, make_certificate,
+verify_certificate and the codec's decode_function all run on coordinate
+tuples, and the solvers' certificates are checked by the same kernels.
+The reference below is the old algorithm, written here with
 GroupElement arithmetic only: shift each function, add the translates one at
 a time through the SupportedFunction constructor, and test vanishing mod N by
 grouping points whose difference lies in N.  Membership is decided by
@@ -21,6 +22,7 @@ from wreath_dio.abelian import (
     quotient,
     subgroup_rank,
 )
+from wreath_dio.codec import decode_element, decode_function
 from wreath_dio.group_ring import SupportedFunction, is_zero_mod, pushforward, shift
 from wreath_dio.lattice import hermite_form
 from wreath_dio.qsp import (
@@ -44,6 +46,9 @@ COEFFS = (
     GroupPresentation(0, (3,)),
     GroupPresentation(1, (2,)),
 )
+# with two torsion coordinates, a difference of sorted points can leave a
+# later coordinate negative, so a kernel must reduce its results in B
+CERT_BASES = BASES + (GroupPresentation(0, (2, 4)),)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +194,7 @@ def planted_certificates(draw, bases=BASES):
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
-@given(groups_and_functions())
+@given(groups_and_functions(bases=CERT_BASES))
 def test_function_kernels_match_reference(case):
     A, B, fs, deltas, N = case
     for f, d in zip(fs, deltas):
@@ -219,15 +224,10 @@ def test_add_and_neg_match_the_constructor(case):
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
-@given(planted_certificates())
+@given(planted_certificates(CERT_BASES))
 def test_verify_certificate_matches_reference(case):
     I, cert = case
     assert verify_certificate(I, cert) == ref_verify(I, cert)
-
-
-# with two torsion coordinates, a difference of sorted points can leave a
-# later coordinate negative, so the generators must be reduced in B
-CERT_BASES = BASES + (GroupPresentation(0, (2, 4)),)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -260,3 +260,54 @@ def test_verify_certificate_matches_reference_on_a_sweep():
             assert verify_certificate(I, cert) == verdict
             verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# decoding: coordinate tuples against the constructor route
+
+
+@st.composite
+def encoded_functions(draw):
+    """(A, B, terms as coordinate pairs, their JSON): points repeat and
+    cancel, torsion coordinates are unreduced, terms come in any order, and
+    each integer is a JSON number or a decimal string."""
+    B = draw(st.sampled_from(CERT_BASES))
+    A = draw(st.sampled_from(COEFFS))
+
+    def coords(G, window):
+        return tuple(draw(st.integers(-window, window)) for _ in range(G.ncoords))
+
+    points = [coords(B, 6) for _ in range(draw(st.integers(1, 3)))]
+    terms = []
+    for _ in range(draw(st.integers(0, 6))):
+        p, c = draw(st.sampled_from(points)), coords(A, 9)
+        terms.append((p, c))
+        if draw(st.booleans()):  # cancelled at the same point, in B
+            other = tuple(x + a * draw(st.integers(-2, 2)) for x, a in zip(p, B.torsion))
+            terms.append((other + p[len(B.torsion):], tuple(-x for x in c)))
+    terms = draw(st.permutations(terms))
+
+    def enc(v):
+        return [str(x) if draw(st.booleans()) else x for x in v]
+
+    wire = {"terms": [{"point": enc(p), "coeff": enc(c)} for p, c in terms]}
+    return A, B, terms, wire
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(encoded_functions())
+def test_decode_matches_the_constructor_route(case):
+    A, B, terms, wire = case
+    f = decode_function(A, B, wire)
+    expected = SupportedFunction(
+        A, B, tuple((B.element(p), A.element(c)) for p, c in terms)
+    )
+    assert f == expected
+    # canonical: exact ints, and rebuilding through the constructor is a no-op
+    assert all(
+        type(x) is int for p, a in f.terms for x in p.coords + a.coords
+    )
+    assert SupportedFunction(A, B, f.terms) == f
+    for (p, c), entry in zip(terms, wire["terms"]):
+        assert decode_element(B, entry["point"]) == B.element(p)
+        assert decode_element(A, entry["coeff"]) == A.element(c)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wreath_dio import abelian
 from wreath_dio.abelian import (
     GroupPresentation,
     Subgroup,
@@ -130,6 +131,40 @@ def test_verify_rejects_rank_above_h():
     # the subgroup <3> collapses the two lamps, but its rank 1 exceeds h = 0
     assert not verify_certificate(I, cert)
     assert verify_certificate(QspInstance(Z2, Z, (f,), 1), cert)
+
+
+def test_verify_reads_a_rank_only_when_the_bound_exceeds_h(monkeypatch):
+    # rank(N) <= min(#generators, rank(B)); the Smith form of the
+    # generators' relations is read only when that bound exceeds h
+    rank = abelian._SubgroupForm.rank
+    reads = []
+
+    def spy(form):
+        reads.append(form.gens)
+        return rank.func(form)
+
+    monkeypatch.setattr(abelian._SubgroupForm, "rank", property(spy))
+    abelian._subgroup_form.cache_clear()
+    B = GroupPresentation(2)
+    points = ((0, 0), (1, 0), (0, 1), (2, 3))
+    f = SupportedFunction(
+        Z, B, tuple((B.element(p), Z.element((c,))) for p, c in zip(points, (1, 2, -4, 1)))
+    )
+    I = QspInstance(Z, B, (f,), 2)
+    result = dispatch(I)
+    assert (result.decision, result.method) == ("positive", "big-h")
+    # three generators for h = 2: the bound rank(B) = 2 settles it
+    assert len(result.certificate.subgroup_gens) == 3
+    assert verify_certificate(I, result.certificate)
+    assert reads == []
+    # at h = 1 the bound is 2, so the rank is read: 2 rejects, 1 accepts
+    g = atom(Z, B, (1,), (0, 0)) + atom(Z, B, (-1,), (1, 1))
+    whole = (B.element((1, 0)), B.element((0, 1)))
+    assert not verify_certificate(QspInstance(Z, B, (g,), 1), Certificate((B.zero(),), whole))
+    assert reads == [whole]
+    line = (B.element((1, 1)), B.element((2, 2)))
+    assert verify_certificate(QspInstance(Z, B, (g,), 1), Certificate((B.zero(),), line))
+    assert reads == [whole, line]
 
 
 def test_verify_rejects_wrong_deltas():
