@@ -11,10 +11,16 @@ diagonalised once, in one cached form, and that one Smith form serves
 membership, rank, the quotient with its projection map, and the lift back.
 The Smith form and the inverse of its change of basis both come from
 lattice.hermite_form: this module does no elimination of its own.
-The trivial subgroup needs no Smith form: G/{0} projects by coord_reducer.
+The trivial subgroup needs no Smith form, G/{0} projecting by coord_reducer,
+and neither does G itself, G/G being trivial.
 A rank budget is checked against min(#generators, rank G) first, so the
 Smith form of the generators' relations is built only when that bound
 exceeds it (subgroup_rank_at_most).
+
+Inner loops add and subtract canonical coordinate tuples through
+coord_ops(G): one lambda per operation, compiled once per shape (torsion
+count, length) and bound to G's torsion orders.  GroupElement's own + and -
+use the same kernels.
 """
 
 from __future__ import annotations
@@ -149,20 +155,21 @@ class GroupElement:
         return hash(self.coords)
 
     def _check_same_group(self, other: "GroupElement") -> None:
-        if self.group != other.group:
+        if self.group is not other.group and self.group != other.group:
             raise ValueError("elements belong to different groups")
+
+    # the kernels keep canonical operands canonical, so the results skip the
+    # constructor's reduction
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
         self._check_same_group(other)
-        return GroupElement(
-            self.group, tuple(a + b for a, b in zip(self.coords, other.coords))
-        )
+        G = self.group
+        return _element(G, coord_ops(G)[0](self.coords, other.coords))
 
     def __sub__(self, other: "GroupElement") -> "GroupElement":
         self._check_same_group(other)
-        return GroupElement(
-            self.group, tuple(a - b for a, b in zip(self.coords, other.coords))
-        )
+        G = self.group
+        return _element(G, coord_ops(G)[1](self.coords, other.coords))
 
     def __neg__(self) -> "GroupElement":
         return GroupElement(self.group, tuple(-a for a in self.coords))
@@ -189,7 +196,8 @@ def _element(G: GroupPresentation, coords: tuple[int, ...]) -> GroupElement:
     """A GroupElement from coordinates that are already canonical in G.
 
     Skips the reduction of the constructor, so it is only for kernels whose
-    tuples come out of coord_reducer or _SubgroupForm.project_coords.
+    tuples come out of coord_ops, coord_reducer or
+    _SubgroupForm.project_coords.
     """
     e = object.__new__(GroupElement)
     object.__setattr__(e, "group", G)
@@ -216,6 +224,45 @@ def coord_reducer(
         return tuple([c % a for c, a in zip(v, torsion)]) + v[t:]
 
     return reduce
+
+
+Coords = tuple[int, ...]
+
+
+@lru_cache(maxsize=256)
+def _coord_ops_maker(t: int, n: int) -> Callable[..., tuple]:
+    """A function of t torsion orders that returns (add, sub) for tuples of
+    n coordinates, the first t of them torsion.  Its source is built from
+    t and n alone; the orders are bound as closure cells when it is called."""
+    orders = [f"a{i}" for i in range(t)]
+
+    def body(op: str) -> str:
+        cells = [f"(u[{i}] {op} v[{i}]) % a{i}," for i in range(t)]
+        cells += [f"u[{i}] {op} v[{i}]," for i in range(t, n)]
+        return f"lambda u, v: ({' '.join(cells)})"
+
+    source = f"def make({', '.join(orders)}):\n    return {body('+')}, {body('-')}\n"
+    namespace: dict = {}
+    exec(compile(source, f"<coord_ops t={t} n={n}>", "exec"), namespace)
+    return namespace["make"]
+
+
+@lru_cache(maxsize=4096)
+def coord_ops(
+    G: GroupPresentation,
+) -> tuple[Callable[[Coords, Coords], Coords], Callable[[Coords, Coords], Coords]]:
+    """(add, sub) on canonical coordinate tuples of G, for inner loops.
+
+    add(u, v) and sub(u, v) equal coord_reducer(G) of the coordinatewise
+    sum and difference, for any integer tuples u, v of G's length.  Each
+    is one lambda that names every coordinate, compiled once per shape
+    (torsion count, length) with G's torsion orders bound as data.
+
+    >>> add, sub = coord_ops(GroupPresentation(1, (2,)))
+    >>> add((1, 3), (1, 4)), sub((0, 3), (1, 4))
+    ((0, 7), (1, -1))
+    """
+    return _coord_ops_maker(len(G.torsion), G.ncoords)(*G.torsion)
 
 
 @dataclass(frozen=True)
@@ -321,22 +368,32 @@ class _SubgroupForm:
     diagonalisation serves membership (project to zero), the quotient
     (project), its section (lift, through U^-1) and the rank (the columns of
     V at zero pivots span the relations among the generators).  U^-1 and the
-    rank are computed on first use.  With no generators, M is G's relation
-    matrix: already in Smith form with U = V = I, so none is computed, Q = G
-    and project_coords is coord_reducer(G).
+    rank are computed on first use.  Two subgroups need no Smith form.
+    With no generators, M is G's relation matrix: already in Smith form with
+    U = V = I, Q = G and project_coords is coord_reducer(G).  With G's
+    standard generators, M = [I | relations]: column steps alone clear the
+    relations, so U = I, every factor is 1 and Q is trivial.
     """
 
     def __init__(self, G: GroupPresentation, gens: tuple[GroupElement, ...]):
         self.G = G
         self.gens = gens
-        if gens:
+        n, t = G.ncoords, len(G.torsion)
+        if not gens:
+            self.U, self.V = _identity(n), _identity(t)
+            self.factors = [*G.torsion, *(0,) * G.free_rank]
+            self.project_coords = coord_reducer(G)
+        elif tuple([g.coords for g in gens]) == _identity(n):
+            self.U, self.factors = _identity(n), [1] * n
+            # column n + i of M is alpha_i times column i
+            V = [list(r) for r in _identity(n + t)]
+            for i, alpha in enumerate(G.torsion):
+                V[i][n + i] = -alpha
+            self.V = tuple(map(tuple, V))
+        else:
             D, self.U, self.V = smith_normal_form(_preimage_matrix(G, gens))
             # factor of coordinate i in the new basis: d_i (0 = free, 1 = dropped)
             self.factors = [row[i] if i < len(row) else 0 for i, row in enumerate(D)]
-        else:
-            self.U, self.V = _identity(G.ncoords), _identity(len(G.torsion))
-            self.factors = [*G.torsion, *(0,) * G.free_rank]
-            self.project_coords = coord_reducer(G)
         self.torsion_pos = [i for i, d in enumerate(self.factors) if d >= 2]
         self.free_pos = [i for i, d in enumerate(self.factors) if d == 0]
         self.Q = GroupPresentation(
@@ -402,7 +459,7 @@ class _SubgroupForm:
         return k - sum(row[i] == 1 for i, row in enumerate(D) if i < len(row))
 
 
-# the module's one cache: _subgroup_form(G, gens) is the form of <gens> <= G
+# _subgroup_form(G, gens) is the form of <gens> <= G, cached like coord_ops
 _subgroup_form = lru_cache(maxsize=4096)(_SubgroupForm)
 
 

@@ -8,15 +8,15 @@ convention throughout the codebase:
 
 shift, pushforward and is_zero_mod run on canonical coordinate tuples:
 each gathers (point, coefficient) coordinates in one dict, kept canonical by
-coord_reducer and the subgroup form's project_coords, and builds its result
-once.  GroupElement and SupportedFunction appear only at the API boundary.
+coord_ops (add and sub on tuples) and the subgroup form's project_coords,
+and builds its result once.  GroupElement and SupportedFunction appear only
+at the API boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from operator import add as _add, neg, sub
 from typing import Iterable, Sequence
 
 from .abelian import (
@@ -26,7 +26,7 @@ from .abelian import (
     _SubgroupForm,
     _element,
     _quotient_form,
-    coord_reducer,
+    coord_ops,
     geodesic_length,
 )
 
@@ -120,14 +120,14 @@ class SupportedFunction:
         # merge the sorted terms: only a point of both gets a new coefficient
         self._check_compatible(other)
         A, x, y = self.coeff_group, self.terms, other.terms
-        red_a, out, i, j = coord_reducer(A), [], 0, 0
+        add, out, i, j = coord_ops(A)[0], [], 0, 0
         while i < len(x) and j < len(y):
             p, q = x[i][0].coords, y[j][0].coords
             if p != q:
                 out.append(x[i] if p < q else y[j])
                 i, j = (i + 1, j) if p < q else (i, j + 1)
                 continue
-            c = red_a(map(_add, x[i][1].coords, y[j][1].coords))
+            c = add(x[i][1].coords, y[j][1].coords)
             if any(c):
                 out.append((x[i][0], _element(A, c)))
             i, j = i + 1, j + 1
@@ -135,11 +135,11 @@ class SupportedFunction:
 
     def __neg__(self) -> "SupportedFunction":
         A = self.coeff_group
-        red_a = coord_reducer(A)
+        sub, zero = coord_ops(A)[1], (0,) * A.ncoords
         return _function(
             A,
             self.base_group,
-            tuple((p, _element(A, red_a(map(neg, a.coords)))) for p, a in self.terms),
+            tuple((p, _element(A, sub(zero, a.coords))) for p, a in self.terms),
         )
 
     def __sub__(self, other: "SupportedFunction") -> "SupportedFunction":
@@ -152,12 +152,19 @@ class SupportedFunction:
 def _coeff_sums(
     A: GroupPresentation, pairs: Iterable[tuple[tuple, tuple[int, ...]]]
 ) -> dict[tuple, tuple[int, ...]]:
-    """Sum coefficient coordinates per key, canonical in A; zeros are kept."""
-    red_a = coord_reducer(A)
+    """Sum coefficient coordinates per key, canonical in A; zeros are kept.
+    A's add kernel is fetched at the first merge, so a call without one
+    builds none."""
+    add = None
     sums: dict[tuple, tuple[int, ...]] = {}
     for key, c in pairs:
         old = sums.get(key)
-        sums[key] = c if old is None else red_a(map(_add, old, c))
+        if old is None:
+            sums[key] = c
+        else:
+            if add is None:
+                add = coord_ops(A)[0]
+            sums[key] = add(old, c)
     return sums
 
 
@@ -201,10 +208,10 @@ def shift(f: SupportedFunction, delta: GroupElement) -> SupportedFunction:
     B = f.base_group
     if delta.group != B:
         raise ValueError("shift by an element of a different group")
-    red_b = coord_reducer(B)
+    sub = coord_ops(B)[1]
     d = delta.coords
     # translation keeps points distinct; sorting compares points only
-    moved = sorted((red_b(map(sub, p.coords, d)), a) for p, a in f.terms)
+    moved = sorted((sub(p.coords, d), a) for p, a in f.terms)
     return _function(f.coeff_group, B, tuple((_element(B, q), a) for q, a in moved))
 
 

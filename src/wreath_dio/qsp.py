@@ -11,18 +11,18 @@ drive the delta-normalization that bounds witness shifts by the instance size.
 clusters is the one connectivity routine; normalization reruns it after each
 shift in N that merges a plain sub-cluster into its mod-N cluster's anchor.
 
-shifted_sum and satisfies_equation run on canonical coordinate tuples:
-every shifted term goes into one dict keyed by its point (or, for the
-equation, by the point's coordinates in B/N), so the work is linear in the
-number of terms.  GroupElement and SupportedFunction appear only at the API
-boundary.
+shifted_sum, satisfies_equation and make_certificate run on canonical
+coordinate tuples: each shifted point p - delta_i comes from B's sub kernel
+(abelian.coord_ops), and every shifted term goes into one dict keyed by its
+point (or, for the equation, by the point's coordinates in B/N), summed by
+A's add kernel, so the work is linear in the number of terms.  GroupElement
+and SupportedFunction appear only at the API boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import sub
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .abelian import (
     GroupElement,
@@ -30,7 +30,7 @@ from .abelian import (
     Subgroup,
     _element,
     _quotient_form,
-    coord_reducer,
+    coord_ops,
     geodesic_length,
     subgroup_rank_at_most,
 )
@@ -105,14 +105,21 @@ def _home_groups(
 def _shifted_pairs(
     fs: Sequence[SupportedFunction],
     deltas: Sequence[GroupElement],
-    key: Callable[[tuple[int, ...]], tuple],
+    B: GroupPresentation,
+    key: Optional[Callable[[tuple[int, ...]], tuple]] = None,
 ) -> Iterator[tuple[tuple, tuple[int, ...]]]:
-    """(key(coordinates of p - delta_i), coefficient coordinates) for every
-    term (p, a) of every f_i: the terms of the shifted sum, unmerged."""
+    """(coordinates of p - delta_i in B, or their key, coefficient
+    coordinates) for every term (p, a) of every f_i: the terms of the
+    shifted sum, unmerged."""
+    sub = coord_ops(B)[1]
     for f, d in zip(fs, deltas):
         dc = d.coords
-        for p, a in f.terms:
-            yield key(tuple(map(sub, p.coords, dc))), a.coords
+        if key is None:
+            for p, a in f.terms:
+                yield sub(p.coords, dc), a.coords
+        else:
+            for p, a in f.terms:
+                yield key(sub(p.coords, dc)), a.coords
 
 
 def shifted_sum(
@@ -120,8 +127,7 @@ def shifted_sum(
 ) -> SupportedFunction:
     """sum_i shift(f_i, delta_i); the left side of the quotient-sum equation."""
     A, B = _home_groups(fs, deltas)
-    pairs = _shifted_pairs(fs, deltas, coord_reducer(B))
-    return _from_sums(A, B, _coeff_sums(A, pairs))
+    return _from_sums(A, B, _coeff_sums(A, _shifted_pairs(fs, deltas, B)))
 
 
 def satisfies_equation(
@@ -137,8 +143,10 @@ def satisfies_equation(
     if not fs:
         return True
     A, B = _home_groups(fs, deltas)
-    pairs = _shifted_pairs(fs, deltas, _quotient_form(B, N).project_coords)
-    return _vanishes(_coeff_sums(A, pairs))
+    form = _quotient_form(B, N)
+    # at N = 0 the projection is B's own reduction, which sub has done
+    key = form.project_coords if N.generators else None
+    return _vanishes(_coeff_sums(A, _shifted_pairs(fs, deltas, B, key)))
 
 
 def verify_certificate(instance: QspInstance, cert: Certificate) -> bool:
@@ -266,14 +274,14 @@ def make_certificate(
         return Certificate((), ())
     project = _quotient_form(instance.B, N).project_coords
     A, B = _home_groups(instance.fs, deltas)
-    red_b = coord_reducer(B)
-    sums = _coeff_sums(A, _shifted_pairs(instance.fs, deltas, red_b))
+    sub = coord_ops(B)[1]
+    sums = _coeff_sums(A, _shifted_pairs(instance.fs, deltas, B))
     first: dict[tuple[int, ...], tuple[int, ...]] = {}
     gens: set[tuple[int, ...]] = set()
     for p in sorted(p for p, c in sums.items() if any(c)):
         q = first.setdefault(project(p), p)
         if q is not p:
-            gens.add(red_b(map(sub, p, q)))
+            gens.add(sub(p, q))
     return Certificate(tuple(deltas), tuple([_element(B, g) for g in sorted(gens)]))
 
 

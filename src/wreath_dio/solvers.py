@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from operator import add, neg, sub
 from typing import Iterator, Optional, Sequence
 
 from .abelian import (
@@ -23,9 +22,11 @@ from .abelian import (
     GroupElement,
     GroupPresentation,
     Subgroup,
+    _element,
     _identity,
     _relation_columns,
     _subgroup_form,
+    coord_ops,
     coord_reducer,
     enumerate_ball,
     group_rank,
@@ -165,9 +166,12 @@ class _Level:
         form = _subgroup_form(B, gens)
         self.gens = gens
         self.project = form.project_coords
-        self.red_b = coord_reducer(B)
-        self.red_q = coord_reducer(form.Q)
+        self.sub_b = coord_ops(B)[1]
+        self.sub_q = coord_ops(form.Q)[1]
         self.A = fs[0].coeff_group
+        self.add_a, self.sub_a = coord_ops(self.A)
+        # the plain reductions of B/N and A, which those kernels agree with
+        self.red_q = coord_reducer(form.Q)
         self.red_a = coord_reducer(self.A)
         self.tested = B.free_rank - form.Q.free_rank == h
         self.drop = len(form.Q.torsion) if h else 0
@@ -215,17 +219,17 @@ class _Level:
         first new nonzero coefficient outside it instead: undo, and return
         None.  Either way each entry it adds to reps is one a full placement
         adds, and at N != 0 it adds them all."""
-        red_q, red_a, red_b, reps = self.red_q, self.red_a, self.red_b, self.reps
+        sub_q, add_a, sub_b, reps = self.sub_q, self.add_a, self.sub_b, self.reps
         undo = []
         for point, coeff in terms:
-            p = red_q(map(sub, point, delta))
+            p = sub_q(point, delta)
             old = sum_d.get(p)
             if old is None:
                 new = coeff
                 if p not in reps:
-                    reps[p] = red_b(map(sub, reps[point], shift_b))
+                    reps[p] = sub_b(reps[point], shift_b)
             else:
-                new = red_a(map(add, old, coeff))
+                new = add_a(old, coeff)
                 if not any(new):
                     undo.append((p, old))
                     del sum_d[p]
@@ -237,9 +241,9 @@ class _Level:
                     # B-point, which shows in the certificate; at N = 0 a
                     # point has one B-point, whichever placement sets it
                     for point, _coeff in terms:
-                        p = red_q(map(sub, point, delta))
+                        p = sub_q(point, delta)
                         if p not in reps:
-                            reps[p] = red_b(map(sub, reps[point], shift_b))
+                            reps[p] = sub_b(reps[point], shift_b)
                 return None
             undo.append((p, old))
             sum_d[p] = new
@@ -280,13 +284,13 @@ class _Level:
         big.  The lamp sets are built on the first call."""
         if self._neg_lamps is None:
             self._neg_lamps = self._lamps()
-        red_a = self.red_a
+        add_a = self.add_a
         reach = {(0,) * self.A.ncoords}
         for vid in ids:
             grown = set(reach)
             for r in reach:
                 for v in self._neg_lamps[vid]:
-                    grown.add(red_a(map(add, r, v)))
+                    grown.add(add_a(r, v))
             reach = grown
             if len(reach) > _REACH_CAP:
                 return None
@@ -295,12 +299,12 @@ class _Level:
     def _lamps(self) -> dict[int, set]:
         """The negated nonzero lamp values of each function, by value id,
         with points pushed past the first drop coordinates."""
-        red_a = self.red_a
+        sub_a, zero = self.sub_a, (0,) * self.A.ncoords
         drop = self.drop
         lamps = {}
         for i, terms in self.gs.items():
             sums = _coeff_sums(self.A, ((p[drop:], c) for p, c in terms))
-            lamps[self.vids[i]] = {red_a(map(neg, c)) for c in sums.values() if any(c)}
+            lamps[self.vids[i]] = {sub_a(zero, c) for c in sums.values() if any(c)}
         return lamps
 
 
@@ -408,10 +412,10 @@ def _anchored_search(
     meets in reps, which shows in the certificate.  So neither case skips.
 
     The search runs on canonical coordinate tuples: points of B/N and
-    coefficients of A, kept canonical by each group's coord_reducer.  Tuples
-    order as their GroupElements do, so nodes are visited in coordinate
-    order.  Shifts and generators are differences of B-points, so no point
-    of B/N is ever lifted back to B.
+    coefficients of A, added and subtracted by each group's coord_ops
+    kernels, which keep them canonical.  Tuples order as their GroupElements
+    do, so nodes are visited in coordinate order.  Shifts and generators are
+    differences of B-points, so no point of B/N is ever lifted back to B.
     """
     root = _Level(fs, B, (), h)
     levels: dict[tuple, Optional[_Level]] = {}
@@ -422,9 +426,9 @@ def _anchored_search(
             return ids, ()
         items = sorted(sum_d.items())  # points are distinct: sorted by point
         base = items[0][0]
-        red_q = lvl.red_q
+        sub_q = lvl.sub_q
         # translation-normalized: failure is invariant under joint shifts
-        body = tuple([(red_q(map(sub, p, base)), c) for p, c in items])
+        body = tuple([(sub_q(p, base), c) for p, c in items])
         return ids, body
 
     def grow(lvl: _Level, p: tuple, q: tuple, seen: set) -> Optional[_Level]:
@@ -432,10 +436,10 @@ def _anchored_search(
         big.  That subgroup depends only on p - q in B/N, so its key is
         kept per level under p - q."""
         meter.charge("subgroup_tuples")
-        diff = lvl.red_q(map(sub, p, q))
+        diff = lvl.sub_q(p, q)
         key = lvl.children.get(diff)
         if key is None:
-            gen = B.element(map(sub, lvl.reps[p], lvl.reps[q]))
+            gen = _element(B, lvl.sub_b(lvl.reps[p], lvl.reps[q]))
             S = Subgroup(B, lvl.gens + (gen,))
             key = lvl.children[diff] = _subgroup_key(S)
             if key not in levels:
@@ -456,7 +460,7 @@ def _anchored_search(
         first unreachable one are charged with one call and never made.  A
         placement stays in sum_d and assignment while its child is out.
         After the last child, key goes into the memo."""
-        red_q, red_b, reps = lvl.red_q, lvl.red_b, lvl.reps
+        sub_q, sub_b, reps = lvl.sub_q, lvl.sub_b, lvl.reps
         # anchor: sums are translation-invariant, so with nothing placed the
         # first function goes with its first lamp on its own point, shift 0
         anchor = not sum_d
@@ -489,8 +493,8 @@ def _anchored_search(
                             window = terms[: j + 1]
                             break
             for point, _coeff in window:
-                delta = red_q(map(sub, point, p))
-                shift_b = red_b(map(sub, reps[point], reps[p]))
+                delta = sub_q(point, p)
+                shift_b = sub_b(reps[point], reps[p])
                 undo = lvl.place(sum_d, terms, delta, shift_b, reach)
                 if undo is None:
                     meter.charge("delta_tuples")

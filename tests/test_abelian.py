@@ -1,10 +1,11 @@
 """Group presentations, Smith normal form, quotients, and Cayley balls."""
 
 import itertools
+import operator
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wreath_dio import abelian
@@ -547,6 +548,134 @@ def test_h0_positive_makes_no_smith_form(monkeypatch):
     assert result.certificate.subgroup_gens == ()
     assert verify_certificate(I, result.certificate)
     assert calls == []
+
+
+def _random_groups(rng, n):
+    """n groups with 0-3 torsion and 0-3 free coordinates."""
+    groups = []
+    for _ in range(n):
+        torsion, a = [], 1
+        for _ in range(rng.randint(0, 3)):
+            a *= rng.randint(2, 4)
+            torsion.append(a)
+        groups.append(GroupPresentation(rng.randint(0, 3), tuple(torsion)))
+    return groups
+
+
+def test_whole_group_form_is_a_smith_form(monkeypatch):
+    """The form of G's standard generators is built without elimination:
+    U M V must be [I | 0] with U, V unimodular, and it must serve
+    membership, rank and the (trivial) quotient."""
+    calls = []
+
+    def counting(M):
+        calls.append(M)
+        return smith_normal_form(M)
+
+    monkeypatch.setattr(abelian, "smith_normal_form", counting)
+    groups = [Z, ZxZ, Z2, Z2xZ2, GroupPresentation(0, (2, 4, 8))]
+    rng = random.Random(20261020)
+    for G in groups + _random_groups(rng, 12):
+        if not G.ncoords:
+            continue
+        abelian._subgroup_form.cache_clear()
+        gens = G.standard_generators()
+        form = abelian._subgroup_form(G, gens)
+        assert calls == []
+        M = abelian._preimage_matrix(G, gens)
+        UM = [[sum(u * m for u, m in zip(r, col)) for col in zip(*M)] for r in form.U]
+        D = [tuple(sum(a * v for a, v in zip(r, col)) for col in zip(*form.V)) for r in UM]
+        n, t = G.ncoords, len(G.torsion)
+        assert D == [e + (0,) * t for e in _identity(n)]
+        abelian._unimodular_inverse(form.U)
+        abelian._unimodular_inverse(form.V)
+        assert form.Q == GroupPresentation(0)
+        assert form.rank == n == subgroup_rank(Subgroup(G, gens + gens[:1]))
+        calls.clear()
+        lift = tuple(rng.randint(-50, 50) for _ in range(n))
+        assert form.project_coords(lift) == ()
+        assert subgroup_contains(Subgroup.whole(G), G.element(lift))
+        assert form.lift(form.Q.zero()) == G.zero()
+
+
+def test_big_h_certificate_makes_no_smith_form(monkeypatch):
+    # a big-h positive is certified with N = B, whose quotient is trivial
+    from wreath_dio.group_ring import SupportedFunction
+    from wreath_dio.qsp import Certificate, QspInstance, make_certificate
+    from wreath_dio.solvers import dispatch
+
+    calls = []
+
+    def counting(M):
+        calls.append(M)
+        return smith_normal_form(M)
+
+    one = Z.element((1,))
+    fs = (
+        SupportedFunction.atom(one, ZxZ.element((0, 0))),
+        SupportedFunction.atom(-one, ZxZ.element((3, 1))),
+        SupportedFunction.atom(one.scale(2), ZxZ.element((-1, 4)))
+        + SupportedFunction.atom(one.scale(-2), ZxZ.element((2, 2))),
+    )
+    I = QspInstance(Z, ZxZ, fs, 2)
+    result = dispatch(I)
+    assert (result.decision, result.method) == ("positive", "big-h")
+    monkeypatch.setattr(abelian, "smith_normal_form", counting)
+    abelian._subgroup_form.cache_clear()
+    deltas = (ZxZ.zero(),) * 3
+    cert = make_certificate(I, deltas, Subgroup.whole(ZxZ))
+    assert calls == []
+    # every point minus the least one, (-1, 4)
+    gens = tuple(ZxZ.element(g) for g in ((1, -4), (3, -2), (4, -3)))
+    assert cert == result.certificate == Certificate(deltas, gens)
+
+
+# ---------------------------------------------------------------------------
+# coordinate kernels
+
+
+@st.composite
+def kernel_operands(draw):
+    """A group with 0-3 torsion and 0-3 free coordinates and two integer
+    tuples of its length, entries up to 10^30 in absolute value."""
+    torsion, a = [], 1
+    for _ in range(draw(st.integers(0, 3))):
+        a *= draw(st.integers(2, 4))
+        torsion.append(a)
+    G = GroupPresentation(draw(st.integers(0, 3)), tuple(torsion))
+    entries = st.tuples(*[st.integers(-10**30, 10**30)] * G.ncoords)
+    return G, draw(entries), draw(entries)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(kernel_operands())
+@example((GroupPresentation(0), (), ()))
+@example((GroupPresentation(0, (2, 4, 8)), (1, -3, 10**30), (-10**30, 5, 7)))
+def test_coord_ops_match_coord_reducer(case):
+    G, u, v = case
+    add, sub = abelian.coord_ops(G)
+    reduce = abelian.coord_reducer(G)
+    assert add(u, v) == reduce(map(operator.add, u, v))
+    assert sub(u, v) == reduce(map(operator.sub, u, v))
+
+
+def test_coord_ops_compiled_once_per_shape():
+    # the source depends on the shape alone; the orders are data
+    for cache in (abelian.coord_ops, abelian._coord_ops_maker):
+        assert callable(cache.cache_clear)
+    abelian.coord_ops.cache_clear()
+    abelian._coord_ops_maker.cache_clear()
+    Z2xZ, Z3xZ = GroupPresentation(1, (2,)), GroupPresentation(1, (3,))
+    (add2, sub2), (add3, sub3) = abelian.coord_ops(Z2xZ), abelian.coord_ops(Z3xZ)
+    assert abelian._coord_ops_maker.cache_info().misses == 1
+    assert add2.__code__ is add3.__code__ and sub2.__code__ is sub3.__code__
+    assert add2((1, 5), (1, 5)) == (0, 10) and add3((1, 5), (1, 5)) == (2, 10)
+    assert sub2((0, 0), (1, 1)) == (1, -1) and sub3((0, 0), (1, 1)) == (2, -1)
+    assert abelian.coord_ops(ZxZ)[0].__code__ is not add2.__code__
+    x, y = Z2xZ.element((1, 5)), Z2xZ.element((1, -2))
+    assert (x + y, x - y) == (Z2xZ.element((0, 3)), Z2xZ.element((0, 7)))
+    with pytest.raises(ValueError):
+        x + Z3xZ.element((1, 5))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ GroupElement arithmetic only: shift each function, add the translates one at
 a time through the SupportedFunction constructor, and test vanishing mod N by
 grouping points whose difference lies in N.  Membership is decided by
 Hermite forms (two generating sets span the same lattice iff their forms are
-equal), not by the Smith form behind the kernels.
+equal), not by the Smith form behind the kernels.  GroupElement's + and -
+run on the same coordinate kernels (abelian.coord_ops), so results are also
+checked against the constructor's own reduction (_canonical).
 """
 
 import itertools
@@ -17,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wreath_dio.abelian import (
+    GroupElement,
     GroupPresentation,
     Subgroup,
     quotient,
@@ -49,6 +52,9 @@ COEFFS = (
 # with two torsion coordinates, a difference of sorted points can leave a
 # later coordinate negative, so a kernel must reduce its results in B
 CERT_BASES = BASES + (GroupPresentation(0, (2, 4)),)
+# the same for a sum of two coefficients: each torsion coordinate of A must
+# be reduced, not only the first
+CERT_COEFFS = COEFFS + (GroupPresentation(0, (2, 4)),)
 
 
 # ---------------------------------------------------------------------------
@@ -146,9 +152,9 @@ def _function(draw, A, B, min_terms=0, max_terms=4):
 
 
 @st.composite
-def groups_and_functions(draw, min_terms=0, bases=BASES):
+def groups_and_functions(draw, min_terms=0, bases=BASES, coeffs=COEFFS):
     B = draw(st.sampled_from(bases))
-    A = draw(st.sampled_from(COEFFS))
+    A = draw(st.sampled_from(coeffs))
     m = draw(st.integers(1, 3))
     fs = tuple(_function(draw, A, B, min_terms) for _ in range(m))
     deltas = tuple(_element(draw, B) for _ in range(m))
@@ -193,8 +199,21 @@ def planted_certificates(draw, bases=BASES):
 # the checks
 
 
+def _canonical(f):
+    """Whether every point and coefficient of f has the coordinates that
+    GroupElement's constructor stores for them.  GroupElement's + and -
+    share the coordinate kernels with the code under test, so a kernel that
+    leaves a coordinate unreduced would pass the comparisons with the
+    reference; the constructor reduces on its own."""
+    return all(
+        x.coords == GroupElement(x.group, x.coords).coords
+        for term in f.terms
+        for x in term
+    )
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
-@given(groups_and_functions(bases=CERT_BASES))
+@given(groups_and_functions(bases=CERT_BASES, coeffs=CERT_COEFFS))
 def test_function_kernels_match_reference(case):
     A, B, fs, deltas, N = case
     for f, d in zip(fs, deltas):
@@ -207,10 +226,12 @@ def test_function_kernels_match_reference(case):
     # the kernels' results are canonical: rebuilding them changes nothing
     for g in (total, pushforward(total, N)):
         assert SupportedFunction(g.coeff_group, g.base_group, g.terms) == g
+    assert all(_canonical(g) for g in (total, pushforward(total, N)))
+    assert all(_canonical(shift(f, d)) for f, d in zip(fs, deltas))
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
-@given(groups_and_functions())
+@given(groups_and_functions(coeffs=CERT_COEFFS))
 def test_add_and_neg_match_the_constructor(case):
     # + and unary - skip the constructor's merge and checks; their results
     # must equal what it builds from the concatenated or negated terms
@@ -221,6 +242,8 @@ def test_add_and_neg_match_the_constructor(case):
         for g, minus_g in zip(fs, negated):
             assert f + g == SupportedFunction(A, B, f.terms + g.terms)
             assert f - g == SupportedFunction(A, B, f.terms + minus_g)
+            assert _canonical(f + g) and _canonical(f - g)
+        assert _canonical(-f)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
