@@ -11,16 +11,17 @@ diagonalised once, in one cached form, and that one Smith form serves
 membership, rank, the quotient with its projection map, and the lift back.
 The Smith form and the inverse of its change of basis both come from
 lattice.hermite_form: this module does no elimination of its own.
-The trivial subgroup needs no Smith form, G/{0} projecting by coord_reducer,
-and neither does G itself, G/G being trivial.
+The trivial subgroup needs no Smith form, G/{0} projecting by coord_ops's
+reduce, and neither does G itself, G/G being trivial.
 A rank budget is checked against min(#generators, rank G) first, so the
 Smith form of the generators' relations is built only when that bound
 exceeds it (subgroup_rank_at_most).
 
-Inner loops add and subtract canonical coordinate tuples through
-coord_ops(G): one lambda per operation, compiled once per shape (torsion
-count, length) and bound to G's torsion orders.  GroupElement's own + and -
-use the same kernels.
+coord_ops(G) holds the kernels on coordinate tuples: add, sub and reduce,
+one lambda each, compiled once per shape (torsion count, length) and bound
+to G's torsion orders.  Its reduce is the one reduction rule: the
+GroupElement constructor, the trivial subgroup's projection and the codec
+all run on it, and GroupElement's own + and - on its add and sub.
 """
 
 from __future__ import annotations
@@ -144,10 +145,7 @@ class GroupElement:
         except TypeError:
             # the first coordinate that is not an integer raises ValueError
             coords = tuple([_integer(c, "coordinate") for c in self.coords])
-        reduced = tuple(
-            c % a for c, a in zip(coords, g.torsion)
-        ) + coords[len(g.torsion):]
-        object.__setattr__(self, "coords", reduced)
+        object.__setattr__(self, "coords", coord_ops(g)[2](coords))
 
     def __hash__(self) -> int:
         # equal elements have equal coordinates; leaving the group out keeps
@@ -196,8 +194,7 @@ def _element(G: GroupPresentation, coords: tuple[int, ...]) -> GroupElement:
     """A GroupElement from coordinates that are already canonical in G.
 
     Skips the reduction of the constructor, so it is only for kernels whose
-    tuples come out of coord_ops, coord_reducer or
-    _SubgroupForm.project_coords.
+    tuples come out of coord_ops or _SubgroupForm.project_coords.
     """
     e = object.__new__(GroupElement)
     object.__setattr__(e, "group", G)
@@ -205,62 +202,48 @@ def _element(G: GroupPresentation, coords: tuple[int, ...]) -> GroupElement:
     return e
 
 
-def coord_reducer(
-    G: GroupPresentation,
-) -> Callable[[Iterable[int]], tuple[int, ...]]:
-    """GroupElement's reduction rule on bare coordinates, for inner loops.
-
-    The returned function takes integer coordinates of G to the canonical
-    tuple a GroupElement would store: torsion coordinates mod alpha_i, free
-    ones unchanged.  For a torsion-free G it is plain ``tuple``.
-    """
-    torsion = G.torsion
-    if not torsion:
-        return tuple
-    t = len(torsion)
-
-    def reduce(coords: Iterable[int]) -> tuple[int, ...]:
-        v = tuple(coords)
-        return tuple([c % a for c, a in zip(v, torsion)]) + v[t:]
-
-    return reduce
-
-
 Coords = tuple[int, ...]
 
 
 @lru_cache(maxsize=256)
 def _coord_ops_maker(t: int, n: int) -> Callable[..., tuple]:
-    """A function of t torsion orders that returns (add, sub) for tuples of
-    n coordinates, the first t of them torsion.  Its source is built from
-    t and n alone; the orders are bound as closure cells when it is called."""
+    """A function of t torsion orders that returns (add, sub, reduce) for
+    tuples of n coordinates, the first t of them torsion.  Its source is
+    built from t and n alone; the orders are bound as closure cells when it
+    is called."""
     orders = [f"a{i}" for i in range(t)]
 
-    def body(op: str) -> str:
-        cells = [f"(u[{i}] {op} v[{i}]) % a{i}," for i in range(t)]
-        cells += [f"u[{i}] {op} v[{i}]," for i in range(t, n)]
-        return f"lambda u, v: ({' '.join(cells)})"
+    def body(args: str, cell: str) -> str:
+        cells = [f"({cell.format(i)}) % a{i}," for i in range(t)]
+        cells += [f"{cell.format(i)}," for i in range(t, n)]
+        return f"lambda {args}: ({' '.join(cells)})"
 
-    source = f"def make({', '.join(orders)}):\n    return {body('+')}, {body('-')}\n"
+    ops = [body("u, v", "u[{0}] + v[{0}]"), body("u, v", "u[{0}] - v[{0}]"),
+           body("u", "u[{0}]")]
+    source = f"def make({', '.join(orders)}):\n    return {', '.join(ops)}\n"
     namespace: dict = {}
     exec(compile(source, f"<coord_ops t={t} n={n}>", "exec"), namespace)
     return namespace["make"]
 
 
 @lru_cache(maxsize=4096)
-def coord_ops(
-    G: GroupPresentation,
-) -> tuple[Callable[[Coords, Coords], Coords], Callable[[Coords, Coords], Coords]]:
-    """(add, sub) on canonical coordinate tuples of G, for inner loops.
+def coord_ops(G: GroupPresentation) -> tuple[
+    Callable[[Coords, Coords], Coords],
+    Callable[[Coords, Coords], Coords],
+    Callable[[Sequence[int]], Coords],
+]:
+    """(add, sub, reduce) on coordinate tuples of G, for inner loops.
 
-    add(u, v) and sub(u, v) equal coord_reducer(G) of the coordinatewise
-    sum and difference, for any integer tuples u, v of G's length.  Each
-    is one lambda that names every coordinate, compiled once per shape
-    (torsion count, length) with G's torsion orders bound as data.
+    reduce(u) is the canonical tuple a GroupElement stores for integer
+    coordinates u of G's length: torsion coordinates mod alpha_i, free ones
+    unchanged.  add(u, v) and sub(u, v) are reduce of the coordinatewise
+    sum and difference.  Each is one lambda that names every coordinate,
+    compiled once per shape (torsion count, length) with G's torsion orders
+    bound as data.
 
-    >>> add, sub = coord_ops(GroupPresentation(1, (2,)))
-    >>> add((1, 3), (1, 4)), sub((0, 3), (1, 4))
-    ((0, 7), (1, -1))
+    >>> add, sub, reduce = coord_ops(GroupPresentation(1, (2,)))
+    >>> add((1, 3), (1, 4)), sub((0, 3), (1, 4)), reduce([-3, 5])
+    ((0, 7), (1, -1), (1, 5))
     """
     return _coord_ops_maker(len(G.torsion), G.ncoords)(*G.torsion)
 
@@ -370,7 +353,8 @@ class _SubgroupForm:
     V at zero pivots span the relations among the generators).  U^-1 and the
     rank are computed on first use.  Two subgroups need no Smith form.
     With no generators, M is G's relation matrix: already in Smith form with
-    U = V = I, Q = G and project_coords is coord_reducer(G).  With G's
+    U = V = I, Q = G and project_coords is coord_ops(G)'s reduce, the one
+    reduction rule of G's coordinates.  With G's
     standard generators, M = [I | relations]: column steps alone clear the
     relations, so U = I, every factor is 1 and Q is trivial.
     """
@@ -382,7 +366,7 @@ class _SubgroupForm:
         if not gens:
             self.U, self.V = _identity(n), _identity(t)
             self.factors = [*G.torsion, *(0,) * G.free_rank]
-            self.project_coords = coord_reducer(G)
+            self.project_coords = coord_ops(G)[2]
         elif tuple([g.coords for g in gens]) == _identity(n):
             self.U, self.factors = _identity(n), [1] * n
             # column n + i of M is alpha_i times column i

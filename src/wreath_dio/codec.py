@@ -7,19 +7,20 @@ numbers; anything larger is carried as a decimal string and restored exactly
 on decode.
 
 Decoding validates each coordinate list once into an int tuple, canonical in
-its group by coord_reducer, and builds the element from it directly.  A
-function's terms are gathered on those tuples: repeated points are merged in
-one dict of coefficient sums, zero sums dropped, and the function is built
-once in sorted order, as the SupportedFunction constructor would build it.
+its group by coord_ops's reduce (the one reduction rule), and builds the
+element from it directly.  A function's terms are gathered on those tuples:
+repeated points are merged in one dict of coefficient sums, zero sums
+dropped, and the function is built once in sorted order, by the same
+_coeff_sums and _from_sums as the SupportedFunction constructor.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Callable, Iterable, Optional, Union
+from typing import Any, Callable, Optional, Union
 
-from .abelian import GroupElement, GroupPresentation, _element, coord_reducer
+from .abelian import GroupElement, GroupPresentation, _element, coord_ops
 from .group_ring import SupportedFunction, _coeff_sums, _from_sums
 from .qsp import Certificate, QspInstance
 from .wreath import OrientableEquation, WreathElement
@@ -93,10 +94,10 @@ def encode_element(g: GroupElement) -> list:
 
 
 def _dec_coords(
-    G: GroupPresentation, obj: Any, reduce: Callable[[Iterable[int]], tuple]
+    G: GroupPresentation, obj: Any, reduce: Callable[[list[int]], tuple]
 ) -> tuple[int, ...]:
     """The canonical coordinates of an encoded element of G; reduce is
-    coord_reducer(G)."""
+    coord_ops(G)'s."""
     coords = [_dec_int(c, "element coordinate") for c in _expect_list(obj, "element")]
     if len(coords) != G.ncoords:
         raise CodecError(
@@ -106,7 +107,7 @@ def _dec_coords(
 
 
 def decode_element(G: GroupPresentation, obj: Any) -> GroupElement:
-    return _element(G, _dec_coords(G, obj, coord_reducer(G)))
+    return _element(G, _dec_coords(G, obj, coord_ops(G)[2]))
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +133,7 @@ def decode_function(
         raise CodecError("function: embedded coefficient group disagrees")
     if "B" in d and decode_group(d["B"]) != B:
         raise CodecError("function: embedded base group disagrees")
-    red_a, red_b = coord_reducer(A), coord_reducer(B)
+    red_a, red_b = coord_ops(A)[2], coord_ops(B)[2]
     terms = []
     for entry in _expect_list(d.get("terms", []), "function.terms"):
         t = _expect_dict(entry, "function term")

@@ -10,7 +10,9 @@ shift, pushforward and is_zero_mod run on canonical coordinate tuples:
 each gathers (point, coefficient) coordinates in one dict, kept canonical by
 coord_ops (add and sub on tuples) and the subgroup form's project_coords,
 and builds its result once.  GroupElement and SupportedFunction appear only
-at the API boundary.
+at the API boundary.  The constructor merges its terms the same way, with
+_coeff_sums and _from_sums, so coordinates are reduced only by coord_ops,
+whose reduce is the one reduction rule.
 """
 
 from __future__ import annotations
@@ -46,25 +48,18 @@ class SupportedFunction:
     terms: tuple[tuple[GroupElement, GroupElement], ...]
 
     def __post_init__(self) -> None:
-        merged: dict[tuple[int, ...], GroupElement] = {}
-        order: dict[tuple[int, ...], GroupElement] = {}
-        for point, coeff in self.terms:
-            if point.group != self.base_group:
-                raise ValueError("support point outside the base group")
-            if coeff.group != self.coeff_group:
-                raise ValueError("coefficient outside the coefficient group")
-            key = point.coords
-            if key in merged:
-                merged[key] = merged[key] + coeff
-            else:
-                merged[key] = coeff
-                order[key] = point
-        cleaned = tuple(
-            (order[key], merged[key])
-            for key in sorted(merged)
-            if not merged[key].is_zero()
-        )
-        object.__setattr__(self, "terms", cleaned)
+        A, B = self.coeff_group, self.base_group
+
+        def pairs():
+            for point, coeff in self.terms:
+                if point.group != B:
+                    raise ValueError("support point outside the base group")
+                if coeff.group != A:
+                    raise ValueError("coefficient outside the coefficient group")
+                yield point.coords, coeff.coords
+
+        terms = _from_sums(A, B, _coeff_sums(A, pairs())).terms
+        object.__setattr__(self, "terms", terms)
 
     # -- constructors ------------------------------------------------------
 

@@ -41,15 +41,15 @@ def _gram_schmidt(
     return ortho, mus
 
 
-def is_lll_reduced(basis: Sequence[Sequence[int]], delta: Fraction = LLL_DELTA) -> bool:
-    """Check both LLL conditions exactly."""
+def is_lll_reduced(basis: Sequence[Sequence[int]]) -> bool:
+    """Check both LLL conditions exactly, with factor LLL_DELTA."""
     ortho, mus = _gram_schmidt(basis)
     for i in range(len(basis)):
         for j in range(i):
             if abs(mus[i][j]) > Fraction(1, 2):
                 return False
     for i in range(len(basis) - 1):
-        lhs = delta * _dot(ortho[i], ortho[i])
+        lhs = LLL_DELTA * _dot(ortho[i], ortho[i])
         # ||pi_i(v_{i+1})||^2 = ||v*_{i+1}||^2 + mu^2 ||v*_i||^2
         rhs = _dot(ortho[i + 1], ortho[i + 1]) + mus[i + 1][i] ** 2 * _dot(
             ortho[i], ortho[i]
@@ -59,13 +59,11 @@ def is_lll_reduced(basis: Sequence[Sequence[int]], delta: Fraction = LLL_DELTA) 
     return True
 
 
-def lll_reduce(
-    basis: Sequence[Sequence[int]], delta: Fraction = LLL_DELTA
-) -> list[Vector]:
+def lll_reduce(basis: Sequence[Sequence[int]]) -> list[Vector]:
     """LLL-reduce an independent integer basis with exact rational arithmetic.
 
     The output generates the same lattice and satisfies size-reduction and the
-    Lovasz condition with the given factor (default 3/4).  Dependent input is
+    Lovasz condition with factor LLL_DELTA = 3/4.  Dependent input is
     rejected.
     """
     vecs = [tuple(int(x) for x in v) for v in basis]
@@ -91,7 +89,7 @@ def lll_reduce(
         lovasz_rhs = _dot(ortho[k], ortho[k]) + mus[k][k - 1] ** 2 * _dot(
             ortho[k - 1], ortho[k - 1]
         )
-        if delta * _dot(ortho[k - 1], ortho[k - 1]) <= lovasz_rhs:
+        if LLL_DELTA * _dot(ortho[k - 1], ortho[k - 1]) <= lovasz_rhs:
             k += 1
         else:
             vecs[k], vecs[k - 1] = vecs[k - 1], vecs[k]

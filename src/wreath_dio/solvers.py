@@ -27,13 +27,12 @@ from .abelian import (
     _relation_columns,
     _subgroup_form,
     coord_ops,
-    coord_reducer,
     enumerate_ball,
     group_rank,
     smith_normal_form,
     subgroup_rank_at_most,
 )
-from .group_ring import SupportedFunction, _coeff_sums
+from .group_ring import SupportedFunction, _coeff_sums, _vanishes
 from .lattice import hermite_form
 from .qsp import (
     Certificate,
@@ -123,8 +122,8 @@ def _unknown(method: str, meter: _Meter, exc: BudgetExceeded) -> SolveResult:
 
 def _total_sum_is_zero(I: QspInstance) -> bool:
     """Necessary for any positive answer: quotients preserve the total sum."""
-    columns = zip(*(c.coords for f in I.fs for _, c in f.terms))
-    return not any(coord_reducer(I.A)(map(sum, columns)))
+    coeffs = (((), c.coords) for f in I.fs for _, c in f.terms)
+    return _vanishes(_coeff_sums(I.A, coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -169,10 +168,7 @@ class _Level:
         self.sub_b = coord_ops(B)[1]
         self.sub_q = coord_ops(form.Q)[1]
         self.A = fs[0].coeff_group
-        self.add_a, self.sub_a = coord_ops(self.A)
-        # the plain reductions of B/N and A, which those kernels agree with
-        self.red_q = coord_reducer(form.Q)
-        self.red_a = coord_reducer(self.A)
+        self.add_a, self.sub_a, _ = coord_ops(self.A)
         self.tested = B.free_rank - form.Q.free_rank == h
         self.drop = len(form.Q.torsion) if h else 0
         self.reps: dict[tuple, tuple] = {}
@@ -218,7 +214,7 @@ class _Level:
         B), into sum_d; return an undo log.  Given a reach set, stop at the
         first new nonzero coefficient outside it instead: undo, and return
         None.  Either way each entry it adds to reps is one a full placement
-        adds, and at N != 0 it adds them all."""
+        adds."""
         sub_q, add_a, sub_b, reps = self.sub_q, self.add_a, self.sub_b, self.reps
         undo = []
         for point, coeff in terms:
@@ -236,14 +232,6 @@ class _Level:
                     continue
             if reach is not None and new not in reach:
                 self.unplace(sum_d, undo)
-                if self.gens:
-                    # a point of B/N is a coset, and reps keeps its first
-                    # B-point, which shows in the certificate; at N = 0 a
-                    # point has one B-point, whichever placement sets it
-                    for point, _coeff in terms:
-                        p = sub_q(point, delta)
-                        if p not in reps:
-                            reps[p] = sub_b(reps[point], shift_b)
                 return None
             undo.append((p, old))
             sum_d[p] = new
@@ -387,29 +375,30 @@ def _anchored_search(
     B/N pushes to a translate in B/I, with the same coefficients.  So a
     revisit of the state, or of a translate of it, is pruned again.
 
-    When B/I is B/N itself (h = 0, or Q torsion-free) and a placement
+    In the h = 0 pass, where N = 0 and B/I is B/N itself, a placement that
     leaves a point of the partial sum untouched, because the function has
-    fewer lamps than the partial sum has points, the child cannot vanish.
-    Its reach set is then fetched before placing, and the placement stops
-    at its first new coefficient outside that set: the full prune would
-    reject that coefficient too, so the verdict is the same, and the
-    pruned child's remaining lamps are never added.  A child that passes
-    still gets the full prune, for the points the placement did not touch.
+    fewer lamps than the partial sum has points, gives a child that cannot
+    vanish.  Its reach set is then fetched before placing, and the
+    placement stops at its first new coefficient outside that set: the full
+    prune would reject that coefficient too, so the verdict is the same,
+    and the pruned child's remaining lamps are never added.  A point of
+    B/N = B has one B-point, so the entries a stopped placement leaves out
+    of reps are never needed: a later placement that meets the point sets
+    the same one.  A child that passes still gets the full prune, for the
+    points the placement did not touch.
 
-    At N = 0 over a torsion-free B (the h = 0 pass), that test also rules
-    out placements before they are made.  There B/N = Z^r, whose
-    lexicographic order is unchanged by translation.  A placement that puts
-    lamp t on p = min(sum_d) puts each earlier lamp s < t on p + (s - t),
-    below p, so on a point of B/N that sum_d does not hold: the child's
-    coefficient there is lamp s's own value, whatever the shift.  So if j
-    is the function's first lamp whose value lies outside the reach set,
-    every placement of a lamp after j stops at lamp j.  Only lamps up to j
-    are tried; the others are charged with one call after them, which is
-    where they fall in lamp order, and the budget trips at the same count.
-    With torsion in B/N translation wraps around modulo its orders, so the
-    earlier lamps may land above p, on points of sum_d.  At N != 0 a
-    stopped placement still records the first B-point of each coset it
-    meets in reps, which shows in the certificate.  So neither case skips.
+    Over a torsion-free B that test also rules out placements before they
+    are made.  There B/N = Z^r, whose lexicographic order is unchanged by
+    translation.  A placement that puts lamp t on p = min(sum_d) puts each
+    earlier lamp s < t on p + (s - t), below p, so on a point of B/N that
+    sum_d does not hold: the child's coefficient there is lamp s's own
+    value, whatever the shift.  So if j is the function's first lamp whose
+    value lies outside the reach set, every placement of a lamp after j
+    stops at lamp j.  Only lamps up to j are tried; the others are charged
+    with one call after them, which is where they fall in lamp order, and
+    the budget trips at the same count.  With torsion in B translation
+    wraps around modulo its orders, so the earlier lamps may land above p,
+    on points of sum_d, and no placement is skipped.
 
     The search runs on canonical coordinate tuples: points of B/N and
     coefficients of A, added and subtracted by each group's coord_ops
@@ -454,23 +443,23 @@ def _anchored_search(
         """The children of a node that passed the prune and the memo, in
         visit order, as (level, unplaced, sorted value ids, partial sum);
         ids are the node's own, sorted.  A child that fails the
-        reachability prune is charged and never yielded, and a placement
-        that can test it in place stops at its first unreachable
-        coefficient; at N = 0 over a free B, the placements of lamps past the
-        first unreachable one are charged with one call and never made.  A
-        placement stays in sum_d and assignment while its child is out.
-        After the last child, key goes into the memo."""
+        reachability prune is charged and never yielded, and in the h = 0
+        pass a placement stops at its first unreachable coefficient; over a
+        free B, the placements of lamps past the first unreachable one are
+        charged with one call and never made.  A placement stays in sum_d
+        and assignment while its child is out.  After the last child, key
+        goes into the memo."""
         sub_q, sub_b, reps = lvl.sub_q, lvl.sub_b, lvl.reps
         # anchor: sums are translation-invariant, so with nothing placed the
         # first function goes with its first lamp on its own point, shift 0
         anchor = not sum_d
         p = lvl.gs[unplaced[0]][0][0] if anchor else min(sum_d)
-        # the prune compares coefficients in B/N itself, so it can run while
-        # placing a function whose child keeps a point of sum_d
-        in_place = lvl.tested and not lvl.drop
-        # at N = 0 over a free B, lamps before the one put on p land on
-        # fresh points below p, whatever the shift
-        free = in_place and not lvl.gens and not B.torsion
+        # at h = 0 (N = 0) the prune compares coefficients in B itself, so it
+        # can run while placing a function whose child keeps a point of sum_d
+        in_place = not h
+        # over a free B, lamps before the one put on p land on fresh points
+        # below p, whatever the shift
+        free = in_place and not B.torsion
         tried = set()
         for pos, i in enumerate(unplaced[:1] if anchor else unplaced):
             vid = lvl.vids[i]
@@ -618,13 +607,12 @@ def _zero_sum_partitions(
         yield ()
         return
     (first, coeff), rest = terms[0], terms[1:]
-    red_a = coord_reducer(coeff.group)
     # one point alone never cancels: terms carry no zero coefficient
     for k in range(1, len(rest) + 1):
         for picked in itertools.combinations(range(len(rest)), k):
             meter.charge("subgroup_tuples")
-            block = zip(coeff.coords, *(rest[j][1].coords for j in picked))
-            if any(red_a(map(sum, block))):
+            block = (coeff, *(rest[j][1] for j in picked))
+            if not _vanishes(_coeff_sums(coeff.group, (((), c.coords) for c in block))):
                 continue
             diffs = tuple(rest[j][0] - first for j in picked)
             left = [t for j, t in enumerate(rest) if j not in picked]

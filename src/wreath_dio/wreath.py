@@ -29,10 +29,16 @@ from .abelian import (
     GroupPresentation,
     Subgroup,
     _quotient_form,
-    coord_reducer,
     enumerate_ball,
 )
-from .group_ring import SupportedFunction, lambda_term, pushforward, shift
+from .group_ring import (
+    SupportedFunction,
+    _coeff_sums,
+    _vanishes,
+    lambda_term,
+    pushforward,
+    shift,
+)
 from .qsp import QspInstance
 
 
@@ -203,10 +209,9 @@ def reduce_to_qsp(eq: OrientableEquation) -> Union[QspInstance, Unsolvable]:
     Any evaluation's base component equals the sum of the constants' base
     shifts, so a nonzero sum means no solution.  Otherwise the equation is
     solvable iff the instance (A, B/<deltas>, pushforwards, 2g) is positive.
-    The shifts are summed on coordinates, reduced once in B.
+    The shifts are summed on coordinates by B's add kernel.
     """
-    columns = zip(*(c.delta.coords for c in eq.constants))
-    if any(coord_reducer(eq.B)(map(sum, columns))):
+    if not _vanishes(_coeff_sums(eq.B, (((), c.delta.coords) for c in eq.constants))):
         return Unsolvable()
     N = Subgroup(eq.B, tuple(c.delta for c in eq.constants))
     pushed = tuple(pushforward(c.f, N) for c in eq.constants)

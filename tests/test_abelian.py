@@ -527,7 +527,7 @@ def test_trivial_subgroup_form_equals_the_smith_form_route():
 
 def test_h0_positive_makes_no_smith_form(monkeypatch):
     # at h = 0 only the trivial subgroup is a candidate; the search, the
-    # certificate and its check all project through coord_reducer
+    # certificate and its check all project through coord_ops's reduce
     from wreath_dio import solvers
     from wreath_dio.hardness import ThreePartInstance, gen_3part_h0
     from wreath_dio.qsp import verify_certificate
@@ -651,12 +651,20 @@ def kernel_operands(draw):
 @given(kernel_operands())
 @example((GroupPresentation(0), (), ()))
 @example((GroupPresentation(0, (2, 4, 8)), (1, -3, 10**30), (-10**30, 5, 7)))
-def test_coord_ops_match_coord_reducer(case):
+def test_coord_ops_match_a_local_reduction(case):
+    # the reduction rule written out here, independent of the kernels:
+    # torsion coordinates mod alpha_i, free ones unchanged
     G, u, v = case
-    add, sub = abelian.coord_ops(G)
-    reduce = abelian.coord_reducer(G)
-    assert add(u, v) == reduce(map(operator.add, u, v))
-    assert sub(u, v) == reduce(map(operator.sub, u, v))
+    t = len(G.torsion)
+
+    def expected(w):
+        return tuple(c % a for c, a in zip(w, G.torsion)) + tuple(w[t:])
+
+    add, sub, reduce = abelian.coord_ops(G)
+    assert add(u, v) == expected(list(map(operator.add, u, v)))
+    assert sub(u, v) == expected(list(map(operator.sub, u, v)))
+    assert reduce(u) == reduce(list(u)) == expected(u)
+    assert G.element(u).coords == expected(u)
 
 
 def test_coord_ops_compiled_once_per_shape():
@@ -666,11 +674,13 @@ def test_coord_ops_compiled_once_per_shape():
     abelian.coord_ops.cache_clear()
     abelian._coord_ops_maker.cache_clear()
     Z2xZ, Z3xZ = GroupPresentation(1, (2,)), GroupPresentation(1, (3,))
-    (add2, sub2), (add3, sub3) = abelian.coord_ops(Z2xZ), abelian.coord_ops(Z3xZ)
+    ops2, ops3 = abelian.coord_ops(Z2xZ), abelian.coord_ops(Z3xZ)
     assert abelian._coord_ops_maker.cache_info().misses == 1
-    assert add2.__code__ is add3.__code__ and sub2.__code__ is sub3.__code__
+    assert all(f.__code__ is g.__code__ for f, g in zip(ops2, ops3))
+    (add2, sub2, red2), (add3, sub3, red3) = ops2, ops3
     assert add2((1, 5), (1, 5)) == (0, 10) and add3((1, 5), (1, 5)) == (2, 10)
     assert sub2((0, 0), (1, 1)) == (1, -1) and sub3((0, 0), (1, 1)) == (2, -1)
+    assert red2((-1, 5)) == (1, 5) and red3((-1, 5)) == (2, 5)
     assert abelian.coord_ops(ZxZ)[0].__code__ is not add2.__code__
     x, y = Z2xZ.element((1, 5)), Z2xZ.element((1, -2))
     assert (x + y, x - y) == (Z2xZ.element((0, 3)), Z2xZ.element((0, 7)))

@@ -1,9 +1,10 @@
 """Every name a library module or test file imports is read somewhere in
 that file, every name the package exports exists, every library name the
-benchmark in perfbench/ uses resolves, every library definition has a caller
-outside the tests, no library check is a bare assert, the exhaustive
-oracle reaches no membership code, every CLI exit code is documented, and
-cli.main is the CLI's one error boundary."""
+benchmark in perfbench/ uses resolves (the tracer's string targets too, but
+for three known dead ones), every library definition has a caller outside
+the tests, no library check is a bare assert, the exhaustive oracle reaches
+no membership code, every CLI exit code is documented, and cli.main is the
+CLI's one error boundary."""
 
 import ast
 import collections
@@ -110,6 +111,39 @@ def test_every_library_name_the_benchmark_uses_resolves():
         if not hasattr(importlib.import_module(module), name)
     )
     assert not missing, f"benchmark names that do not resolve: {missing}"
+
+
+def _tracer_targets() -> dict[str, tuple]:
+    """TARGETS and BALL_TARGET of perfbench/tracing.py, read from its source
+    with ast: the tracer names the functions it wraps in strings."""
+    tree = ast.parse((PERFBENCH / "tracing.py").read_text(encoding="utf-8"))
+    return {
+        target.id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id in ("TARGETS", "BALL_TARGET")
+    }
+
+
+# tracer targets that no library function answers, so their per-layer
+# metrics read zero; a benchmark change that repairs one takes it off here
+DEAD_TRACER_TARGETS = {
+    "abelian.cached_quotient",
+    "lattice.saturation",
+    "lattice.span_membership",
+}
+
+
+def test_tracer_targets_resolve():
+    # a deletion in the library must not zero another per-layer metric
+    targets = _tracer_targets()
+    unresolved = {
+        f"{module}.{name}"
+        for module, name, _key in targets["TARGETS"] + (targets["BALL_TARGET"],)
+        if not hasattr(importlib.import_module(f"wreath_dio.{module}"), name)
+    }
+    assert unresolved == DEAD_TRACER_TARGETS, f"unresolved tracer targets {sorted(unresolved)}"
 
 
 # lemma-library functions that only the acceptance criteria and the tests

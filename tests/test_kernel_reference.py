@@ -1,16 +1,17 @@
-"""The coordinate-tuple kernels against a naive GroupElement reference.
+"""The coordinate-tuple kernels against a naive reference.
 
 shift, pushforward, is_zero_mod, shifted_sum, make_certificate,
 verify_certificate and the codec's decode_function all run on coordinate
 tuples, and the solvers' certificates are checked by the same kernels.
-The reference below is the old algorithm, written here with
-GroupElement arithmetic only: shift each function, add the translates one at
-a time through the SupportedFunction constructor, and test vanishing mod N by
-grouping points whose difference lies in N.  Membership is decided by
+The reference below is the old algorithm, written here on plain int tuples:
+shift each function, merge the translates' terms, and test vanishing mod N
+by grouping points whose difference lies in N.  Membership is decided by
 Hermite forms (two generating sets span the same lattice iff their forms are
-equal), not by the Smith form behind the kernels.  GroupElement's + and -
-run on the same coordinate kernels (abelian.coord_ops), so results are also
-checked against the constructor's own reduction (_canonical).
+equal), not by the Smith form behind the kernels.  GroupElement and the
+SupportedFunction constructor reduce through the same kernels
+(abelian.coord_ops), so the reference reduces with its own _reduce and
+builds no element for a value it compares;
+test_reference_sees_a_wrong_modulus keeps it so.
 """
 
 import itertools
@@ -18,13 +19,8 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wreath_dio.abelian import (
-    GroupElement,
-    GroupPresentation,
-    Subgroup,
-    quotient,
-    subgroup_rank,
-)
+from wreath_dio import abelian
+from wreath_dio.abelian import GroupPresentation, Subgroup, subgroup_rank
 from wreath_dio.codec import decode_element, decode_function
 from wreath_dio.group_ring import SupportedFunction, is_zero_mod, pushforward, shift
 from wreath_dio.lattice import hermite_form
@@ -58,22 +54,52 @@ CERT_COEFFS = COEFFS + (GroupPresentation(0, (2, 4)),)
 
 
 # ---------------------------------------------------------------------------
-# the reference: GroupElement arithmetic only
+# the reference: int tuples, reduced here
+
+
+def _reduce(G, v):
+    """The coordinates G stores for v: torsion ones mod alpha_i, free ones
+    unchanged."""
+    t = len(G.torsion)
+    return tuple(c % a for c, a in zip(v, G.torsion)) + tuple(v[t:])
+
+
+def _add(G, u, v):
+    return _reduce(G, [x + y for x, y in zip(u, v)])
+
+
+def _sub(G, u, v):
+    return _reduce(G, [x - y for x, y in zip(u, v)])
+
+
+def _terms(f):
+    """f's terms as (point, coefficient) coordinate tuples."""
+    return tuple((p.coords, a.coords) for p, a in f.terms)
+
+
+def _from_terms(A, B, terms):
+    """The SupportedFunction with these coordinate terms, for inputs."""
+    return SupportedFunction(A, B, tuple((B.element(p), A.element(c)) for p, c in terms))
+
+
+def ref_merge(A, pairs):
+    """Coefficients summed per point, zero sums dropped, sorted by point."""
+    sums = {}
+    for p, c in pairs:
+        sums[p] = _add(A, sums[p], c) if p in sums else _reduce(A, c)
+    return tuple(sorted((p, c) for p, c in sums.items() if any(c)))
 
 
 def ref_shift(f, delta):
-    return SupportedFunction(
-        f.coeff_group, f.base_group, tuple((p - delta, a) for p, a in f.terms)
+    B = f.base_group
+    return ref_merge(
+        f.coeff_group, ((_sub(B, p, delta.coords), c) for p, c in _terms(f))
     )
 
 
 def ref_shifted_sum(fs, deltas):
-    out = SupportedFunction.zero(fs[0].coeff_group, fs[0].base_group)
-    for f, d in zip(fs, deltas):
-        out = SupportedFunction(
-            out.coeff_group, out.base_group, out.terms + ref_shift(f, d).terms
-        )
-    return out
+    pairs = [t for f, d in zip(fs, deltas) for t in ref_shift(f, d)]
+    return ref_merge(fs[0].coeff_group, pairs)
 
 
 def _relations(B):
@@ -85,53 +111,57 @@ def _relations(B):
 
 def ref_contains(N, g):
     rows = [x.coords for x in N.generators] + _relations(N.ambient)
-    return hermite_form(rows + [g.coords]) == hermite_form(rows)
+    return hermite_form(rows + [g]) == hermite_form(rows)
 
 
-def ref_coset_sums(f, N):
-    """[representative, coefficient sum] per coset of N met by supp(f)."""
+def ref_coset_sums(A, terms, N):
+    """[representative, coefficient sum] per coset of N met by the terms."""
     cosets = []
-    for p, a in f.terms:
+    for p, a in terms:
         for entry in cosets:
-            if ref_contains(N, p - entry[0]):
-                entry[1] = entry[1] + a
+            if ref_contains(N, _sub(N.ambient, p, entry[0])):
+                entry[1] = _add(A, entry[1], a)
                 break
         else:
             cosets.append([p, a])
     return cosets
 
 
-def ref_is_zero_mod(f, N):
-    return all(acc.is_zero() for _, acc in ref_coset_sums(f, N))
+def ref_is_zero_mod(A, terms, N):
+    return not any(any(acc) for _, acc in ref_coset_sums(A, terms, N))
 
 
-def ref_pushforward(f, N):
-    Q, project = quotient(f.base_group, N)
-    return SupportedFunction(
-        f.coeff_group,
-        Q,
-        tuple((project(rep), acc) for rep, acc in ref_coset_sums(f, N)),
-    )
+def ref_pushforward(A, terms, N):
+    """Each coset's sum at its point of B/N: B itself when N is trivial,
+    else the point the Smith form's projection gives, which reduces mod the
+    quotient's own orders."""
+    B = N.ambient
+    if N.generators:
+        project = abelian._quotient_form(B, N).project_coords
+    else:
+        def project(p):
+            return _reduce(B, p)
+    return ref_merge(A, ((project(rep), acc) for rep, acc in ref_coset_sums(A, terms, N)))
 
 
 def ref_verify(I, cert):
     N = Subgroup(I.B, cert.subgroup_gens)
     if subgroup_rank(N) > I.h:
         return False
-    return ref_is_zero_mod(ref_shifted_sum(I.fs, cert.deltas), N)
+    return ref_is_zero_mod(I.A, ref_shifted_sum(I.fs, cert.deltas), N)
 
 
 def ref_make_certificate(I, deltas, N):
     """The first support point of each N-coset, in sorted order, against
     every later point of it: the differences, distinct and sorted."""
     firsts, gens = [], set()
-    for p, _ in ref_shifted_sum(I.fs, deltas).terms:
-        q = next((q for q in firsts if ref_contains(N, p - q)), None)
+    for p, _ in ref_shifted_sum(I.fs, deltas):
+        q = next((q for q in firsts if ref_contains(N, _sub(I.B, p, q))), None)
         if q is None:
             firsts.append(p)
         else:
-            gens.add(p - q)
-    return Certificate(deltas, sorted(gens, key=lambda g: g.coords))
+            gens.add(_sub(I.B, p, q))
+    return tuple(sorted(gens))
 
 
 # ---------------------------------------------------------------------------
@@ -172,12 +202,12 @@ def planted_certificates(draw, bases=BASES):
     A, B, fs, deltas, N = draw(groups_and_functions(min_terms=1, bases=bases))
     others = SupportedFunction.zero(A, B)
     if len(fs) > 1:
-        others = ref_shifted_sum(fs[:-1], deltas[:-1])
-    last = -ref_shift(others, -deltas[-1])
+        others = _from_terms(A, B, ref_shifted_sum(fs[:-1], deltas[:-1]))
+    last = -_from_terms(A, B, ref_shift(others, -deltas[-1]))
     if N.generators:
         g = _function(draw, A, B, max_terms=2)
         n = N.generators[draw(st.integers(0, len(N.generators) - 1))]
-        last = last + g - ref_shift(g, n)
+        last = last + g - _from_terms(A, B, ref_shift(g, n))
     fs = fs[:-1] + (last,)
     h = subgroup_rank(N) + draw(st.integers(-1, 1))
     I = QspInstance(A, B, fs, max(h, 0))
@@ -201,15 +231,9 @@ def planted_certificates(draw, bases=BASES):
 
 def _canonical(f):
     """Whether every point and coefficient of f has the coordinates that
-    GroupElement's constructor stores for them.  GroupElement's + and -
-    share the coordinate kernels with the code under test, so a kernel that
-    leaves a coordinate unreduced would pass the comparisons with the
-    reference; the constructor reduces on its own."""
-    return all(
-        x.coords == GroupElement(x.group, x.coords).coords
-        for term in f.terms
-        for x in term
-    )
+    _reduce gives it.  GroupElement and the SupportedFunction constructor
+    reduce through the coordinate kernels under test, so they cannot tell."""
+    return all(x.coords == _reduce(x.group, x.coords) for term in f.terms for x in term)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -217,12 +241,14 @@ def _canonical(f):
 def test_function_kernels_match_reference(case):
     A, B, fs, deltas, N = case
     for f, d in zip(fs, deltas):
-        assert shift(f, d) == ref_shift(f, d)
-        assert pushforward(f, N) == ref_pushforward(f, N)
-        assert is_zero_mod(f, N) == ref_is_zero_mod(f, N)
+        assert _terms(shift(f, d)) == ref_shift(f, d)
+        assert _terms(pushforward(f, N)) == ref_pushforward(A, _terms(f), N)
+        assert is_zero_mod(f, N) == ref_is_zero_mod(A, _terms(f), N)
     total = shifted_sum(fs, deltas)
-    assert total == ref_shifted_sum(fs, deltas)
-    assert is_zero_mod(total, N) == ref_is_zero_mod(total, N)
+    expected = ref_shifted_sum(fs, deltas)
+    assert _terms(total) == expected
+    assert _terms(pushforward(total, N)) == ref_pushforward(A, expected, N)
+    assert is_zero_mod(total, N) == ref_is_zero_mod(A, expected, N)
     # the kernels' results are canonical: rebuilding them changes nothing
     for g in (total, pushforward(total, N)):
         assert SupportedFunction(g.coeff_group, g.base_group, g.terms) == g
@@ -234,16 +260,24 @@ def test_function_kernels_match_reference(case):
 @given(groups_and_functions(coeffs=CERT_COEFFS))
 def test_add_and_neg_match_the_constructor(case):
     # + and unary - skip the constructor's merge and checks; their results
-    # must equal what it builds from the concatenated or negated terms
+    # must equal what it builds from the concatenated or negated terms, and
+    # what the reference merges from them
     A, B, fs, _, _ = case
     negated = [tuple((p, -a) for p, a in f.terms) for f in fs]
+    zero = (0,) * A.ncoords
     for f, minus_f in zip(fs, negated):
         assert -f == SupportedFunction(A, B, minus_f)
+        assert _terms(-f) == ref_merge(A, ((p, _sub(A, zero, c)) for p, c in _terms(f)))
         for g, minus_g in zip(fs, negated):
             assert f + g == SupportedFunction(A, B, f.terms + g.terms)
             assert f - g == SupportedFunction(A, B, f.terms + minus_g)
+            assert _terms(f + g) == ref_merge(A, _terms(f) + _terms(g))
             assert _canonical(f + g) and _canonical(f - g)
         assert _canonical(-f)
+
+
+def _gen_coords(cert):
+    return tuple(g.coords for g in cert.subgroup_gens)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -260,11 +294,13 @@ def test_make_certificate_matches_reference(case, planted):
     # several points per coset of N
     A, B, fs, deltas, N = case
     I = QspInstance(A, B, fs, 2)
-    assert make_certificate(I, deltas, N) == ref_make_certificate(I, deltas, N)
+    cert = make_certificate(I, deltas, N)
+    assert cert.deltas == deltas
+    assert _gen_coords(cert) == ref_make_certificate(I, deltas, N)
     I, cert = planted
     N = Subgroup(I.B, cert.subgroup_gens)
     expected = ref_make_certificate(I, cert.deltas, N)
-    assert make_certificate(I, cert.deltas, N) == expected
+    assert _gen_coords(make_certificate(I, cert.deltas, N)) == expected
 
 
 def test_verify_certificate_matches_reference_on_a_sweep():
@@ -276,7 +312,7 @@ def test_verify_certificate_matches_reference_on_a_sweep():
     verdicts = set()
     for d in itertools.product(range(2), range(-2, 3)):
         delta = B.element(d)
-        I = QspInstance(A, B, (f, -ref_shift(f, delta)), 1)
+        I = QspInstance(A, B, (f, -_from_terms(A, B, ref_shift(f, delta))), 1)
         for k in range(-2, 3):
             cert = Certificate((B.zero(), B.element((0, k))), N.generators)
             verdict = ref_verify(I, cert)
@@ -322,15 +358,50 @@ def encoded_functions(draw):
 def test_decode_matches_the_constructor_route(case):
     A, B, terms, wire = case
     f = decode_function(A, B, wire)
-    expected = SupportedFunction(
-        A, B, tuple((B.element(p), A.element(c)) for p, c in terms)
-    )
-    assert f == expected
+    assert _terms(f) == ref_merge(A, ((_reduce(B, p), c) for p, c in terms))
     # canonical: exact ints, and rebuilding through the constructor is a no-op
     assert all(
         type(x) is int for p, a in f.terms for x in p.coords + a.coords
     )
     assert SupportedFunction(A, B, f.terms) == f
     for (p, c), entry in zip(terms, wire["terms"]):
-        assert decode_element(B, entry["point"]) == B.element(p)
-        assert decode_element(A, entry["coeff"]) == A.element(c)
+        assert decode_element(B, entry["point"]).coords == _reduce(B, p)
+        assert decode_element(A, entry["coeff"]).coords == _reduce(A, c)
+
+
+# ---------------------------------------------------------------------------
+# the reference's independence from the kernels
+
+
+def _mod_a0_maker(t, n, maker=abelian._coord_ops_maker):
+    """The kernel template with every torsion order bound to the first, so
+    that each torsion coordinate is reduced mod a0: canonical in form, but
+    wrong wherever a later order is larger."""
+    make = maker(t, n)
+    return lambda *orders: make(*orders[:1] * len(orders))
+
+
+def _clear_kernel_caches():
+    # a cached subgroup form of the trivial subgroup holds its group's reduce
+    for cache in (abelian.coord_ops, abelian._coord_ops_maker, abelian._subgroup_form):
+        cache.cache_clear()
+
+
+def test_reference_sees_a_wrong_modulus(monkeypatch):
+    # the input is built first, with the true kernels; then both sides run
+    # on the wrong one.  A reference that built its values with GroupElement
+    # arithmetic would run on it too, and agree.
+    G = GroupPresentation(0, (2, 4))
+    f = _from_terms(G, G, (((1, 3), (1, 3)), ((0, 1), (1, 2))))
+    g = _from_terms(G, G, (((1, 2), (0, 3)),))
+    deltas = (G.element((1, 1)), G.element((0, 3)))
+    N = Subgroup(G, (G.element((0, 2)),))
+    _clear_kernel_caches()
+    monkeypatch.setattr(abelian, "_coord_ops_maker", _mod_a0_maker)
+    try:
+        got = _terms(shifted_sum((f, g), deltas)), _terms(pushforward(f, N))
+        expected = ref_shifted_sum((f, g), deltas), ref_pushforward(G, _terms(f), N)
+    finally:
+        monkeypatch.undo()
+        _clear_kernel_caches()
+    assert got != expected
