@@ -122,7 +122,7 @@ class GroupPresentation:
             yield GroupElement(self, coords)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupElement:
     """An element of a GroupPresentation, as a canonical coordinate vector.
 

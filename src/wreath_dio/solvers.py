@@ -305,14 +305,20 @@ def _anchored_search(
     """Shifts and a subgroup N of rank <= h that make the sum vanish in
     A^(B/N), as (deltas, N), or None.  With h = 0, N stays trivial.
 
-    The search starts at N = 0.  At each node it takes p, the least point
-    of the partial sum in B/N that is not yet cancelled, or, when the
-    partial sum is empty, the first lamp of the first unplaced function,
-    and branches:
+    The search starts at N = 0.  The root lists the functions by decreasing
+    number of lamps in B, ties by index, and every node keeps that order
+    for its unplaced functions, at every level: it is the order in which
+    placements are tried.  So the anchor is the largest function, and no
+    node branches over its lamps; anchored later, every node before it is
+    placed could try each of them (the fail-first rule of backtracking
+    search).  At each node the search takes p, the least point of the
+    partial sum in B/N that is not yet cancelled, or, when the partial sum
+    is empty, the first lamp of the first unplaced function, and branches:
 
     - placement: an unplaced function is shifted so that one of its lamps
       lands on p; with an empty partial sum only the first unplaced
-      function on its own first lamp, which is shift 0 (the anchor);
+      function in that order on its own first lamp, which is shift 0 (the
+      anchor);
     - growth (h >= 1): N becomes N' = N + <p~ - q~> for another point q of
       the partial sum, where p~ and q~ are B-points of the two cosets.  An
       N' of rank above h, or one already tried at the node, is skipped;
@@ -330,9 +336,10 @@ def _anchored_search(
     a finitely generated abelian group needs more generators than the group
     itself), which is a growth branch.  When the partial sum is empty, the
     unplaced functions cancel among themselves, which no joint translation
-    changes, so anchoring the next one at 0 keeps the agreement.  The
-    search ends because placements shrink the unplaced set and growth
-    branches shrink the support of the partial sum.
+    changes, so any one of them may be anchored at 0 and the agreement
+    kept: the order above costs no completeness.  The search ends because
+    placements shrink the unplaced set and growth branches shrink the
+    support of the partial sum.
 
     The search is depth-first on an explicit stack of child generators,
     one per node that survived the prune and the memo, so memory bounds
@@ -514,7 +521,8 @@ def _anchored_search(
 
     # the top generator yields the next node; break descends into its children
     ids = tuple(sorted(root.vids.values()))
-    stack = [iter([(root, tuple(root.gs), ids, {})])]
+    order = tuple(sorted(root.gs, key=lambda i: (-len(root.gs[i]), i)))
+    stack = [iter([(root, order, ids, {})])]
     while stack:
         for lvl, unplaced, ids, sum_d in stack[-1]:
             meter.charge("delta_tuples")

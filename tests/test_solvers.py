@@ -25,7 +25,12 @@ from wreath_dio.abelian import (
     subgroup_rank,
 )
 from wreath_dio.group_ring import SupportedFunction, pushforward, shift
-from wreath_dio.hardness import ThreePartInstance, gen_3part_h0, gen_3part_midh
+from wreath_dio.hardness import (
+    ThreePartInstance,
+    gen_3part_h0,
+    gen_3part_midh,
+    solve_3part_bruteforce,
+)
 from wreath_dio.qsp import Certificate, QspInstance, make_certificate, verify_certificate
 from wreath_dio.solvers import (
     _Meter,
@@ -298,23 +303,31 @@ def test_bulk_charge_trips_the_cap_where_single_charges_do():
 
 
 _PINNED_K2_NEGATIVES = {
-    (4, 4, 4, 4, 4, 6): 714,
-    (4, 4, 4, 6, 6, 6): 1090,
-    (5, 5, 5, 5, 5, 7): 1019,
-    (5, 5, 5, 5, 6, 8): 2464,
-    (5, 5, 5, 7, 7, 7): 1498,
-    (5, 5, 5, 7, 8, 8): 3493,
-    (6, 6, 6, 6, 6, 8): 1378,
-    (6, 6, 6, 8, 8, 8): 1970,
-    (6, 8, 8, 8, 8, 8): 728,
+    (4, 4, 4, 4, 4, 6): 50,
+    (4, 4, 4, 6, 6, 6): 78,
+    (5, 5, 5, 5, 5, 7): 60,
+    (5, 5, 5, 5, 6, 8): 144,
+    (5, 5, 5, 7, 7, 7): 93,
+    (5, 5, 5, 7, 8, 8): 201,
+    (6, 6, 6, 6, 6, 8): 70,
+    (6, 6, 6, 8, 8, 8): 108,
+    (6, 8, 8, 8, 8, 8): 68,
 }
+# deep 3-PARTITION negatives at h = 0, as (values, k).  Anchoring a short
+# block first ran both past the default cap of 1 000 000 delta tuples;
+# anchoring the target first decides them in 22 109 and 15 349.
+_DEEP_H0_NEGATIVES = (
+    ((11, 11, 11, 12, 12, 12, 12, 12, 12, 14, 14, 15, 16, 17, 19), 5),
+    ((11, 11, 11, 11, 12, 13, 13, 14, 14, 15, 16, 19), 4),
+)
 
 
 @pytest.mark.parametrize("cap", [50, 300, 1000])
 def test_delta_cap_trips_at_cap_plus_one_inside_bulk_charges(monkeypatch, cap):
     # the search charges the placements it rules out in one step with one
     # call; the cap must still read cap + 1 with the usual reason, as it did
-    # when each was charged on its own
+    # when each was charged on its own.  Cap 50 lies among the k = 2
+    # counts; 300 and 1000 lie above them and below the deep negatives'
     inside = []
     charge = _Meter.charge
 
@@ -327,8 +340,10 @@ def test_delta_cap_trips_at_cap_plus_one_inside_bulk_charges(monkeypatch, cap):
     monkeypatch.setattr(_Meter, "charge", spy)
     a = b = Z.element((1,))
     budget = SolverBudget(max_delta_tuples=cap, max_seconds=math.inf)
-    for values, nodes in _PINNED_K2_NEGATIVES.items():
-        result = solve_general(gen_3part_h0(ThreePartInstance(values, 2), a, b), budget)
+    cases = [((values, 2), nodes) for values, nodes in _PINNED_K2_NEGATIVES.items()]
+    cases += [(case, math.inf) for case in _DEEP_H0_NEGATIVES]
+    for (values, k), nodes in cases:
+        result = solve_general(gen_3part_h0(ThreePartInstance(values, k), a, b), budget)
         if nodes <= cap:
             assert (result.decision, result.counters["delta_tuples"]) == ("negative", nodes)
         else:
@@ -657,44 +672,42 @@ def test_general_agrees_with_oracle_over_torsion_groups(I):
         assert verify_certificate(I, result.certificate)
 
 
-# Pinned from solve_general before the search moved onto coordinate tuples
-# (the first two rows), and before the h = 0 reachability prune moved ahead
-# of the failure memo (the rest: every windowed k = 2 negative over 1..8 and
-# two k = 3 positives over 4..7): the same node count and the same
-# certificate mean the same search order.
+# Pinned from solve_general once the search anchored the function with the
+# most lamps (the 3-PARTITION target) and tried placements in decreasing
+# order of lamps: every windowed k = 2 negative over 1..8 and three k = 3
+# positives over 4..7.  The same node count and the same certificate mean
+# the same search order.  Each row keeps the id it had when the search
+# anchored functions in index order; the count in the id is that order's.
 @pytest.mark.parametrize(
     "values, k, decision, nodes, deltas",
     [
-        ((4, 4, 4, 4, 4, 6), 2, "negative", 714, None),
-        (
-            (4, 4, 4, 4, 5, 5, 6, 6, 7),
-            3,
-            "positive",
-            170,
-            (0, -4, -16, -32, -20, -36, -25, -41, -8, 0),
-        ),
-        ((4, 4, 4, 6, 6, 6), 2, "negative", 1090, None),
-        ((5, 5, 5, 5, 5, 7), 2, "negative", 1019, None),
-        ((5, 5, 5, 5, 6, 8), 2, "negative", 2464, None),
-        ((5, 5, 5, 7, 7, 7), 2, "negative", 1498, None),
-        ((5, 5, 5, 7, 8, 8), 2, "negative", 3493, None),
-        ((6, 6, 6, 6, 6, 8), 2, "negative", 1378, None),
-        ((6, 6, 6, 8, 8, 8), 2, "negative", 1970, None),
-        ((6, 8, 8, 8, 8, 8), 2, "negative", 728, None),
-        (
-            (5, 5, 5, 6, 6, 6, 7, 7, 7),
-            3,
-            "positive",
-            197,
-            (0, -19, -38, -5, -24, -43, -11, -30, -49, 0),
-        ),
-        (
-            (5, 5, 6, 6, 7, 7, 7, 7, 7),
-            3,
-            "positive",
-            183,
-            (0, -20, -40, -46, -5, -12, -25, -32, -52, 0),
-        ),
+        pytest.param((4, 4, 4, 4, 4, 6), 2, "negative", 50, None,
+                     id="values0-2-negative-714-None"),
+        pytest.param((4, 4, 4, 4, 5, 5, 6, 6, 7), 3, "positive", 89,
+                     (-7, -11, -27, -43, -22, -38, -16, -32, 0, 0),
+                     id="values1-3-positive-170-deltas1"),
+        pytest.param((4, 4, 4, 6, 6, 6), 2, "negative", 78, None,
+                     id="values2-2-negative-1090-None"),
+        pytest.param((5, 5, 5, 5, 5, 7), 2, "negative", 60, None,
+                     id="values3-2-negative-1019-None"),
+        pytest.param((5, 5, 5, 5, 6, 8), 2, "negative", 144, None,
+                     id="values4-2-negative-2464-None"),
+        pytest.param((5, 5, 5, 7, 7, 7), 2, "negative", 93, None,
+                     id="values5-2-negative-1498-None"),
+        pytest.param((5, 5, 5, 7, 8, 8), 2, "negative", 201, None,
+                     id="values6-2-negative-3493-None"),
+        pytest.param((6, 6, 6, 6, 6, 8), 2, "negative", 70, None,
+                     id="values7-2-negative-1378-None"),
+        pytest.param((6, 6, 6, 8, 8, 8), 2, "negative", 108, None,
+                     id="values8-2-negative-1970-None"),
+        pytest.param((6, 8, 8, 8, 8, 8), 2, "negative", 68, None,
+                     id="values9-2-negative-728-None"),
+        pytest.param((5, 5, 5, 6, 6, 6, 7, 7, 7), 3, "positive", 80,
+                     (-13, -32, -51, -7, -26, -45, 0, -19, -38, 0),
+                     id="values10-3-positive-197-deltas10"),
+        pytest.param((5, 5, 6, 6, 7, 7, 7, 7, 7), 3, "positive", 37,
+                     (-14, -34, -47, -53, 0, -7, -20, -27, -40, 0),
+                     id="values11-3-positive-183-deltas11"),
     ],
 )
 def test_general_search_order_pinned_on_3part_h0(values, k, decision, nodes, deltas):
@@ -710,15 +723,16 @@ def test_general_search_order_pinned_on_3part_h0(values, k, decision, nodes, del
         assert result.certificate.subgroup_gens == ()
 
 
-# Placements made, pinned: one per child before the search ruled out, in one
-# step, every placement past a function's first unreachable lamp (713, 3 492
-# and 169 then).  The nodes charged are the pinned ones above.
+# Placements made, pinned: without the window that rules out, in one step,
+# every placement past a function's first unreachable lamp, there is one per
+# child (49, 200 and 88).  The nodes charged are the pinned ones above.  The
+# ids name the nodes and placements of the index-order anchor.
 @pytest.mark.parametrize(
     "values, k, nodes, placements",
     [
-        ((4, 4, 4, 4, 4, 6), 2, 714, 177),
-        ((5, 5, 5, 7, 8, 8), 2, 3493, 568),
-        ((4, 4, 4, 4, 5, 5, 6, 6, 7), 3, 170, 58),
+        pytest.param((4, 4, 4, 4, 4, 6), 2, 50, 11, id="values0-2-714-177"),
+        pytest.param((5, 5, 5, 7, 8, 8), 2, 201, 31, id="values1-2-3493-568"),
+        pytest.param((4, 4, 4, 4, 5, 5, 6, 6, 7), 3, 89, 25, id="values2-3-170-58"),
     ],
 )
 def test_h0_search_places_only_inside_the_window(monkeypatch, values, k, nodes, placements):
@@ -811,6 +825,57 @@ def test_ball_search_draws_are_decided(I, expected):
 
 
 # ---------------------------------------------------------------------------
+# the function order: the search anchors the function with the most lamps
+
+
+@pytest.mark.parametrize("values, k", _DEEP_H0_NEGATIVES)
+def test_deep_h0_negatives_are_decided(values, k):
+    T = ThreePartInstance(values, k)
+    a = b = Z.element((1,))
+    result = dispatch(gen_3part_h0(T, a, b), SolverBudget(max_seconds=math.inf))
+    assert result.method == "general"
+    assert result.decision == ("positive" if solve_3part_bruteforce(T) else "negative")
+    assert result.counters["delta_tuples"] < 100_000
+
+
+def _mixed_sizes(rng, B, m, h):
+    """m functions of one to three atoms each, the last one also cancelling
+    the total, so that the functions differ in their number of lamps."""
+    fs = [
+        SupportedFunction(
+            Z, B, tuple((_small(rng, B, 2), _unit(rng)) for _ in range(rng.randint(1, 3)))
+        )
+        for _ in range(m)
+    ]
+    total = sum((f.total_coefficient() for f in fs), Z.zero())
+    fs[-1] = fs[-1] + SupportedFunction.atom(-total, _small(rng, B, 2))
+    return QspInstance(Z, B, tuple(fs), h)
+
+
+@pytest.mark.parametrize(
+    "B", [Z, ZxZ, GroupPresentation(1, (2,))], ids=["Z", "ZxZ", "ZxZ2"]
+)
+def test_function_order_does_not_change_the_decision(B):
+    # any function may be anchored, so a permutation of fs may change the
+    # search order and the certificate, but not the decision
+    rng = random.Random(26)
+    decisions = set()
+    for j in range(8):
+        I = _mixed_sizes(rng, B, 3 + j % 2, j % 2)
+        outcomes = set()
+        for perm in itertools.permutations(range(len(I.fs))):
+            J = QspInstance(I.A, I.B, tuple(I.fs[i] for i in perm), I.h)
+            result = dispatch(J, COUNTER_BUDGET)
+            assert result.decision in ("positive", "negative"), result.reason
+            if result.decision == "positive":
+                assert verify_certificate(J, result.certificate)
+            outcomes.add(result.decision)
+        assert len(outcomes) == 1, (j, outcomes)
+        decisions |= outcomes
+    assert decisions == {"positive", "negative"}
+
+
+# ---------------------------------------------------------------------------
 # the growth pass against a reference that never grows N: at h = 1 a witness
 # subgroup has rank <= 1, so it is cyclic, <d>, and I is positive exactly
 # when the pushforward of I to B/<d> is positive at h = 0 for some d.
@@ -872,7 +937,8 @@ def test_growth_pass_agrees_with_cyclic_reference():
 # counters and certificate.  The isolator prune cuts both counters below
 # the bounds, which were the counters before it; (2, 2, 3) at rank 3 ended
 # unknown-budget then, at 100 001 subgroup tuples.  The counters also hang on
-# the coordinates the Smith form picks for each B/N, which order the search.
+# the coordinates the Smith form picks for each B/N, which order the search,
+# and on the function order: the largest function is anchored first.
 
 MIDH_BUDGET = SolverBudget(
     max_delta_tuples=DEFAULT_BUDGET.max_delta_tuples,
@@ -896,18 +962,18 @@ _MIDH_PAIRWISE_GENS = {
 @pytest.mark.parametrize(
     "values, rank, counters, bound, deltas, gens",
     [
-        ((1, 1, 1), 2, (88, 57), (120, 188), ((0, 0), (0, -1), (0, -2), (-2, 0)),
+        ((1, 1, 1), 2, (18, 9), (120, 188), ((2, 0), (0, -1), (0, -2), (0, 0)),
          _MIDH_R2_GENS),
-        ((2, 2, 2), 2, (756, 628), (1065, 3755), ((0, 0), (0, -2), (0, -4), (-2, 0)),
+        ((2, 2, 2), 2, (68, 55), (1065, 3755), ((2, 0), (0, -2), (0, -4), (0, 0)),
          _MIDH_R2_GENS),
-        ((2, 2, 3), 2, (2574, 2216), (3730, 15351),
-         ((0, 0), (0, -2), (0, -4), (-2, 0)), _MIDH_R2_GENS),
-        ((3, 3, 4), 2, (8907, 8003), (12972, 78097),
-         ((0, 0), (0, -3), (0, -6), (-2, 0)), _MIDH_R2_GENS),
-        ((1, 1, 1), 3, (779, 707), (1147, 2229),
-         ((0, 0, 0), (0, 0, -1), (0, 0, -2), (-2, 0, 0)), _MIDH_R3_GENS),
-        ((2, 2, 3), 3, (37104, 35769), None,
-         ((0, 0, 0), (0, 0, -2), (0, 0, -4), (-2, 0, 0)), _MIDH_R3_GENS),
+        ((2, 2, 3), 2, (81, 68), (3730, 15351),
+         ((0, -3), (0, -5), (2, 0), (0, 0)), _MIDH_R2_GENS),
+        ((3, 3, 4), 2, (212, 193), (12972, 78097),
+         ((0, -4), (0, -7), (2, 0), (0, 0)), _MIDH_R2_GENS),
+        ((1, 1, 1), 3, (113, 96), (1147, 2229),
+         ((2, 0, 0), (0, 0, -1), (0, 0, -2), (0, 0, 0)), _MIDH_R3_GENS),
+        ((2, 2, 3), 3, (1086, 1030), None,
+         ((0, 0, -3), (0, 0, -5), (2, 0, 0), (0, 0, 0)), _MIDH_R3_GENS),
     ],
 )
 def test_growth_pass_pinned_on_3part_midh(values, rank, counters, bound, deltas, gens):
@@ -986,13 +1052,20 @@ def _kept_objects(I, cert):
     return objs
 
 
+def _fields(o):
+    """o's attributes: its __dict__, or its slot values if it has none."""
+    if hasattr(o, "__dict__"):
+        return dict(vars(o))
+    return {s: getattr(o, s) for s in type(o).__slots__}
+
+
 def _snapshot(objs):
-    return [(o, dict(vars(o))) for o in objs]
+    return [(o, _fields(o)) for o in objs]
 
 
 def _assert_unchanged(snapshot):
     for o, before in snapshot:
-        after = vars(o)
+        after = _fields(o)
         assert after.keys() == before.keys(), (type(o).__name__, after.keys())
         assert all(after[k] is before[k] for k in before), type(o).__name__
 
