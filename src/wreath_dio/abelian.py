@@ -257,8 +257,9 @@ class Subgroup:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "generators", tuple(self.generators))
+        G = self.ambient
         for g in self.generators:
-            if g.group != self.ambient:
+            if g.group is not G and g.group != G:
                 raise ValueError("generator outside the ambient group")
 
     @staticmethod
@@ -505,7 +506,7 @@ def quotient(
 
 def _quotient_form(G: GroupPresentation, N: Subgroup) -> _SubgroupForm:
     """The cached Smith form of N <= G, for kernels that project coordinates."""
-    if N.ambient != G:
+    if N.ambient is not G and N.ambient != G:
         raise ValueError("subgroup of a different group")
     return _subgroup_form(G, N.generators)
 

@@ -101,9 +101,9 @@ class SupportedFunction:
         )
 
     def _check_compatible(self, other: "SupportedFunction") -> None:
-        if (
-            self.coeff_group != other.coeff_group
-            or self.base_group != other.base_group
+        A, B = other.coeff_group, other.base_group
+        if (self.coeff_group is not A and self.coeff_group != A) or (
+            self.base_group is not B and self.base_group != B
         ):
             raise ValueError("functions live over different groups")
 

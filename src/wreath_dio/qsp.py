@@ -56,8 +56,12 @@ class QspInstance:
         object.__setattr__(self, "fs", tuple(self.fs))
         if self.h < 0:
             raise ValueError("h must be nonnegative")
+        A, B = self.A, self.B
         for f in self.fs:
-            if f.coeff_group != self.A or f.base_group != self.B:
+            # identity first: the dataclass == compares field by field
+            if (f.coeff_group is not A and f.coeff_group != A) or (
+                f.base_group is not B and f.base_group != B
+            ):
                 raise ValueError("instance functions must share (A, B)")
 
     def size(self) -> int:
@@ -96,7 +100,7 @@ def _home_groups(
         raise ShapeMismatch("empty function list has no home groups")
     f0 = fs[0]
     for f, d in zip(fs, deltas):
-        if d.group != f.base_group:
+        if d.group is not f.base_group and d.group != f.base_group:
             raise ValueError("shift by an element of a different group")
         f0._check_compatible(f)
     return f0.coeff_group, f0.base_group
@@ -160,11 +164,12 @@ def verify_certificate(instance: QspInstance, cert: Certificate) -> bool:
     """
     if len(cert.deltas) != len(instance.fs):
         raise ShapeMismatch("certificate delta count differs from fs count")
+    B = instance.B
     for d in cert.deltas:
-        if d.group != instance.B:
+        if d.group is not B and d.group != B:
             raise ShapeMismatch("certificate delta outside the base group")
     for g in cert.subgroup_gens:
-        if g.group != instance.B:
+        if g.group is not B and g.group != B:
             raise ShapeMismatch("certificate generator outside the base group")
     N = Subgroup(instance.B, cert.subgroup_gens)
     if not subgroup_rank_at_most(N, instance.h):
@@ -258,8 +263,10 @@ def make_certificate(
     One pass over supp(c), in sorted order and on coordinate tuples, keeps
     the first point q of each N-coset and takes p - q for every later point
     p of it; the certificate lists these differences distinct and sorted by
-    coordinates.  Only they become elements, so none do for a solution at
-    N = 0, whose c is empty.  All solvers emit certificates here.  What a
+    coordinates.  Only they become elements.  At N = 0 every N-coset is a
+    single point, so no difference arises: the groups are still checked,
+    but no shifted sum is built and the certificate has no generators,
+    whatever the deltas.  All solvers emit certificates here.  What a
     verifier relies on:
 
     - N' <= N, as each p - q joins two points of one N-coset; so
@@ -274,6 +281,9 @@ def make_certificate(
         return Certificate((), ())
     project = _quotient_form(instance.B, N).project_coords
     A, B = _home_groups(instance.fs, deltas)
+    if not N.generators:
+        # each N-coset is one point, so no difference p - q arises
+        return Certificate(tuple(deltas), ())
     sub = coord_ops(B)[1]
     sums = _coeff_sums(A, _shifted_pairs(instance.fs, deltas, B))
     first: dict[tuple[int, ...], tuple[int, ...]] = {}

@@ -149,6 +149,12 @@ class _Level:
     B-point met; memo holds the failed states met at N, and children the
     keys of the subgroups N + <d> tried so far, by d in B/N.
 
+    The root level, N = 0, is B itself: its gs entries are the functions'
+    own terms, which are canonical, sorted, merged and nonzero however a
+    SupportedFunction is built, and each term point is its own entry in
+    reps.  Nothing is projected or merged there, and cosets stays empty.
+    A level with generators pushes every term into B/N.
+
     tested says whether N has torsion-free rank h; there the search runs
     the reachability test, in B/N with its first drop coordinates dropped:
     all of Q's torsion when h >= 1, none when h = 0.  The test's lamp sets
@@ -176,10 +182,20 @@ class _Level:
         self.memo: set = set()
         self.children: dict[tuple, tuple] = {}
         self.gs = {}
-        for i, f in enumerate(fs):
-            sums = self.push((p.coords, c.coords) for p, c in f.terms)
-            if sums:
-                self.gs[i] = tuple(sorted(sums.items()))
+        if gens:
+            for i, f in enumerate(fs):
+                sums = self.push((p.coords, c.coords) for p, c in f.terms)
+                if sums:
+                    self.gs[i] = tuple(sorted(sums.items()))
+        else:
+            # the root: B/N is B, and each term point represents itself
+            reps = self.reps
+            for i, f in enumerate(fs):
+                if f.terms:
+                    terms = tuple([(p.coords, c.coords) for p, c in f.terms])
+                    self.gs[i] = terms
+                    for point, _c in terms:
+                        reps[point] = point
         value_id: dict[tuple, int] = {}
         self.vids = {
             i: value_id.setdefault(t, len(value_id)) for i, t in self.gs.items()
@@ -291,8 +307,13 @@ class _Level:
         drop = self.drop
         lamps = {}
         for i, terms in self.gs.items():
-            sums = _coeff_sums(self.A, ((p[drop:], c) for p, c in terms))
-            lamps[self.vids[i]] = {sub_a(zero, c) for c in sums.values() if any(c)}
+            if drop:
+                sums = _coeff_sums(self.A, ((p[drop:], c) for p, c in terms))
+                values = [c for c in sums.values() if any(c)]
+            else:
+                # the points of terms are distinct and its values nonzero
+                values = [c for _p, c in terms]
+            lamps[self.vids[i]] = {sub_a(zero, c) for c in values}
         return lamps
 
 
@@ -410,8 +431,11 @@ def _anchored_search(
     The search runs on canonical coordinate tuples: points of B/N and
     coefficients of A, added and subtracted by each group's coord_ops
     kernels, which keep them canonical.  Tuples order as their GroupElements
-    do, so nodes are visited in coordinate order.  Shifts and generators are
-    differences of B-points, so no point of B/N is ever lifted back to B.
+    do, so nodes are visited in coordinate order.  At the root, N = 0, the
+    functions' own term coordinates are the level's terms, with no
+    projection and no merge; a grown level pushes them into B/N.  Shifts and
+    generators are differences of B-points, so no point of B/N is ever
+    lifted back to B.
     """
     root = _Level(fs, B, (), h)
     levels: dict[tuple, Optional[_Level]] = {}

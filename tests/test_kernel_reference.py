@@ -303,6 +303,19 @@ def test_make_certificate_matches_reference(case, planted):
     assert _gen_coords(make_certificate(I, cert.deltas, N)) == expected
 
 
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(groups_and_functions(bases=CERT_BASES), planted_certificates(CERT_BASES))
+def test_make_certificate_at_trivial_n_matches_reference(case, planted):
+    # at N = 0 no shifted sum is built: the reference, which builds one,
+    # must find no generator either, for any shifts, solving or not
+    A, B, fs, deltas, _ = case
+    for I, ds in ((QspInstance(A, B, fs, 0), deltas), (planted[0], planted[1].deltas)):
+        trivial = Subgroup(I.B, ())
+        cert = make_certificate(I, ds, trivial)
+        assert cert.deltas == ds
+        assert _gen_coords(cert) == ref_make_certificate(I, ds, trivial) == ()
+
+
 def test_verify_certificate_matches_reference_on_a_sweep():
     # f against a translate of -f: solved mod N = <(0, 2)> exactly when the
     # two shifts differ by an element of N, so both verdicts occur

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wreath_dio import abelian
+from wreath_dio import abelian, qsp
 from wreath_dio.abelian import (
     GroupPresentation,
     Subgroup,
@@ -413,6 +413,97 @@ def test_make_certificate_empty_instance():
     cert = make_certificate(I, (), Subgroup.whole(Z))
     assert cert.deltas == () and cert.subgroup_gens == ()
     assert verify_certificate(I, cert)
+
+
+def _unchecked_instance(A, B, fs, h):
+    """A QspInstance that skips __post_init__, so its functions may live over
+    different groups: what make_certificate's own checks must catch."""
+    I = object.__new__(QspInstance)
+    for name, value in (("A", A), ("B", B), ("fs", tuple(fs)), ("h", h)):
+        object.__setattr__(I, name, value)
+    return I
+
+
+def test_make_certificate_at_trivial_n_builds_no_shifted_sum(monkeypatch):
+    # each N-coset is one point: the given deltas and no generators, for a
+    # solution and for shifts that solve nothing alike
+    f, g = atom(Z, Z, (1,), (0,)), atom(Z, Z, (-1,), (3,))
+    I = QspInstance(Z, Z, (f, g), 0)
+    trivial = Subgroup.trivial(Z)
+    solved = (Z.zero(), Z.element((3,)))
+    unsolved = (Z.zero(), Z.element((1,)))
+
+    def no_sum(*args, **kwargs):
+        raise AssertionError("a shifted sum was built at N = 0")
+
+    monkeypatch.setattr(qsp, "_shifted_pairs", no_sum)
+    for deltas in (solved, unsolved):
+        cert = make_certificate(I, deltas, trivial)
+        assert cert == Certificate(deltas, ())
+    monkeypatch.undo()
+    assert verify_certificate(I, make_certificate(I, solved, trivial))
+    assert not verify_certificate(I, make_certificate(I, unsolved, trivial))
+
+
+def test_make_certificate_at_trivial_n_still_checks_its_input():
+    f = atom(Z, Z, (1,), (0,))
+    trivial = Subgroup.trivial(Z)
+    I = QspInstance(Z, Z, (f, -f), 0)
+    with pytest.raises(ShapeMismatch):
+        make_certificate(I, (Z.zero(),), trivial)
+    with pytest.raises(ShapeMismatch):
+        make_certificate(I, (Z.zero(),) * 3, trivial)
+    with pytest.raises(ValueError):
+        make_certificate(I, (Z.zero(), Z2.zero()), trivial)
+    with pytest.raises(ValueError):
+        make_certificate(I, (Z.zero(),) * 2, Subgroup.trivial(Z2))
+    for other in (atom(Z2, Z, (1,), (0,)), atom(Z, Z2, (1,), (0,))):
+        mixed = _unchecked_instance(Z, Z, (f, other), 0)
+        with pytest.raises(ValueError):
+            make_certificate(mixed, (Z.zero(),) * 2, trivial)
+
+
+# Each group check on the certificate path compares identity first; a group
+# that is equal but built apart must pass, and a foreign one still raise.
+# verify_certificate's own checks raise ShapeMismatch, before Subgroup's
+# ValueError could.
+_CHECKS = {
+    "instance-A": (ValueError, lambda G: QspInstance(
+        G, Z, (atom(Z, Z, (1,), (0,)),), 0
+    )),
+    "instance-B": (ValueError, lambda G: QspInstance(
+        Z, G, (atom(Z, Z, (1,), (0,)),), 0
+    )),
+    "compatible": (ValueError, lambda G: (
+        atom(Z, Z, (1,), (0,)) + atom(Z, G, (1,), (0,))
+    )),
+    "subgroup": (ValueError, lambda G: Subgroup(Z, (G.element((1,)),))),
+    "home-delta": (ValueError, lambda G: shifted_sum(
+        (atom(Z, Z, (1,), (0,)),), (G.zero(),)
+    )),
+    "home-function": (ValueError, lambda G: make_certificate(
+        _unchecked_instance(Z, Z, (atom(Z, Z, (1,), (0,)), atom(Z, G, (1,), (0,))), 0),
+        (Z.zero(), G.zero()),
+        Subgroup.trivial(Z),
+    )),
+    "verify-delta": (ShapeMismatch, lambda G: verify_certificate(
+        QspInstance(Z, Z, (atom(Z, Z, (1,), (0,)),), 0), Certificate((G.zero(),), ())
+    )),
+    "verify-generator": (ShapeMismatch, lambda G: verify_certificate(
+        QspInstance(Z, Z, (atom(Z, Z, (1,), (0,)),), 1),
+        Certificate((Z.zero(),), (G.element((1,)),)),
+    )),
+}
+
+
+@pytest.mark.parametrize("check", sorted(_CHECKS))
+def test_group_checks_take_equal_groups_and_reject_foreign_ones(check):
+    error, run = _CHECKS[check]
+    equal = GroupPresentation(1)
+    assert equal is not Z and equal == Z
+    run(equal)
+    with pytest.raises(error):
+        run(Z2)
 
 
 # ---------------------------------------------------------------------------

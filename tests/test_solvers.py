@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wreath_dio
-from wreath_dio import solvers
+from wreath_dio import codec, solvers
 from wreath_dio.abelian import (
     BudgetExceeded,
     GroupPresentation,
@@ -1326,3 +1326,77 @@ def test_window_skips_only_placements_the_full_prune_rejects(monkeypatch):
                 assert sum_d and not lvl.cancellable(ids, sum_d)
                 seen["skipped"] += 1
     assert min(seen.values()) > 0, seen
+
+
+# ---------------------------------------------------------------------------
+# the root level, N = 0, takes each function's own terms: they must be what
+# a push of every term through B's projection, merged, would give
+
+
+def _pushed_root(fs, B, A):
+    """(gs, vids, reps) of N = 0 as a plain push builds them: project every
+    term point, merge coefficients per point in a dict, drop zeros, sort."""
+    project = solvers._subgroup_form(B, ()).project_coords
+    red_a = _reducer(A)
+    gs, reps = {}, {}
+    for i, f in enumerate(fs):
+        sums = {}
+        for p, c in f.terms:
+            q = project(p.coords)
+            reps.setdefault(q, p.coords)
+            old = sums.get(q, (0,) * A.ncoords)
+            sums[q] = red_a(map(operator.add, old, c.coords))
+        terms = sorted((q, c) for q, c in sums.items() if any(c))
+        if terms:
+            gs[i] = tuple(terms)
+    value_id = {}
+    vids = {i: value_id.setdefault(t, len(value_id)) for i, t in gs.items()}
+    return gs, vids, reps
+
+
+def _root_functions(rng, A, B):
+    """Functions over (A, B) built by every route that makes one: the
+    constructor on unsorted, repeated and zero-coefficient terms, +, -,
+    shift, and the codec."""
+
+    def element(G, window=3):
+        return G.element(tuple(rng.randint(-window, window) for _ in range(G.ncoords)))
+
+    def raw_terms():
+        terms = [(element(B), element(A)) for _ in range(rng.randint(0, 5))]
+        terms += [(p, element(A)) for p, _ in terms[: rng.randint(0, 2)]]
+        terms += [(element(B), A.zero()) for _ in range(rng.randint(0, 1))]
+        rng.shuffle(terms)
+        return terms
+
+    f = SupportedFunction(A, B, tuple(raw_terms()))
+    g = SupportedFunction(A, B, tuple(raw_terms()))
+    decoded = codec.decode_function(A, B, {"terms": [
+        {"point": [rng.randint(-9, 9) for _ in range(B.ncoords)],
+         "coeff": [rng.randint(-9, 9) for _ in range(A.ncoords)]}
+        for _ in range(rng.randint(0, 5))
+    ]})
+    return [f, g, f + g, f - g, g - g, shift(f, element(B)), -g, decoded, f]
+
+
+@pytest.mark.parametrize("B", [Z, ZxZ, GroupPresentation(1, (2,)),
+                               GroupPresentation(0, (2, 4))])
+@pytest.mark.parametrize("A", [Z, Z2, GroupPresentation(1, (2,))])
+def test_root_level_takes_the_terms_a_push_would_give(A, B):
+    rng = random.Random(f"root:{A}:{B}")
+    red_a = _reducer(A)
+    for _ in range(40):
+        fs = _root_functions(rng, A, B)
+        rng.shuffle(fs)
+        gs, vids, reps = _pushed_root(fs, B, A)
+        for h in (0, 1):
+            lvl = solvers._Level(fs, B, (), h)
+            assert lvl.gs == gs
+            assert lvl.vids == vids
+            assert lvl.reps == reps
+            if not lvl.drop:
+                # the lamp sets read the distinct points' values directly
+                assert lvl._lamps() == {
+                    vids[i]: {red_a(-x for x in c) for _p, c in terms}
+                    for i, terms in gs.items()
+                }
