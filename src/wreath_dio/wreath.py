@@ -6,6 +6,17 @@ base shift:
 
     (d1, f1) * (d2, f2) = (d1 + d2, shift(f1, d2) + f2).
 
+A whole word therefore collapses to one coefficient sum.  With
+s_i = b_{i+1} + ... + b_n the sum of the later factors' shifts (a suffix
+sum),
+
+    (b_1, f_1) ... (b_n, f_n) = (b_1 + ... + b_n, sum_i shift(f_i, s_i)),
+
+so a term (p, a) of f_i lands at p - s_i.  An inverted factor
+(b, f)^-1 = (-b, -shift(f, -b)) puts -a at p + b - s_i.  evaluate,
+gen_solvable and the brute force run on this sum (_product), over
+coordinate tuples, and build at most one element from it.
+
 An orientable equation of genus g with constants c_1..c_m asks for values of
 the variables making
 
@@ -28,12 +39,15 @@ from .abelian import (
     GroupElement,
     GroupPresentation,
     Subgroup,
+    _element,
     _quotient_form,
+    coord_ops,
     enumerate_ball,
 )
 from .group_ring import (
     SupportedFunction,
     _coeff_sums,
+    _from_sums,
     _vanishes,
     lambda_term,
     pushforward,
@@ -50,7 +64,8 @@ class WreathElement:
     f: SupportedFunction
 
     def __post_init__(self) -> None:
-        if self.delta.group != self.f.base_group:
+        G, B = self.delta.group, self.f.base_group
+        if G is not B and G != B:
             raise ValueError("delta lives outside the function's base group")
 
     @property
@@ -69,8 +84,16 @@ def wreath_identity(A: GroupPresentation, B: GroupPresentation) -> WreathElement
     return WreathElement(B.zero(), SupportedFunction.zero(A, B))
 
 
+def _outside(u: WreathElement, A: GroupPresentation, B: GroupPresentation) -> bool:
+    """Whether u lies outside A wr B; each group is compared by identity
+    before equality."""
+    return (u.coeff_group is not A and u.coeff_group != A) or (
+        u.base_group is not B and u.base_group != B
+    )
+
+
 def _check_same_groups(u: WreathElement, v: WreathElement) -> None:
-    if u.coeff_group != v.coeff_group or u.base_group != v.base_group:
+    if _outside(u, v.coeff_group, v.base_group):
         raise ValueError("wreath elements from different groups")
 
 
@@ -83,21 +106,46 @@ def wreath_inverse(u: WreathElement) -> WreathElement:
     return WreathElement(-u.delta, -shift(u.f, -u.delta))
 
 
-def conjugate(c: WreathElement, z: WreathElement) -> WreathElement:
-    """z^-1 c z = (delta_c, lambda_term(f_z, delta_c) + shift(f_c, delta_z))."""
-    _check_same_groups(c, z)
-    return WreathElement(
-        c.delta, lambda_term(z.f, c.delta) + shift(c.f, z.delta)
-    )
+def _product(
+    A: GroupPresentation,
+    B: GroupPresentation,
+    word: Sequence[tuple[WreathElement, bool]],
+) -> tuple[tuple[int, ...], dict[tuple, tuple[int, ...]]]:
+    """The product of a word of (element, inverted) factors over A wr B, on
+    coordinates: (its base shift, its coefficient sums per point).
+
+    With s_i = b_{i+1} + ... + b_n, the suffix sum of the later factors'
+    shifts,
+
+        (b_1, f_1) ... (b_n, f_n) = (b_1 + ... + b_n, sum_i shift(f_i, s_i)),
+
+    and (b, f)^-1 = (-b, -shift(f, -b)).  Walking the word from the right
+    and keeping s: a plain factor (b, f) adds each term (p, a) as (p - s, a),
+    then sets s += b; an inverted one sets s -= b first, then adds each term
+    as (p - s, -a).  The sums are canonical in A and may hold zeros.
+    """
+    add, sub = coord_ops(B)[:2]
+    neg, zero = coord_ops(A)[1], (0,) * A.ncoords
+    s = (0,) * B.ncoords
+    pairs: list = []
+    for u, inverted in reversed(word):
+        if inverted:
+            s = sub(s, u.delta.coords)
+            pairs += [(sub(p.coords, s), neg(zero, a.coords)) for p, a in u.f.terms]
+        else:
+            pairs += [(sub(p.coords, s), a.coords) for p, a in u.f.terms]
+            s = add(s, u.delta.coords)
+    return s, _coeff_sums(A, pairs)
 
 
-def commutator(x: WreathElement, y: WreathElement) -> WreathElement:
-    """[x,y] = (0, lambda_term(f_y, delta_x) - lambda_term(f_x, delta_y))."""
-    _check_same_groups(x, y)
-    return WreathElement(
-        x.delta.group.zero(),
-        lambda_term(y.f, x.delta) - lambda_term(x.f, y.delta),
-    )
+def _wreath_element(
+    A: GroupPresentation,
+    B: GroupPresentation,
+    product: tuple[tuple[int, ...], dict[tuple, tuple[int, ...]]],
+) -> WreathElement:
+    """The element that _product's coordinates describe."""
+    s, sums = product
+    return WreathElement(_element(B, s), _from_sums(A, B, sums))
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +168,7 @@ class OrientableEquation:
         if self.genus == 0 and not self.constants:
             raise ValueError("genus 0 requires at least one constant")
         for c in self.constants:
-            if c.coeff_group != self.A or c.base_group != self.B:
+            if _outside(c, self.A, self.B):
                 raise ValueError("constant outside the equation's groups")
 
     @property
@@ -148,19 +196,30 @@ def _check_shape(eq: OrientableEquation, asn: EquationAssignment) -> None:
     if len(asn.zs) != eq.m:
         raise ValueError("assignment constant count does not match")
     for w in itertools.chain(asn.xs, asn.ys, asn.zs):
-        if w.coeff_group != eq.A or w.base_group != eq.B:
+        if _outside(w, eq.A, eq.B):
             raise ValueError("assigned value outside the equation's groups")
+
+
+def _word(
+    constants: Sequence[WreathElement],
+    xs: Sequence[WreathElement],
+    ys: Sequence[WreathElement],
+    zs: Sequence[WreathElement],
+) -> list[tuple[WreathElement, bool]]:
+    """The left-hand side x_1^-1 y_1^-1 x_1 y_1 ... z_m^-1 c_m z_m as a word."""
+    word = []
+    for x, y in zip(xs, ys):
+        word += ((x, True), (y, True), (x, False), (y, False))
+    for z, c in zip(zs, constants):
+        word += ((z, True), (c, False), (z, False))
+    return word
 
 
 def evaluate(eq: OrientableEquation, asn: EquationAssignment) -> WreathElement:
     """The left-hand-side product; a solution iff the result is the identity."""
     _check_shape(eq, asn)
-    acc = wreath_identity(eq.A, eq.B)
-    for x, y in zip(asn.xs, asn.ys):
-        acc = wreath_multiply(acc, commutator(x, y))
-    for z, c in zip(asn.zs, eq.constants):
-        acc = wreath_multiply(acc, conjugate(c, z))
-    return acc
+    word = _word(eq.constants, asn.xs, asn.ys, asn.zs)
+    return _wreath_element(eq.A, eq.B, _product(eq.A, eq.B, word))
 
 
 def residual_function(
@@ -283,10 +342,8 @@ def gen_solvable(
         closed = OrientableEquation(A, B, genus, (*consts, wreath_identity(A, B)))
         prefix = evaluate(closed, asn)
         z_m = zs[-1]
-        c_m = wreath_multiply(
-            wreath_multiply(z_m, wreath_inverse(prefix)), wreath_inverse(z_m)
-        )
-        consts.append(c_m)
+        word = [(z_m, False), (prefix, True), (z_m, True)]
+        consts.append(_wreath_element(A, B, _product(A, B, word)))
     eq = OrientableEquation(A, B, genus, tuple(consts))
     if not evaluate(eq, asn).is_identity():
         raise AssertionError("generated assignment does not solve the equation")
@@ -359,12 +416,16 @@ def equation_brute_force(
         raise BudgetExceeded(
             f"more than {max_assignments} assignments in the window"
         )
-    for values in itertools.product(window, repeat=nvars):
-        asn = EquationAssignment(
-            tuple(values[: eq.genus]),
-            tuple(values[eq.genus : 2 * eq.genus]),
-            tuple(values[2 * eq.genus :]),
-        )
-        if evaluate(eq, asn).is_identity():
-            return True
-    return False
+    return any(
+        _solves(eq, values) for values in itertools.product(window, repeat=nvars)
+    )
+
+
+def _solves(eq: OrientableEquation, values: Sequence[WreathElement]) -> bool:
+    """Whether x_1..x_g, y_1..y_g, z_1..z_m = values solve eq: the product's
+    base shift and every coefficient sum vanish.  The values are taken to
+    lie in eq's groups; no element is built."""
+    g = eq.genus
+    word = _word(eq.constants, values[:g], values[g : 2 * g], values[2 * g :])
+    s, sums = _product(eq.A, eq.B, word)
+    return not any(s) and _vanishes(sums)

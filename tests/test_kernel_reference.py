@@ -1,11 +1,12 @@
 """The coordinate-tuple kernels against a naive reference.
 
 shift, pushforward, is_zero_mod, shifted_sum, make_certificate,
-verify_certificate and the codec's decode_function all run on coordinate
-tuples, and the solvers' certificates are checked by the same kernels.
-The reference below is the old algorithm, written here on plain int tuples:
-shift each function, merge the translates' terms, and test vanishing mod N
-by grouping points whose difference lies in N.  Membership is decided by
+verify_certificate, the codec's decode_function and wreath.evaluate all run
+on coordinate tuples, and the solvers' certificates are checked by the same
+kernels.  The reference below is the old algorithm, written here on plain
+int tuples: shift each function, merge the translates' terms, test
+vanishing mod N by grouping points whose difference lies in N, and multiply
+a word in A wr B one factor at a time by the product rule.  Membership is decided by
 Hermite forms (two generating sets span the same lattice iff their forms are
 equal), not by the Smith form behind the kernels.  GroupElement and the
 SupportedFunction constructor reduce through the same kernels
@@ -30,6 +31,15 @@ from wreath_dio.qsp import (
     make_certificate,
     shifted_sum,
     verify_certificate,
+)
+from wreath_dio.wreath import (
+    EquationAssignment,
+    OrientableEquation,
+    WreathElement,
+    evaluate,
+    wreath_identity,
+    wreath_inverse,
+    wreath_multiply,
 )
 
 BASES = (
@@ -332,6 +342,95 @@ def test_verify_certificate_matches_reference_on_a_sweep():
             assert verify_certificate(I, cert) == verdict
             verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# evaluate: one coefficient sum against the product rule, factor by factor
+
+
+WORD_BASES = (
+    GroupPresentation(1),
+    GroupPresentation(2),
+    GroupPresentation(1, (2,)),
+    GroupPresentation(0, (2, 4)),
+)
+WORD_COEFFS = (
+    GroupPresentation(1),
+    GroupPresentation(0, (2,)),
+    GroupPresentation(1, (3,)),
+)
+
+
+def ref_multiply(A, B, u, v):
+    """(d1, f1)(d2, f2) = (d1 + d2, shift(f1, d2) + f2) on (delta, terms)."""
+    (d1, f1), (d2, f2) = u, v
+    return _add(B, d1, d2), ref_merge(A, [(_sub(B, p, d2), c) for p, c in f1] + list(f2))
+
+
+def ref_inverse(A, B, u):
+    """(d, f)^-1 = (-d, -shift(f, -d)): -f(p) sits at p + d."""
+    d, f = u
+    zero_a, zero_b = (0,) * A.ncoords, (0,) * B.ncoords
+    return _sub(B, zero_b, d), ref_merge(
+        A, ((_add(B, p, d), _sub(A, zero_a, c)) for p, c in f)
+    )
+
+
+def ref_evaluate(eq, asn):
+    """[x_1, y_1] ... z_m^-1 c_m z_m as (delta, terms), one factor at a time."""
+    A, B = eq.A, eq.B
+    factors = []
+    for x, y in zip(asn.xs, asn.ys):
+        factors += [(x, True), (y, True), (x, False), (y, False)]
+    for z, c in zip(asn.zs, eq.constants):
+        factors += [(z, True), (c, False), (z, False)]
+    acc = ((0,) * B.ncoords, ())
+    for u, inverted in factors:
+        v = (u.delta.coords, _terms(u.f))
+        acc = ref_multiply(A, B, acc, ref_inverse(A, B, v) if inverted else v)
+    return acc
+
+
+def raw_evaluate(eq, asn):
+    """The same word folded with wreath_multiply and wreath_inverse."""
+    acc = wreath_identity(eq.A, eq.B)
+    for x, y in zip(asn.xs, asn.ys):
+        for u in (wreath_inverse(x), wreath_inverse(y), x, y):
+            acc = wreath_multiply(acc, u)
+    for z, c in zip(asn.zs, eq.constants):
+        for u in (wreath_inverse(z), c, z):
+            acc = wreath_multiply(acc, u)
+    return acc
+
+
+@st.composite
+def equations_and_assignments(draw):
+    """A random equation of genus <= 2 with m <= 2 constants, and random
+    values for its variables; they almost never solve it."""
+    B = draw(st.sampled_from(WORD_BASES))
+    A = draw(st.sampled_from(WORD_COEFFS))
+    genus = draw(st.integers(0, 2))
+    m = draw(st.integers(0 if genus else 1, 2))
+
+    def values(n):
+        return tuple(
+            WreathElement(_element(draw, B), _function(draw, A, B, max_terms=3))
+            for _ in range(n)
+        )
+
+    eq = OrientableEquation(A, B, genus, values(m))
+    return eq, EquationAssignment(values(genus), values(genus), values(m))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(equations_and_assignments())
+def test_evaluate_matches_the_factor_by_factor_product(case):
+    eq, asn = case
+    value = evaluate(eq, asn)
+    assert value == raw_evaluate(eq, asn)
+    assert (value.delta.coords, _terms(value.f)) == ref_evaluate(eq, asn)
+    assert value.delta.coords == _reduce(eq.B, value.delta.coords)
+    assert _canonical(value.f)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Wreath-product arithmetic and the equation-to-instance reduction."""
 
+import itertools
 import random
 
 import pytest
@@ -21,8 +22,6 @@ from wreath_dio.wreath import (
     OrientableEquation,
     Unsolvable,
     WreathElement,
-    commutator,
-    conjugate,
     enumerate_window,
     equation_brute_force,
     evaluate,
@@ -99,6 +98,20 @@ def test_group_mismatch_rejected():
         WreathElement(Z.zero(), SupportedFunction.zero(Z, Z2))
 
 
+# z^-1 c z and [x, y] = x^-1 y^-1 x y, each read off evaluate on the
+# smallest equation that holds it
+
+
+def _conjugate(c, z):
+    eq = OrientableEquation(c.coeff_group, c.base_group, 0, (c,))
+    return evaluate(eq, EquationAssignment((), (), (z,)))
+
+
+def _commutator(x, y):
+    eq = OrientableEquation(x.coeff_group, x.base_group, 1, ())
+    return evaluate(eq, EquationAssignment((x,), (y,), ()))
+
+
 def test_conjugate_matches_raw_product():
     rng = random.Random(3)
     for A, B in ((Z2, Z), (Z, Z), (Z2, Z2)):
@@ -106,14 +119,14 @@ def test_conjugate_matches_raw_product():
             c = _random_wreath(rng, A, B)
             z = _random_wreath(rng, A, B)
             raw = wreath_multiply(wreath_multiply(wreath_inverse(z), c), z)
-            assert conjugate(c, z) == raw
+            assert _conjugate(c, z) == raw
 
 
 def test_conjugate_example_lamp_by_translation():
     # moving the lamplighter by 1 drags the lamp from 0 to -1
     c = w(Z2, Z, (1,), [((0,), (1,))])
     z = w(Z2, Z, (1,), [])
-    out = conjugate(c, z)
+    out = _conjugate(c, z)
     raw = wreath_multiply(wreath_multiply(wreath_inverse(z), c), z)
     assert out == raw
     assert out.delta == Z.element((1,))
@@ -125,7 +138,7 @@ def test_conjugation_of_lamp_lands_on_negated_position():
     for k in range(-3, 4):
         a = w(Z2, Z, (0,), [((0,), (1,))])
         b = w(Z2, Z, (k,), [])
-        out = conjugate(a, b)
+        out = _conjugate(a, b)
         assert out.delta.is_zero()
         assert [p.coords for p in out.f.support()] == [(-k,)]
 
@@ -139,13 +152,13 @@ def test_commutator_matches_raw_product():
             wreath_multiply(wreath_inverse(x), wreath_inverse(y)),
             wreath_multiply(x, y),
         )
-        assert commutator(x, y) == raw
+        assert _commutator(x, y) == raw
 
 
 def test_commutator_with_zero_deltas_is_identity():
     x = w(Z2, Z, (0,), [((0,), (1,))])
     y = w(Z2, Z, (0,), [((3,), (1,))])
-    assert commutator(x, y).is_identity()
+    assert _commutator(x, y).is_identity()
 
 
 def test_commutator_base_component_always_zero():
@@ -153,7 +166,40 @@ def test_commutator_base_component_always_zero():
     for _ in range(30):
         x = _random_wreath(rng, Z, Z)
         y = _random_wreath(rng, Z, Z)
-        assert commutator(x, y).delta.is_zero()
+        assert _commutator(x, y).delta.is_zero()
+
+
+# Each group check compares identity first; a group that is equal but built
+# apart must pass, and a foreign one still raise.
+_CHECKS = {
+    "element": lambda G: WreathElement(G.zero(), SupportedFunction.zero(Z, Z)),
+    "same-groups-A": lambda G: wreath_multiply(
+        wreath_identity(Z, Z), wreath_identity(G, Z)
+    ),
+    "same-groups-B": lambda G: wreath_multiply(
+        wreath_identity(Z, Z), wreath_identity(Z, G)
+    ),
+    "equation-A": lambda G: OrientableEquation(Z, Z, 0, (wreath_identity(G, Z),)),
+    "equation-B": lambda G: OrientableEquation(Z, Z, 0, (wreath_identity(Z, G),)),
+    "shape-A": lambda G: evaluate(
+        OrientableEquation(Z, Z, 0, (wreath_identity(Z, Z),)),
+        EquationAssignment((), (), (wreath_identity(G, Z),)),
+    ),
+    "shape-B": lambda G: evaluate(
+        OrientableEquation(Z, Z, 0, (wreath_identity(Z, Z),)),
+        EquationAssignment((), (), (wreath_identity(Z, G),)),
+    ),
+}
+
+
+@pytest.mark.parametrize("check", sorted(_CHECKS))
+def test_group_checks_take_equal_groups_and_reject_foreign_ones(check):
+    run = _CHECKS[check]
+    equal = GroupPresentation(1)
+    assert equal is not Z and equal == Z
+    run(equal)
+    with pytest.raises(ValueError):
+        run(Z2)
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +428,24 @@ def test_brute_force_finds_generated_solutions():
     for seed in range(5):
         eq, _ = gen_solvable(seed, Z2, Z2, genus=0, m=1, max_length=1, max_support=1)
         assert equation_brute_force(eq, 1)
+
+
+@pytest.mark.parametrize("genus, m", [(0, 2), (1, 1)])
+def test_brute_force_agrees_with_evaluate_on_every_assignment(genus, m):
+    # the brute force reads the product's coordinates instead of building
+    # it; over the whole window of Z2 wr Z2 that must be evaluate's verdict
+    eq, _ = gen_solvable(3, Z2, Z2, genus, m, max_length=1, max_support=1)
+    window = enumerate_window(Z2, Z2, 1)
+    verdicts = set()
+    for values in itertools.product(window, repeat=2 * genus + m):
+        asn = EquationAssignment(
+            values[:genus], values[genus : 2 * genus], values[2 * genus :]
+        )
+        verdict = evaluate(eq, asn).is_identity()
+        assert wreath._solves(eq, values) == verdict, values
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+    assert equation_brute_force(eq, 1)
 
 
 def test_brute_force_rejects_delta_sum_violations():
