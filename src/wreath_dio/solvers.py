@@ -86,15 +86,12 @@ class _Meter:
         }
         self.counters = dict.fromkeys(self.caps, 0)
 
-    def charge(self, key: str, n: int = 1) -> None:
-        """Count n units of key.  n at once trips the cap where n single
-        charges would: the counter then reads cap + 1."""
-        count = self.counters[key] + n
-        cap = self.caps[key]
-        if count > cap:
-            self.counters[key] = cap + 1
-            raise BudgetExceeded(f"{key} exceeded {cap}")
-        self.counters[key] = count
+    def charge(self, key: str) -> None:
+        """Count one unit of key; the charge past its cap trips the budget,
+        so the counter then reads cap + 1."""
+        count = self.counters[key] = self.counters[key] + 1
+        if count > self.caps[key]:
+            raise BudgetExceeded(f"{key} exceeded {self.caps[key]}")
         if time.monotonic() - self.start > self.budget.max_seconds:
             raise BudgetExceeded(f"time exceeded {self.budget.max_seconds}s")
 
@@ -364,7 +361,11 @@ def _anchored_search(
 
     The search is depth-first on an explicit stack of child generators,
     one per node that survived the prune and the memo, so memory bounds
-    its depth, not Python's recursion limit.
+    its depth, not Python's recursion limit.  Each child made costs one
+    delta_tuples unit, charged as it is made: the root, once per pass;
+    each placement tried, before it is placed, whether it then stops
+    early, is pruned, meets the memo or becomes a node; and each growth
+    child pushed into its level.
 
     Failed (N, remaining functions, translated partial sum) states are
     memoized: levels are keyed by _subgroup_key, and each keeps its own
@@ -394,14 +395,14 @@ def _anchored_search(
     B/I(N), since N* stays inside I(N).)
 
     The prune runs on each child as it is made, before the memo: a pruned
-    child is charged like any node, but it is never yielded, builds no key
-    and leaves no memo entry.  That is sound because the prune reads only
-    the multiset of the remaining functions' value ids and the coefficients
-    of the partial sum pushed into B/I, and the memo key fixes both.  Value
-    ids number the functions up to equality in B/N, and functions equal in
-    B/N push to equal functions in B/I; a translate of the partial sum in
-    B/N pushes to a translate in B/I, with the same coefficients.  So a
-    revisit of the state, or of a translate of it, is pruned again.
+    child is never yielded, builds no key and leaves no memo entry.  That
+    is sound because the prune reads only the multiset of the remaining
+    functions' value ids and the coefficients of the partial sum pushed
+    into B/I, and the memo key fixes both.  Value ids number the functions
+    up to equality in B/N, and functions equal in B/N push to equal
+    functions in B/I; a translate of the partial sum in B/N pushes to a
+    translate in B/I, with the same coefficients.  So a revisit of the
+    state, or of a translate of it, is pruned again.
 
     In the h = 0 pass, where N = 0 and B/I is B/N itself, a placement that
     leaves a point of the partial sum untouched, because the function has
@@ -422,11 +423,10 @@ def _anchored_search(
     sum_d does not hold: the child's coefficient there is lamp s's own
     value, whatever the shift.  So if j is the function's first lamp whose
     value lies outside the reach set, every placement of a lamp after j
-    stops at lamp j.  Only lamps up to j are tried; the others are charged
-    with one call after them, which is where they fall in lamp order, and
-    the budget trips at the same count.  With torsion in B translation
-    wraps around modulo its orders, so the earlier lamps may land above p,
-    on points of sum_d, and no placement is skipped.
+    stops at lamp j.  Only lamps up to j are tried; the others are never
+    made.  With torsion in B translation wraps around modulo its orders, so
+    the earlier lamps may land above p, on points of sum_d, and no
+    placement is skipped.
 
     The search runs on canonical coordinate tuples: points of B/N and
     coefficients of A, added and subtracted by each group's coord_ops
@@ -473,13 +473,13 @@ def _anchored_search(
     def children(lvl: _Level, unplaced: tuple, ids: tuple, sum_d: dict, key: tuple):
         """The children of a node that passed the prune and the memo, in
         visit order, as (level, unplaced, sorted value ids, partial sum);
-        ids are the node's own, sorted.  A child that fails the
-        reachability prune is charged and never yielded, and in the h = 0
-        pass a placement stops at its first unreachable coefficient; over a
-        free B, the placements of lamps past the first unreachable one are
-        charged with one call and never made.  A placement stays in sum_d
-        and assignment while its child is out.  After the last child, key
-        goes into the memo."""
+        ids are the node's own, sorted.  Each placement tried and each
+        growth child is charged one delta_tuples unit.  A child that fails
+        the reachability prune is never yielded, and in the h = 0 pass a
+        placement stops at its first unreachable coefficient; over a free
+        B, the placements of lamps past the first unreachable one are never
+        made.  A placement stays in sum_d and assignment while its child is
+        out.  After the last child, key goes into the memo."""
         sub_q, sub_b, reps = lvl.sub_q, lvl.sub_b, lvl.reps
         # anchor: sums are translation-invariant, so with nothing placed the
         # first function goes with its first lamp on its own point, shift 0
@@ -513,43 +513,38 @@ def _anchored_search(
                             window = terms[: j + 1]
                             break
             for point, _coeff in window:
+                meter.charge("delta_tuples")
                 delta = sub_q(point, p)
                 shift_b = sub_b(reps[point], reps[p])
                 undo = lvl.place(sum_d, terms, delta, shift_b, reach)
                 if undo is None:
-                    meter.charge("delta_tuples")
                     continue
-                if sum_d and lvl.tested and not lvl.cancellable(rest_ids, sum_d):
-                    meter.charge("delta_tuples")
-                else:
+                if not (sum_d and lvl.tested) or lvl.cancellable(rest_ids, sum_d):
                     assignment[i] = shift_b
                     yield lvl, rest, rest_ids, sum_d
                     del assignment[i]
                 lvl.unplace(sum_d, undo)
-            if not anchor and len(window) < len(terms):
-                meter.charge("delta_tuples", len(terms) - len(window))
         if h > 0:
             seen: set = set()
             for q in sorted(sum_d)[1:]:
                 nxt = grow(lvl, p, q, seen)
                 if nxt is None:
                     continue
+                meter.charge("delta_tuples")
                 pushed = nxt.push((reps[x], c) for x, c in sum_d.items())
                 kept = tuple(i for i in unplaced if i in nxt.gs)
                 kept_ids = tuple(sorted(map(nxt.vids.__getitem__, kept)))
-                if pushed and nxt.tested and not nxt.cancellable(kept_ids, pushed):
-                    meter.charge("delta_tuples")
-                    continue
-                yield nxt, kept, kept_ids, pushed
+                if not (pushed and nxt.tested) or nxt.cancellable(kept_ids, pushed):
+                    yield nxt, kept, kept_ids, pushed
         lvl.memo.add(key)
 
     # the top generator yields the next node; break descends into its children
     ids = tuple(sorted(root.vids.values()))
     order = tuple(sorted(root.gs, key=lambda i: (-len(root.gs[i]), i)))
+    meter.charge("delta_tuples")
     stack = [iter([(root, order, ids, {})])]
     while stack:
         for lvl, unplaced, ids, sum_d in stack[-1]:
-            meter.charge("delta_tuples")
             key = state_key(lvl, ids, sum_d)
             if key in lvl.memo:
                 continue

@@ -27,8 +27,10 @@ from wreath_dio.abelian import (
 from wreath_dio.group_ring import SupportedFunction, pushforward, shift
 from wreath_dio.hardness import (
     ThreePartInstance,
+    ZoeInstance,
     gen_3part_h0,
     gen_3part_midh,
+    gen_zoe,
     solve_3part_bruteforce,
 )
 from wreath_dio.qsp import Certificate, QspInstance, make_certificate, verify_certificate
@@ -261,7 +263,8 @@ def test_general_respects_budget_with_unknown():
 
 def test_time_budget_is_read_on_every_charge(monkeypatch):
     # a clock one second on per read: the meter's start, then one read per
-    # node, so a 3 s cap trips at the fourth node of a 183-node search
+    # charge, so a 3 s cap trips at the fourth of the 15 units this search
+    # charges
     ticks = itertools.count()
     monkeypatch.setattr(wreath_dio.solvers.time, "monotonic", lambda: float(next(ticks)))
     a = b = Z.element((1,))
@@ -272,76 +275,37 @@ def test_time_budget_is_read_on_every_charge(monkeypatch):
     assert result.counters["delta_tuples"] <= 4
 
 
-def _charges(budget, before, n):
-    """The meter after `before` single charges and then n: at once, or one
-    at a time; each as (counters, BudgetExceeded message or None)."""
-    out = []
-    for steps in ((n,), (1,) * n):
-        meter = _Meter(budget)
-        for _ in range(before):
-            meter.charge("delta_tuples")
-        message = None
-        try:
-            for step in steps:
-                meter.charge("delta_tuples", step)
-        except BudgetExceeded as exc:
-            message = str(exc)
-        out.append((meter.counters, message))
-    return out
-
-
-def test_bulk_charge_trips_the_cap_where_single_charges_do():
-    budget = SolverBudget(max_delta_tuples=10, max_seconds=math.inf)
-    for before, n in ((7, 5), (9, 2), (10, 1), (0, 11), (0, 40), (4, 6), (3, 2)):
-        bulk, single = _charges(budget, before, n)
-        assert bulk == single, (before, n)
-    assert _charges(budget, 7, 5)[0] == (
-        {"delta_tuples": 11, "subgroup_tuples": 0},
-        "delta_tuples exceeded 10",
-    )
-    assert _charges(budget, 4, 6)[0] == ({"delta_tuples": 10, "subgroup_tuples": 0}, None)
-
-
 _PINNED_K2_NEGATIVES = {
-    (4, 4, 4, 4, 4, 6): 50,
-    (4, 4, 4, 6, 6, 6): 78,
-    (5, 5, 5, 5, 5, 7): 60,
-    (5, 5, 5, 5, 6, 8): 144,
-    (5, 5, 5, 7, 7, 7): 93,
-    (5, 5, 5, 7, 8, 8): 201,
-    (6, 6, 6, 6, 6, 8): 70,
-    (6, 6, 6, 8, 8, 8): 108,
-    (6, 8, 8, 8, 8, 8): 68,
+    (4, 4, 4, 4, 4, 6): 12,
+    (4, 4, 4, 6, 6, 6): 17,
+    (5, 5, 5, 5, 5, 7): 12,
+    (5, 5, 5, 5, 6, 8): 25,
+    (5, 5, 5, 7, 7, 7): 17,
+    (5, 5, 5, 7, 8, 8): 32,
+    (6, 6, 6, 6, 6, 8): 12,
+    (6, 6, 6, 8, 8, 8): 17,
+    (6, 8, 8, 8, 8, 8): 11,
 }
-# deep 3-PARTITION negatives at h = 0, as (values, k).  Anchoring a short
-# block first ran both past the default cap of 1 000 000 delta tuples;
-# anchoring the target first decides them in 22 109 and 15 349.
-_DEEP_H0_NEGATIVES = (
-    ((11, 11, 11, 12, 12, 12, 12, 12, 12, 14, 14, 15, 16, 17, 19), 5),
-    ((11, 11, 11, 11, 12, 13, 13, 14, 14, 15, 16, 19), 4),
-)
+# deep 3-PARTITION negatives at h = 0, as (values, k), with the delta tuples
+# that decide them: the root and one per placement tried.  Anchoring a short
+# block first ran the first two past the default cap of 1 000 000.
+_DEEP_H0_NEGATIVES = {
+    ((11, 11, 11, 12, 12, 12, 12, 12, 12, 14, 14, 15, 16, 17, 19), 5): 1529,
+    ((11, 11, 11, 11, 12, 13, 13, 14, 14, 15, 16, 19), 4): 1084,
+    ((11, 11, 11, 11, 11, 11, 12, 12, 14, 14, 15, 15, 16, 17, 19), 5): 1360,
+}
 
 
-@pytest.mark.parametrize("cap", [50, 300, 1000])
-def test_delta_cap_trips_at_cap_plus_one_inside_bulk_charges(monkeypatch, cap):
-    # the search charges the placements it rules out in one step with one
-    # call; the cap must still read cap + 1 with the usual reason, as it did
-    # when each was charged on its own.  Cap 50 lies among the k = 2
-    # counts; 300 and 1000 lie above them and below the deep negatives'
-    inside = []
-    charge = _Meter.charge
-
-    def spy(meter, key, n=1):
-        before = meter.counters[key]
-        if before + n > meter.caps[key] + 1:
-            inside.append(n)
-        charge(meter, key, n)
-
-    monkeypatch.setattr(_Meter, "charge", spy)
+@pytest.mark.parametrize("cap", [20, 300, 1200])
+def test_delta_cap_trips_at_cap_plus_one(cap):
+    # a capped search decides as an uncapped one while its count stays
+    # within the cap, and trips with the counter at cap + 1 otherwise.  Cap
+    # 20 lies among the k = 2 counts, 300 above them and below the deep
+    # negatives', 1200 among the deep negatives'
     a = b = Z.element((1,))
     budget = SolverBudget(max_delta_tuples=cap, max_seconds=math.inf)
     cases = [((values, 2), nodes) for values, nodes in _PINNED_K2_NEGATIVES.items()]
-    cases += [(case, math.inf) for case in _DEEP_H0_NEGATIVES]
+    cases += _DEEP_H0_NEGATIVES.items()
     for (values, k), nodes in cases:
         result = solve_general(gen_3part_h0(ThreePartInstance(values, k), a, b), budget)
         if nodes <= cap:
@@ -350,8 +314,37 @@ def test_delta_cap_trips_at_cap_plus_one_inside_bulk_charges(monkeypatch, cap):
             assert result.decision == "unknown-budget"
             assert result.counters["delta_tuples"] == cap + 1
             assert result.reason == f"delta_tuples exceeded {cap}"
-    # the cap fell inside a bulk charge, not only on a single one
-    assert inside
+
+
+def _h0_instances():
+    """The pinned k = 2 and deep 3-PARTITION negatives, and ZERO-ONE-EQUATIONS
+    reductions over Z_2 from seeded random 0/1 matrices."""
+    a = b = Z.element((1,))
+    cases = [(values, 2) for values in _PINNED_K2_NEGATIVES] + list(_DEEP_H0_NEGATIVES)
+    out = [gen_3part_h0(ThreePartInstance(values, k), a, b) for values, k in cases]
+    # three positives and three negatives, every row nonzero
+    rng = random.Random(28)
+    for n in (3, 3, 4, 4, 5, 5):
+        rows = tuple(tuple(int(rng.random() < 0.5) for _ in range(n)) for _ in range(n))
+        out.append(gen_zoe(ZoeInstance(rows)))
+    return out
+
+
+def test_h0_delta_tuples_count_the_root_and_each_placement_tried(monkeypatch):
+    # an h = 0 search charges one unit for its root and one for each
+    # placement it tries, made in full or stopped early; the placements a
+    # window rules out are never made and never charged
+    calls = []
+    place = solvers._Level.place
+    monkeypatch.setattr(
+        solvers._Level, "place", lambda *args: calls.append(1) or place(*args)
+    )
+    for I in _h0_instances():
+        calls.clear()
+        result = dispatch(I)
+        assert (I.h, result.method) == (0, "general")
+        assert result.decision in ("positive", "negative")
+        assert result.counters["delta_tuples"] == 1 + len(calls)
 
 
 # ---------------------------------------------------------------------------
@@ -681,31 +674,31 @@ def test_general_agrees_with_oracle_over_torsion_groups(I):
 @pytest.mark.parametrize(
     "values, k, decision, nodes, deltas",
     [
-        pytest.param((4, 4, 4, 4, 4, 6), 2, "negative", 50, None,
+        pytest.param((4, 4, 4, 4, 4, 6), 2, "negative", 12, None,
                      id="values0-2-negative-714-None"),
-        pytest.param((4, 4, 4, 4, 5, 5, 6, 6, 7), 3, "positive", 89,
+        pytest.param((4, 4, 4, 4, 5, 5, 6, 6, 7), 3, "positive", 26,
                      (-7, -11, -27, -43, -22, -38, -16, -32, 0, 0),
                      id="values1-3-positive-170-deltas1"),
-        pytest.param((4, 4, 4, 6, 6, 6), 2, "negative", 78, None,
+        pytest.param((4, 4, 4, 6, 6, 6), 2, "negative", 17, None,
                      id="values2-2-negative-1090-None"),
-        pytest.param((5, 5, 5, 5, 5, 7), 2, "negative", 60, None,
+        pytest.param((5, 5, 5, 5, 5, 7), 2, "negative", 12, None,
                      id="values3-2-negative-1019-None"),
-        pytest.param((5, 5, 5, 5, 6, 8), 2, "negative", 144, None,
+        pytest.param((5, 5, 5, 5, 6, 8), 2, "negative", 25, None,
                      id="values4-2-negative-2464-None"),
-        pytest.param((5, 5, 5, 7, 7, 7), 2, "negative", 93, None,
+        pytest.param((5, 5, 5, 7, 7, 7), 2, "negative", 17, None,
                      id="values5-2-negative-1498-None"),
-        pytest.param((5, 5, 5, 7, 8, 8), 2, "negative", 201, None,
+        pytest.param((5, 5, 5, 7, 8, 8), 2, "negative", 32, None,
                      id="values6-2-negative-3493-None"),
-        pytest.param((6, 6, 6, 6, 6, 8), 2, "negative", 70, None,
+        pytest.param((6, 6, 6, 6, 6, 8), 2, "negative", 12, None,
                      id="values7-2-negative-1378-None"),
-        pytest.param((6, 6, 6, 8, 8, 8), 2, "negative", 108, None,
+        pytest.param((6, 6, 6, 8, 8, 8), 2, "negative", 17, None,
                      id="values8-2-negative-1970-None"),
-        pytest.param((6, 8, 8, 8, 8, 8), 2, "negative", 68, None,
+        pytest.param((6, 8, 8, 8, 8, 8), 2, "negative", 11, None,
                      id="values9-2-negative-728-None"),
-        pytest.param((5, 5, 5, 6, 6, 6, 7, 7, 7), 3, "positive", 80,
+        pytest.param((5, 5, 5, 6, 6, 6, 7, 7, 7), 3, "positive", 22,
                      (-13, -32, -51, -7, -26, -45, 0, -19, -38, 0),
                      id="values10-3-positive-197-deltas10"),
-        pytest.param((5, 5, 6, 6, 7, 7, 7, 7, 7), 3, "positive", 37,
+        pytest.param((5, 5, 6, 6, 7, 7, 7, 7, 7), 3, "positive", 15,
                      (-14, -34, -47, -53, 0, -7, -20, -27, -40, 0),
                      id="values11-3-positive-183-deltas11"),
     ],
@@ -724,15 +717,16 @@ def test_general_search_order_pinned_on_3part_h0(values, k, decision, nodes, del
 
 
 # Placements made, pinned: without the window that rules out, in one step,
-# every placement past a function's first unreachable lamp, there is one per
-# child (49, 200 and 88).  The nodes charged are the pinned ones above.  The
-# ids name the nodes and placements of the index-order anchor.
+# every placement past a function's first unreachable lamp, there would be
+# 49, 200 and 88.  Each placement made costs one delta tuple and the root one
+# more, so the nodes are the pinned ones above.  The ids name the nodes and
+# placements of the index-order anchor.
 @pytest.mark.parametrize(
     "values, k, nodes, placements",
     [
-        pytest.param((4, 4, 4, 4, 4, 6), 2, 50, 11, id="values0-2-714-177"),
-        pytest.param((5, 5, 5, 7, 8, 8), 2, 201, 31, id="values1-2-3493-568"),
-        pytest.param((4, 4, 4, 4, 5, 5, 6, 6, 7), 3, 89, 25, id="values2-3-170-58"),
+        pytest.param((4, 4, 4, 4, 4, 6), 2, 12, 11, id="values0-2-714-177"),
+        pytest.param((5, 5, 5, 7, 8, 8), 2, 32, 31, id="values1-2-3493-568"),
+        pytest.param((4, 4, 4, 4, 5, 5, 6, 6, 7), 3, 26, 25, id="values2-3-170-58"),
     ],
 )
 def test_h0_search_places_only_inside_the_window(monkeypatch, values, k, nodes, placements):
@@ -832,10 +826,10 @@ def test_ball_search_draws_are_decided(I, expected):
 def test_deep_h0_negatives_are_decided(values, k):
     T = ThreePartInstance(values, k)
     a = b = Z.element((1,))
-    result = dispatch(gen_3part_h0(T, a, b), SolverBudget(max_seconds=math.inf))
+    result = dispatch(gen_3part_h0(T, a, b), DEFAULT_BUDGET)
     assert result.method == "general"
     assert result.decision == ("positive" if solve_3part_bruteforce(T) else "negative")
-    assert result.counters["delta_tuples"] < 100_000
+    assert result.counters["delta_tuples"] == _DEEP_H0_NEGATIVES[values, k]
 
 
 def _mixed_sizes(rng, B, m, h):
@@ -1241,7 +1235,7 @@ def test_place_with_reach_matches_full_placement_then_prune(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # the placement window: at N = 0 over a free B, a function's placements stop
-# at its first lamp outside the reach set, and the rest are charged unmade
+# at its first lamp outside the reach set, and the rest are never made
 
 
 def _placement_groups(B, calls):
