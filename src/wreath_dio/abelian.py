@@ -11,8 +11,9 @@ diagonalised once, in one cached form, and that one Smith form serves
 membership, rank, the quotient with its projection map, and the lift back.
 The Smith form and the inverse of its change of basis both come from
 lattice.hermite_form: this module does no elimination of its own.
-The trivial subgroup needs no Smith form, G/{0} projecting by coord_ops's
-reduce, and neither does G itself, G/G being trivial.
+The trivial subgroup alone needs no Smith form, G/{0} projecting by
+coord_ops's reduce; every subgroup with generators, G itself included, has
+its Smith form built once per process by the cache.
 A rank budget is checked against min(#generators, rank G) first, so the
 Smith form of the generators' relations is built only when that bound
 exceeds it (subgroup_rank_at_most).
@@ -352,29 +353,19 @@ class _SubgroupForm:
     diagonalisation serves membership (project to zero), the quotient
     (project), its section (lift, through U^-1) and the rank (the columns of
     V at zero pivots span the relations among the generators).  U^-1 and the
-    rank are computed on first use.  Two subgroups need no Smith form.
-    With no generators, M is G's relation matrix: already in Smith form with
-    U = V = I, Q = G and project_coords is coord_ops(G)'s reduce, the one
-    reduction rule of G's coordinates.  With G's
-    standard generators, M = [I | relations]: column steps alone clear the
-    relations, so U = I, every factor is 1 and Q is trivial.
+    rank are computed on first use.  The trivial subgroup needs no Smith
+    form: with no generators, M is G's relation matrix, already in Smith
+    form with U = V = I, so Q = G and project_coords is coord_ops(G)'s
+    reduce, the one reduction rule of G's coordinates.
     """
 
     def __init__(self, G: GroupPresentation, gens: tuple[GroupElement, ...]):
         self.G = G
         self.gens = gens
-        n, t = G.ncoords, len(G.torsion)
         if not gens:
-            self.U, self.V = _identity(n), _identity(t)
+            self.U, self.V = _identity(G.ncoords), _identity(len(G.torsion))
             self.factors = [*G.torsion, *(0,) * G.free_rank]
             self.project_coords = coord_ops(G)[2]
-        elif tuple([g.coords for g in gens]) == _identity(n):
-            self.U, self.factors = _identity(n), [1] * n
-            # column n + i of M is alpha_i times column i
-            V = [list(r) for r in _identity(n + t)]
-            for i, alpha in enumerate(G.torsion):
-                V[i][n + i] = -alpha
-            self.V = tuple(map(tuple, V))
         else:
             D, self.U, self.V = smith_normal_form(_preimage_matrix(G, gens))
             # factor of coordinate i in the new basis: d_i (0 = free, 1 = dropped)
@@ -438,8 +429,6 @@ class _SubgroupForm:
             for j in range(len(self.V))
             if j >= len(self.factors) or self.factors[j] == 0
         ]
-        if not relation_cols:
-            return k
         D, _, _ = smith_normal_form(tuple(zip(*relation_cols)))
         return k - sum(row[i] == 1 for i, row in enumerate(D) if i < len(row))
 

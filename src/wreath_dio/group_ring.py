@@ -6,13 +6,13 @@ convention throughout the codebase:
 
     shift(f, delta)(x) = f(delta + x),  so  supp(shift(f, delta)) = supp(f) - delta.
 
-shift, pushforward and is_zero_mod run on canonical coordinate tuples:
-each gathers (point, coefficient) coordinates in one dict, kept canonical by
-coord_ops (add and sub on tuples) and the subgroup form's project_coords,
-and builds its result once.  GroupElement and SupportedFunction appear only
-at the API boundary.  The constructor merges its terms the same way, with
-_coeff_sums and _from_sums, so coordinates are reduced only by coord_ops,
-whose reduce is the one reduction rule.
+Every function is built one way.  The constructor, + and unary -, shift and
+pushforward each gather (point, coefficient) coordinates in one dict, kept
+canonical by coord_ops (add and sub on tuples) and the subgroup form's
+project_coords, and _from_sums builds the result from it; is_zero_mod only
+reads such a dict.  GroupElement and SupportedFunction appear only at the
+API boundary, and coordinates are reduced only by coord_ops, whose reduce is
+the one reduction rule.
 """
 
 from __future__ import annotations
@@ -109,32 +109,17 @@ class SupportedFunction:
 
     # -- abelian-group structure --------------------------------------------
 
-    # both operands are canonical, so the results skip the constructor
-
     def __add__(self, other: "SupportedFunction") -> "SupportedFunction":
-        # merge the sorted terms: only a point of both gets a new coefficient
         self._check_compatible(other)
-        A, x, y = self.coeff_group, self.terms, other.terms
-        add, out, i, j = coord_ops(A)[0], [], 0, 0
-        while i < len(x) and j < len(y):
-            p, q = x[i][0].coords, y[j][0].coords
-            if p != q:
-                out.append(x[i] if p < q else y[j])
-                i, j = (i + 1, j) if p < q else (i, j + 1)
-                continue
-            c = add(x[i][1].coords, y[j][1].coords)
-            if any(c):
-                out.append((x[i][0], _element(A, c)))
-            i, j = i + 1, j + 1
-        return _function(A, self.base_group, (*out, *x[i:], *y[j:]))
+        A = self.coeff_group
+        pairs = ((p.coords, a.coords) for p, a in chain(self.terms, other.terms))
+        return _from_sums(A, self.base_group, _coeff_sums(A, pairs))
 
     def __neg__(self) -> "SupportedFunction":
         A = self.coeff_group
         sub, zero = coord_ops(A)[1], (0,) * A.ncoords
-        return _function(
-            A,
-            self.base_group,
-            tuple((p, _element(A, sub(zero, a.coords))) for p, a in self.terms),
+        return _from_sums(
+            A, self.base_group, {p.coords: sub(zero, a.coords) for p, a in self.terms}
         )
 
     def __sub__(self, other: "SupportedFunction") -> "SupportedFunction":
@@ -147,51 +132,30 @@ class SupportedFunction:
 def _coeff_sums(
     A: GroupPresentation, pairs: Iterable[tuple[tuple, tuple[int, ...]]]
 ) -> dict[tuple, tuple[int, ...]]:
-    """Sum coefficient coordinates per key, canonical in A; zeros are kept.
-    A's add kernel is fetched at the first merge, so a call without one
-    builds none."""
-    add = None
+    """Sum coefficient coordinates per key, canonical in A; zeros are kept."""
+    add = coord_ops(A)[0]
     sums: dict[tuple, tuple[int, ...]] = {}
     for key, c in pairs:
         old = sums.get(key)
-        if old is None:
-            sums[key] = c
-        else:
-            if add is None:
-                add = coord_ops(A)[0]
-            sums[key] = add(old, c)
+        sums[key] = c if old is None else add(old, c)
     return sums
-
-
-def _function(
-    A: GroupPresentation,
-    B: GroupPresentation,
-    terms: tuple[tuple[GroupElement, GroupElement], ...],
-) -> SupportedFunction:
-    """A SupportedFunction from terms that are already canonical: distinct
-    points of B in sorted order, nonzero coefficients of A.  The kernels
-    produce such terms, so the constructor's merge and checks are skipped."""
-    f = object.__new__(SupportedFunction)
-    object.__setattr__(f, "coeff_group", A)
-    object.__setattr__(f, "base_group", B)
-    object.__setattr__(f, "terms", terms)
-    return f
 
 
 def _from_sums(
     A: GroupPresentation, B: GroupPresentation, sums: dict[tuple, tuple[int, ...]]
 ) -> SupportedFunction:
     """The function sending each point of sums to its coefficient sum;
-    points and sums are canonical coordinates, zero sums are dropped."""
-    return _function(
-        A,
-        B,
-        tuple(
-            (_element(B, p), _element(A, c))
-            for p, c in sorted(sums.items())
-            if any(c)
-        ),
+    points and sums are canonical coordinates, zero sums are dropped.
+    Such sums are already merged, so the constructor's merge and checks
+    are skipped."""
+    f = object.__new__(SupportedFunction)
+    object.__setattr__(f, "coeff_group", A)
+    object.__setattr__(f, "base_group", B)
+    terms = tuple(
+        (_element(B, p), _element(A, c)) for p, c in sorted(sums.items()) if any(c)
     )
+    object.__setattr__(f, "terms", terms)
+    return f
 
 
 def shift(f: SupportedFunction, delta: GroupElement) -> SupportedFunction:
@@ -205,9 +169,10 @@ def shift(f: SupportedFunction, delta: GroupElement) -> SupportedFunction:
         raise ValueError("shift by an element of a different group")
     sub = coord_ops(B)[1]
     d = delta.coords
-    # translation keeps points distinct; sorting compares points only
-    moved = sorted((sub(p.coords, d), a) for p, a in f.terms)
-    return _function(f.coeff_group, B, tuple((_element(B, q), a) for q, a in moved))
+    # translation keeps points distinct, so no two terms merge
+    return _from_sums(
+        f.coeff_group, B, {sub(p.coords, d): a.coords for p, a in f.terms}
+    )
 
 
 def pushforward(f: SupportedFunction, N: Subgroup) -> SupportedFunction:

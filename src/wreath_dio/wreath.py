@@ -338,9 +338,9 @@ def gen_solvable(
     ]
     asn = EquationAssignment(tuple(xs), tuple(ys), tuple(zs))
     if m:
-        # z_m^-1 1 z_m = 1, so closed by the identity the product is the prefix
-        closed = OrientableEquation(A, B, genus, (*consts, wreath_identity(A, B)))
-        prefix = evaluate(closed, asn)
+        # the commutators and the first m - 1 conjugates: _word pairs z_j
+        # with c_j, so z_m, which has no constant yet, is left out
+        prefix = _wreath_element(A, B, _product(A, B, _word(consts, xs, ys, zs)))
         z_m = zs[-1]
         word = [(z_m, False), (prefix, True), (z_m, True)]
         consts.append(_wreath_element(A, B, _product(A, B, word)))

@@ -267,11 +267,11 @@ def test_function_kernels_match_reference(case):
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
-@given(groups_and_functions(coeffs=CERT_COEFFS))
+@given(groups_and_functions(bases=CERT_BASES, coeffs=CERT_COEFFS))
 def test_add_and_neg_match_the_constructor(case):
-    # + and unary - skip the constructor's merge and checks; their results
-    # must equal what it builds from the concatenated or negated terms, and
-    # what the reference merges from them
+    # + and unary - build through _from_sums, skipping the constructor's
+    # checks; their results must equal what it builds from the concatenated
+    # or negated terms, and what the reference merges from them
     A, B, fs, _, _ = case
     negated = [tuple((p, -a) for p, a in f.terms) for f in fs]
     zero = (0,) * A.ncoords
