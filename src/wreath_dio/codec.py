@@ -6,12 +6,15 @@ identical bytes.  Integers within the 64-bit-safe JSON range appear as JSON
 numbers; anything larger is carried as a decimal string and restored exactly
 on decode.
 
-Decoding validates each coordinate list once into an int tuple, canonical in
-its group by coord_ops's reduce (the one reduction rule), and builds the
-element from it directly.  A function's terms are gathered on those tuples:
-repeated points are merged in one dict of coefficient sums, zero sums
-dropped, and the function is built once in sorted order, by the same
-_coeff_sums and _from_sums as the SupportedFunction constructor.
+Decoding is strict: each object must hold the keys the format requires and
+no key it does not name, so a misspelt key is a CodecError, never read as
+an absent optional value.  Each coordinate list is validated once into an
+int tuple, canonical in its group by coord_ops's reduce (the one reduction
+rule), and builds the element from it directly.  A function's terms are
+gathered on those tuples: repeated points are merged in one dict of
+coefficient sums, zero sums dropped, and the function is built once in
+sorted order, by the same _coeff_sums and _from_sums as the
+SupportedFunction constructor.
 """
 
 from __future__ import annotations
@@ -51,10 +54,35 @@ def _dec_int(v: Any, what: str) -> int:
     raise CodecError(f"{what}: expected an integer, got {type(v).__name__}")
 
 
-def _expect_dict(obj: Any, what: str) -> dict:
+def _fields(
+    obj: Any, what: str, required: frozenset, optional: frozenset = frozenset()
+) -> dict:
+    """obj as a dict that holds every required key and no key but the
+    required and optional ones.  The common case, exactly the required
+    keys, costs one comparison of key sets, which compares their sizes
+    first; only a mismatch looks for unknown and missing keys."""
     if not isinstance(obj, dict):
         raise CodecError(f"{what}: expected an object")
+    keys = obj.keys()
+    if keys != required:
+        unknown = keys - required - optional
+        if unknown:
+            names = ", ".join(sorted(map(repr, unknown)))
+            raise CodecError(f"{what}: unknown field {names}")
+        missing = required - keys
+        if missing:
+            raise CodecError(f"{what}: missing field {min(missing)!r}")
     return obj
+
+
+_GROUP = frozenset(("free_rank", "torsion"))
+_FUNCTION, _FUNCTION_GROUPS = frozenset(("terms",)), frozenset(("A", "B"))
+_TERM = frozenset(("coeff", "point"))
+_INSTANCE = frozenset(("A", "B", "fs", "h"))
+_CERTIFICATE = frozenset(("deltas", "subgroup_gens"))
+_EQUATION = frozenset(("A", "B", "genus", "constants"))
+_CONSTANT = frozenset(("delta", "f"))
+_PROVENANCE = frozenset(("provenance",))
 
 
 def _expect_list(obj: Any, what: str) -> list:
@@ -75,9 +103,7 @@ def encode_group(G: GroupPresentation) -> dict:
 
 
 def decode_group(obj: Any) -> GroupPresentation:
-    d = _expect_dict(obj, "group")
-    if "free_rank" not in d or "torsion" not in d:
-        raise CodecError('group: expected {"free_rank", "torsion"}')
+    d = _fields(obj, "group", _GROUP)
     free = _dec_int(d["free_rank"], "group.free_rank")
     torsion = tuple(
         _dec_int(a, "group.torsion")
@@ -126,7 +152,7 @@ def encode_function(f: SupportedFunction) -> dict:
 def decode_function(
     A: GroupPresentation, B: GroupPresentation, obj: Any
 ) -> SupportedFunction:
-    d = _expect_dict(obj, "function")
+    d = _fields(obj, "function", _FUNCTION, _FUNCTION_GROUPS)
     # the bare {"terms": ...} form is canonical; a self-describing form with
     # explicit groups is accepted when it agrees with the enclosing context
     if "A" in d and decode_group(d["A"]) != A:
@@ -135,10 +161,11 @@ def decode_function(
         raise CodecError("function: embedded base group disagrees")
     red_a, red_b = coord_ops(A)[2], coord_ops(B)[2]
     terms = []
-    for entry in _expect_list(d.get("terms", []), "function.terms"):
-        t = _expect_dict(entry, "function term")
-        if "coeff" not in t or "point" not in t:
-            raise CodecError('function term: expected {"coeff", "point"}')
+    for t in _expect_list(d["terms"], "function.terms"):
+        # terms are the most numerous objects: their common shape is
+        # checked inline, and _fields only reports what is wrong
+        if type(t) is not dict or len(t) != 2 or "coeff" not in t or "point" not in t:
+            _fields(t, "function term", _TERM)
         point = _dec_coords(B, t["point"], red_b)
         terms.append((point, _dec_coords(A, t["coeff"], red_a)))
     return _from_sums(A, B, _coeff_sums(A, terms))
@@ -161,10 +188,7 @@ def encode_instance(I: QspInstance, provenance: Optional[dict] = None) -> dict:
 
 
 def decode_instance(obj: Any) -> tuple[QspInstance, Optional[dict]]:
-    d = _expect_dict(obj, "instance")
-    for key in ("A", "B", "fs", "h"):
-        if key not in d:
-            raise CodecError(f"instance: missing field {key!r}")
+    d = _fields(obj, "instance", _INSTANCE, _PROVENANCE)
     A = decode_group(d["A"])
     B = decode_group(d["B"])
     fs = tuple(
@@ -186,10 +210,7 @@ def encode_certificate(cert: Certificate) -> dict:
 
 
 def decode_certificate(B: GroupPresentation, obj: Any) -> Certificate:
-    d = _expect_dict(obj, "certificate")
-    for key in ("deltas", "subgroup_gens"):
-        if key not in d:
-            raise CodecError(f"certificate: missing field {key!r}")
+    d = _fields(obj, "certificate", _CERTIFICATE)
     deltas = tuple(
         decode_element(B, e) for e in _expect_list(d["deltas"], "certificate.deltas")
     )
@@ -222,18 +243,13 @@ def encode_equation(
 
 
 def decode_equation(obj: Any) -> tuple[OrientableEquation, Optional[dict]]:
-    d = _expect_dict(obj, "equation")
-    for key in ("A", "B", "genus", "constants"):
-        if key not in d:
-            raise CodecError(f"equation: missing field {key!r}")
+    d = _fields(obj, "equation", _EQUATION, _PROVENANCE)
     A = decode_group(d["A"])
     B = decode_group(d["B"])
     genus = _dec_int(d["genus"], "equation.genus")
     constants = []
     for entry in _expect_list(d["constants"], "equation.constants"):
-        e = _expect_dict(entry, "equation constant")
-        if "delta" not in e or "f" not in e:
-            raise CodecError("equation constant: expected fields delta and f")
+        e = _fields(entry, "equation constant", _CONSTANT)
         delta = decode_element(B, e["delta"])
         f = decode_function(A, B, e["f"])
         constants.append(WreathElement(delta, f))

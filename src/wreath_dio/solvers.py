@@ -118,9 +118,14 @@ def _unknown(method: str, meter: _Meter, exc: BudgetExceeded) -> SolveResult:
 
 
 def _total_sum_is_zero(I: QspInstance) -> bool:
-    """Necessary for any positive answer: quotients preserve the total sum."""
-    coeffs = (((), c.coords) for f in I.fs for _, c in f.terms)
-    return _vanishes(_coeff_sums(I.A, coeffs))
+    """Necessary for any positive answer: quotients preserve the total sum.
+    The coefficients' coordinates are summed column by column and reduced
+    once, which gives the reduced total since reduction is a homomorphism;
+    with no terms the total is zero."""
+    coeffs = [c.coords for f in I.fs for _, c in f.terms]
+    if not coeffs:
+        return True
+    return not any(coord_ops(I.A)[2](list(map(sum, zip(*coeffs)))))
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +148,8 @@ class _Level:
     coeff) coordinate pairs in B/N and A, and vids numbers the functions up
     to equality in B/N.  reps maps every point of B/N met so far to a
     B-point of that coset, and cosets memoises the projection of each
-    B-point met; memo holds the failed states met at N, and children the
+    B-point met; memo holds the failed states met at N, each as its
+    _state_body in the set under its sorted value ids, and children the
     keys of the subgroups N + <d> tried so far, by d in B/N.
 
     The root level, N = 0, is B itself: its gs entries are the functions'
@@ -176,7 +182,7 @@ class _Level:
         self.drop = len(form.Q.torsion) if h else 0
         self.reps: dict[tuple, tuple] = {}
         self.cosets: dict[tuple, tuple] = {}
-        self.memo: set = set()
+        self.memo: dict[tuple, set] = {}
         self.children: dict[tuple, tuple] = {}
         self.gs = {}
         if gens:
@@ -314,6 +320,16 @@ class _Level:
         return lamps
 
 
+def _state_body(sub_q, sum_d: dict) -> tuple:
+    """The partial sum as sorted (point, coeff) pairs, translated so that
+    its least point is zero; sub_q subtracts points of B/N."""
+    if not sum_d:
+        return ()
+    items = sorted(sum_d.items())  # points are distinct: sorted by point
+    base = items[0][0]
+    return tuple([(sub_q(p, base), c) for p, c in items])
+
+
 def _anchored_search(
     fs: Sequence[SupportedFunction],
     B: GroupPresentation,
@@ -369,7 +385,17 @@ def _anchored_search(
 
     Failed (N, remaining functions, translated partial sum) states are
     memoized: levels are keyed by _subgroup_key, and each keeps its own
-    memo.
+    memo, a set of translated partial sums (_state_body) per sorted tuple of
+    the remaining functions' value ids.  Failure is invariant under a joint
+    shift, so a state that is a translate of a failed one fails too.  A node
+    looks up its ids first and builds its body only when some state with
+    those ids has already failed, which few have; otherwise no stored state
+    can match, and the body is built once, after the node's last child, as
+    the node's own failure goes into the memo.  By then sum_d is back at the
+    node's state: every placement is undone, and growth children push into
+    dicts of their own.  So the memo holds the same states and answers
+    every lookup as one keyed on (ids, body) at every node would, and no
+    node builds more than one body.
 
     Reachability prune.  At a level whose N has torsion-free rank h
     (B.free_rank - Q.free_rank for Q = B/N), a node with a nonempty partial
@@ -395,13 +421,13 @@ def _anchored_search(
     B/I(N), since N* stays inside I(N).)
 
     The prune runs on each child as it is made, before the memo: a pruned
-    child is never yielded, builds no key and leaves no memo entry.  That
+    child is never yielded, builds no body and leaves no memo entry.  That
     is sound because the prune reads only the multiset of the remaining
     functions' value ids and the coefficients of the partial sum pushed
-    into B/I, and the memo key fixes both.  Value ids number the functions
-    up to equality in B/N, and functions equal in B/N push to equal
-    functions in B/I; a translate of the partial sum in B/N pushes to a
-    translate in B/I, with the same coefficients.  So a revisit of the
+    into B/I, and a memo entry, ids and body, fixes both.  Value ids number
+    the functions up to equality in B/N, and functions equal in B/N push to
+    equal functions in B/I; a translate of the partial sum in B/N pushes to
+    a translate in B/I, with the same coefficients.  So a revisit of the
     state, or of a translate of it, is pruned again.
 
     In the h = 0 pass, where N = 0 and B/I is B/N itself, a placement that
@@ -441,16 +467,6 @@ def _anchored_search(
     levels: dict[tuple, Optional[_Level]] = {}
     assignment: dict[int, tuple[int, ...]] = {}
 
-    def state_key(lvl: _Level, ids: tuple[int, ...], sum_d: dict) -> tuple:
-        if not sum_d:
-            return ids, ()
-        items = sorted(sum_d.items())  # points are distinct: sorted by point
-        base = items[0][0]
-        sub_q = lvl.sub_q
-        # translation-normalized: failure is invariant under joint shifts
-        body = tuple([(sub_q(p, base), c) for p, c in items])
-        return ids, body
-
     def grow(lvl: _Level, p: tuple, q: tuple, seen: set) -> Optional[_Level]:
         """The level of N + <p~ - q~>, or None if seen at this node or too
         big.  That subgroup depends only on p - q in B/N, so its key is
@@ -470,7 +486,9 @@ def _anchored_search(
         seen.add(key)
         return levels[key]
 
-    def children(lvl: _Level, unplaced: tuple, ids: tuple, sum_d: dict, key: tuple):
+    def children(
+        lvl: _Level, unplaced: tuple, ids: tuple, sum_d: dict, body: Optional[tuple]
+    ):
         """The children of a node that passed the prune and the memo, in
         visit order, as (level, unplaced, sorted value ids, partial sum);
         ids are the node's own, sorted.  Each placement tried and each
@@ -479,7 +497,10 @@ def _anchored_search(
         placement stops at its first unreachable coefficient; over a free
         B, the placements of lamps past the first unreachable one are never
         made.  A placement stays in sum_d and assignment while its child is
-        out.  After the last child, key goes into the memo."""
+        out.  After the last child, when every placement is undone and sum_d
+        holds the node's own state again, the state goes into the memo under
+        ids, with body, the lookup's translated partial sum, or one built
+        then if the lookup built none."""
         sub_q, sub_b, reps = lvl.sub_q, lvl.sub_b, lvl.reps
         # anchor: sums are translation-invariant, so with nothing placed the
         # first function goes with its first lamp on its own point, shift 0
@@ -536,7 +557,9 @@ def _anchored_search(
                 kept_ids = tuple(sorted(map(nxt.vids.__getitem__, kept)))
                 if not (pushed and nxt.tested) or nxt.cancellable(kept_ids, pushed):
                     yield nxt, kept, kept_ids, pushed
-        lvl.memo.add(key)
+        if body is None:
+            body = _state_body(sub_q, sum_d)
+        lvl.memo.setdefault(ids, set()).add(body)
 
     # the top generator yields the next node; break descends into its children
     ids = tuple(sorted(root.vids.values()))
@@ -545,14 +568,17 @@ def _anchored_search(
     stack = [iter([(root, order, ids, {})])]
     while stack:
         for lvl, unplaced, ids, sum_d in stack[-1]:
-            key = state_key(lvl, ids, sum_d)
-            if key in lvl.memo:
-                continue
+            body = None
+            failed = lvl.memo.get(ids)
+            if failed:
+                body = _state_body(lvl.sub_q, sum_d)
+                if body in failed:
+                    continue
             if not sum_d and not unplaced:
                 zero = B.zero().coords
                 shifts = (assignment.get(i, zero) for i in range(len(fs)))
                 return tuple(map(B.element, shifts)), Subgroup(B, lvl.gens)
-            stack.append(children(lvl, unplaced, ids, sum_d, key))
+            stack.append(children(lvl, unplaced, ids, sum_d, body))
             break
         else:
             stack.pop()

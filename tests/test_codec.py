@@ -1,10 +1,19 @@
 """JSON serialization: canonical bytes, big-integer strings, error reporting."""
 
+import copy
+import functools
+import importlib.util
 import json
+import pathlib
+import re
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wreath_dio.abelian import GroupPresentation
+from wreath_dio.cli import EXIT_PARSE, main
 from wreath_dio.codec import (
     MAX_SAFE_INT,
     CodecError,
@@ -243,6 +252,173 @@ def test_equation_rejects_bad_shape():
     del obj2["constants"]
     with pytest.raises(CodecError):
         decode_equation(obj2)
+
+
+# ---------------------------------------------------------------------------
+# strict keys: each object names its keys, and any other key is an error
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+# every key the format names; a mutation's new key is none of them
+FORMAT_KEYS = {
+    "free_rank", "torsion", "terms", "coeff", "point", "A", "B", "fs", "h",
+    "provenance", "deltas", "subgroup_gens", "genus", "constants", "delta", "f",
+}
+MISSPELT = {
+    "A": {"free_rank": 0, "torsion": [2]},
+    "B": {"free_rank": 1, "torsion": []},
+    "fs": [{"term": [{"coeff": [1], "point": [0]}]}],
+    "h": 0,
+}
+
+
+def test_misspelt_terms_key_is_an_error_not_a_zero_function(tmp_path, capsys):
+    # read as a zero function, the one Z_2 atom would vanish: a false positive
+    path = tmp_path / "misspelt.json"
+    path.write_text(canonical_json(MISSPELT), encoding="utf-8")
+    assert main(["qsp", "solve", str(path)]) == EXIT_PARSE
+    assert "function: unknown field 'term'" in capsys.readouterr().err
+    with pytest.raises(CodecError, match="missing field 'terms'"):
+        decode_function(Z2, Z, {})
+
+
+def test_each_decoder_names_its_keys():
+    f = {"terms": []}
+    with pytest.raises(CodecError, match="group: unknown field 'order'"):
+        decode_group({"free_rank": 1, "torsion": [], "order": 0})
+    with pytest.raises(CodecError, match="function term: unknown field 'x'"):
+        decode_function(Z, Z, {"terms": [{"coeff": [1], "point": [0], "x": 0}]})
+    with pytest.raises(CodecError, match="instance: unknown field 'H'"):
+        decode_instance({"A": encode_group(Z), "B": encode_group(Z), "fs": [f], "H": 0})
+    with pytest.raises(CodecError, match="certificate: unknown field 'gens'"):
+        decode_certificate(Z, {"deltas": [], "subgroup_gens": [], "gens": []})
+    eq = encode_equation(gen_solvable(0, Z2, Z, genus=0, m=1)[0])
+    eq["constants"][0]["shift"] = [0]
+    with pytest.raises(CodecError, match="equation constant: unknown field 'shift'"):
+        decode_equation(eq)
+    del eq["constants"][0]["shift"]
+    eq["Genus"] = 0
+    with pytest.raises(CodecError, match="equation: unknown field 'Genus'"):
+        decode_equation(eq)
+
+
+def _formats_json(section: str) -> dict:
+    """The first json block under FORMATS.md's `## section` heading."""
+    text = (REPO / "FORMATS.md").read_text(encoding="utf-8")
+    body = text.split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
+    return json.loads(re.findall(r"^```json\n(.*?)^```", body, re.M | re.S)[0])
+
+
+def _documented() -> list:
+    """FORMATS.md's worked examples that a command reads, as (command kind,
+    document); the group and the function go into an instance.  Run
+    reports are only written."""
+    function = _formats_json("Finitely supported functions")
+    return [
+        ("instance", {"A": _formats_json("Groups"), "B": encode_group(Z), "fs": [], "h": 0}),
+        ("instance", {"A": encode_group(Z2), "B": encode_group(Z), "fs": [function], "h": 0}),
+        ("instance", _formats_json("Quotient-sum instances")),
+        ("certificate", _formats_json("Certificates")),
+        ("equation", _formats_json("Equations")),
+        ("instance", _formats_json("Generators")),
+    ]
+
+
+@functools.lru_cache(maxsize=None)
+def _workloads():
+    """perfbench/workloads.py, which builds the benchmark's seeded inputs."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", REPO / "perfbench" / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+@functools.lru_cache(maxsize=None)
+def _strict_documents():
+    """The documented examples and every 20th input of each workload at seed
+    101, as (command kind, document)."""
+    docs = _documented()
+    workloads = _workloads()
+    for name in workloads.WORKLOADS:
+        for c in workloads.GENERATORS[name](101)[::20]:
+            if c.equation is not None:
+                docs.append(("equation", encode_equation(c.equation)))
+            else:
+                docs.append(("instance", encode_instance(c.instance)))
+    return tuple(docs)
+
+
+def _object_paths(doc, path=()):
+    """The path to every object in doc, outside provenance."""
+    if isinstance(doc, dict):
+        yield path
+        for key, value in doc.items():
+            if key != "provenance":
+                yield from _object_paths(value, path + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _object_paths(value, path + (i,))
+
+
+@st.composite
+def _one_key_off(draw):
+    """A document with one key renamed, or one added, in one of its
+    objects outside provenance; the new key is none the format names."""
+    kind, doc = draw(st.sampled_from(_strict_documents()))
+    doc = copy.deepcopy(doc)
+    obj = doc
+    for step in draw(st.sampled_from(list(_object_paths(doc)))):
+        obj = obj[step]
+    new = draw(st.text(max_size=6).filter(lambda key: key not in FORMAT_KEYS))
+    if obj and draw(st.booleans()):
+        obj[new] = obj.pop(draw(st.sampled_from(sorted(obj))))
+    else:
+        obj[new] = draw(st.sampled_from((None, 0, [], {}, "x")))
+    return kind, doc
+
+
+def _run(kind, doc, directory):
+    path = directory / "doc.json"
+    path.write_text(canonical_json(doc), encoding="utf-8")
+    if kind == "instance":
+        return main(["qsp", "solve", str(path)])
+    if kind == "equation":
+        return main(["solve", str(path)])
+    # a certificate is checked against the documented instance
+    instance = directory / "instance.json"
+    instance.write_text(
+        canonical_json(_formats_json("Quotient-sum instances")), encoding="utf-8"
+    )
+    return main(["qsp", "verify", str(instance), str(path)])
+
+
+def test_strict_documents_are_read_unchanged(tmp_path):
+    kinds = {kind for kind, _doc in _strict_documents()}
+    assert kinds == {"instance", "equation", "certificate"}
+    for kind, doc in _strict_documents():
+        assert _run(kind, doc, tmp_path) != EXIT_PARSE, (kind, doc)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_one_key_off())
+def test_one_unknown_key_at_any_depth_exits_3(tmp_path_factory, case):
+    kind, doc = case
+    assert _run(kind, doc, tmp_path_factory.mktemp("strict")) == EXIT_PARSE
+
+
+@pytest.mark.parametrize("seed", [101, 7, 13, 29])
+def test_workload_inputs_decode_to_the_same_objects(seed):
+    workloads = _workloads()
+    for name in workloads.WORKLOADS:
+        for c in workloads.GENERATORS[name](seed):
+            if c.equation is not None:
+                assert decode_equation(encode_equation(c.equation)) == (c.equation, None)
+            for I in (c.instance, c.tampered):
+                if I is not None:
+                    assert decode_instance(encode_instance(I)) == (I, None)
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,27 @@ def test_big_h_torsion_total():
     _assert_positive(I, result)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.sampled_from((GroupPresentation(0), Z, Z2, GroupPresentation(1, (2, 6)))),
+    st.lists(st.lists(st.tuples(st.integers(-4, 4), st.integers(-9, 9)), max_size=4),
+             max_size=3),
+)
+def test_total_sum_check_is_the_sum_of_the_totals(A, raw):
+    # column sums reduced once give the total that adding the reduced
+    # coefficients gives, zero for an instance with no terms
+    fs = tuple(
+        SupportedFunction(A, Z, tuple(
+            (Z.element((p,)), A.element(((c, -c, 3 * c) * A.ncoords)[: A.ncoords]))
+            for p, c in terms
+        ))
+        for terms in raw
+    )
+    I = QspInstance(A, Z, fs, 0)
+    total = sum((f.total_coefficient() for f in fs), A.zero())
+    assert solvers._total_sum_is_zero(I) == total.is_zero()
+
+
 # ---------------------------------------------------------------------------
 # finite base groups, decided through dispatch
 
@@ -1394,3 +1415,60 @@ def test_root_level_takes_the_terms_a_push_would_give(A, B):
                     vids[i]: {red_a(-x for x in c) for _p, c in terms}
                     for i, terms in gs.items()
                 }
+
+
+# ---------------------------------------------------------------------------
+# the memo builds a node's translated partial sum only when a failed state
+# with the same value ids exists, or when the node itself fails
+
+
+class _CountingMemo(dict):
+    """A level's memo that counts its lookups, and those that find a failed
+    state with the same value ids."""
+
+    lookups = matched = 0
+
+    def get(self, ids, default=None):
+        found = super().get(ids, default)
+        self.lookups += 1
+        self.matched += bool(found)
+        return found
+
+
+@pytest.mark.parametrize(
+    "values, k, decision, lookups, failed, matched",
+    [
+        ((4, 4, 4, 5, 6, 7), 2, "positive", 10, 2, 0),
+        ((5, 5, 5, 7, 8, 8), 2, "negative", 18, 13, 5),
+        ((11, 11, 11, 11, 12, 13, 13, 14, 14, 15, 16, 19), 4, "negative", 479, 237, 242),
+    ],
+)
+def test_memo_builds_a_body_per_failed_state_and_matched_lookup(
+    monkeypatch, values, k, decision, lookups, failed, matched
+):
+    # a memo keyed on the whole state builds a body at every lookup; here
+    # each lookup whose ids match a failed state is a hit, so a body is
+    # built once per failed state and once per hit
+    levels, bodies = [], []
+    body = solvers._state_body
+    monkeypatch.setattr(
+        solvers, "_state_body", lambda *args: bodies.append(1) or body(*args)
+    )
+
+    class Level(solvers._Level):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.memo = _CountingMemo()
+            levels.append(self)
+
+    monkeypatch.setattr(solvers, "_Level", Level)
+    a = b = Z.element((1,))
+    result = solve_general(gen_3part_h0(ThreePartInstance(values, k), a, b))
+    assert result.decision == decision
+    got = (
+        sum(lvl.memo.lookups for lvl in levels),
+        sum(len(states) for lvl in levels for states in lvl.memo.values()),
+        sum(lvl.memo.matched for lvl in levels),
+    )
+    assert got == (lookups, failed, matched)
+    assert len(bodies) == failed + matched
