@@ -162,10 +162,7 @@ def decode_function(
     red_a, red_b = coord_ops(A)[2], coord_ops(B)[2]
     terms = []
     for t in _expect_list(d["terms"], "function.terms"):
-        # terms are the most numerous objects: their common shape is
-        # checked inline, and _fields only reports what is wrong
-        if type(t) is not dict or len(t) != 2 or "coeff" not in t or "point" not in t:
-            _fields(t, "function term", _TERM)
+        t = _fields(t, "function term", _TERM)
         point = _dec_coords(B, t["point"], red_b)
         terms.append((point, _dec_coords(A, t["coeff"], red_a)))
     return _from_sums(A, B, _coeff_sums(A, terms))

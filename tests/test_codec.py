@@ -5,7 +5,6 @@ import functools
 import importlib.util
 import json
 import pathlib
-import re
 import sys
 
 import pytest
@@ -35,6 +34,8 @@ from wreath_dio.codec import (
 from wreath_dio.group_ring import SupportedFunction
 from wreath_dio.qsp import Certificate, QspInstance
 from wreath_dio.wreath import gen_solvable
+
+from test_docs import _formats_json
 
 Z = GroupPresentation(1)
 Z2 = GroupPresentation(0, (2,))
@@ -299,13 +300,6 @@ def test_each_decoder_names_its_keys():
     eq["Genus"] = 0
     with pytest.raises(CodecError, match="equation: unknown field 'Genus'"):
         decode_equation(eq)
-
-
-def _formats_json(section: str) -> dict:
-    """The first json block under FORMATS.md's `## section` heading."""
-    text = (REPO / "FORMATS.md").read_text(encoding="utf-8")
-    body = text.split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
-    return json.loads(re.findall(r"^```json\n(.*?)^```", body, re.M | re.S)[0])
 
 
 def _documented() -> list:
