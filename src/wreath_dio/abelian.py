@@ -8,7 +8,8 @@ precision integers; no floating point enters this module.
 
 The workhorse is the Smith normal form.  Each subgroup's preimage matrix is
 diagonalised once, in one cached form, and that one Smith form serves
-membership, rank, the quotient with its projection map, and the lift back.
+membership, rank, the quotient with its projection map, and the lift back,
+which the anchored search in solvers calls.
 The Smith form and the inverse of its change of basis both come from
 lattice.hermite_form: this module does no elimination of its own.
 The trivial subgroup alone needs no Smith form, G/{0} projecting by
@@ -351,12 +352,12 @@ class _SubgroupForm:
     d_i * e_i, so G/<gens> is the product of the Z/d_i: coordinates with
     d_i = 1 vanish, d_i >= 2 become torsion and d_i = 0 stay free.  That one
     diagonalisation serves membership (project to zero), the quotient
-    (project), its section (lift, through U^-1) and the rank (the columns of
-    V at zero pivots span the relations among the generators).  U^-1 and the
-    rank are computed on first use.  The trivial subgroup needs no Smith
-    form: with no generators, M is G's relation matrix, already in Smith
-    form with U = V = I, so Q = G and project_coords is coord_ops(G)'s
-    reduce, the one reduction rule of G's coordinates.
+    (project), its section (lift, through U^-1; the search's _Level.lift
+    calls it) and the rank (V's columns at zero pivots span the relations
+    among the generators).  U^-1 and the rank are computed on first use.
+    The trivial subgroup needs no Smith form: with no generators, M is G's
+    relation matrix, already in Smith form with U = V = I, so Q = G and
+    project_coords is coord_ops(G)'s reduce, G's one reduction rule.
     """
 
     def __init__(self, G: GroupPresentation, gens: tuple[GroupElement, ...]):

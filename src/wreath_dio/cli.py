@@ -199,9 +199,7 @@ def cmd_solve_equation(args: argparse.Namespace) -> int:
     start = time.monotonic()
     reduced = reduce_to_qsp(eq)
     if isinstance(reduced, Unsolvable):
-        result = SolveResult(
-            "negative", "reduction", None, {}, "delta-sum nonzero"
-        )
+        result = SolveResult("negative", "reduction", None, {}, reduced.reason)
     else:
         log.info(
             "reduced to QSP over %s functions, h=%s", len(reduced.fs), reduced.h

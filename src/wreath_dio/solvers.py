@@ -146,17 +146,17 @@ class _Level:
 
     gs holds each function that is nonzero in B/N as its sorted (point,
     coeff) coordinate pairs in B/N and A, and vids numbers the functions up
-    to equality in B/N.  reps maps every point of B/N met so far to a
-    B-point of that coset, and cosets memoises the projection of each
-    B-point met; memo holds the failed states met at N, each as its
+    to equality in B/N.  cosets memoises the projection of each B-point
+    met, and lifts a B-point of each point of B/N that lift has answered
+    or coset has met; memo holds the failed states met at N, each as its
     _state_body in the set under its sorted value ids, and children the
     keys of the subgroups N + <d> tried so far, by d in B/N.
 
     The root level, N = 0, is B itself: its gs entries are the functions'
     own terms, which are canonical, sorted, merged and nonzero however a
-    SupportedFunction is built, and each term point is its own entry in
-    reps.  Nothing is projected or merged there, and cosets stays empty.
-    A level with generators pushes every term into B/N.
+    SupportedFunction is built, and each point is its own B-point.  Nothing
+    is projected, merged or lifted there, and cosets stays empty.  A level
+    with generators pushes every term into B/N.
 
     tested says whether N has torsion-free rank h; there the search runs
     the reachability test, in B/N with its first drop coordinates dropped:
@@ -171,7 +171,7 @@ class _Level:
         gens: tuple[GroupElement, ...],
         h: int,
     ) -> None:
-        form = _subgroup_form(B, gens)
+        form = self.form = _subgroup_form(B, gens)
         self.gens = gens
         self.project = form.project_coords
         self.sub_b = coord_ops(B)[1]
@@ -180,7 +180,7 @@ class _Level:
         self.add_a, self.sub_a, _ = coord_ops(self.A)
         self.tested = B.free_rank - form.Q.free_rank == h
         self.drop = len(form.Q.torsion) if h else 0
-        self.reps: dict[tuple, tuple] = {}
+        self.lifts: dict[tuple, tuple] = {}
         self.cosets: dict[tuple, tuple] = {}
         self.memo: dict[tuple, set] = {}
         self.children: dict[tuple, tuple] = {}
@@ -191,14 +191,9 @@ class _Level:
                 if sums:
                     self.gs[i] = tuple(sorted(sums.items()))
         else:
-            # the root: B/N is B, and each term point represents itself
-            reps = self.reps
             for i, f in enumerate(fs):
                 if f.terms:
-                    terms = tuple([(p.coords, c.coords) for p, c in f.terms])
-                    self.gs[i] = terms
-                    for point, _c in terms:
-                        reps[point] = point
+                    self.gs[i] = tuple([(p.coords, c.coords) for p, c in f.terms])
         value_id: dict[tuple, int] = {}
         self.vids = {
             i: value_id.setdefault(t, len(value_id)) for i, t in self.gs.items()
@@ -208,41 +203,46 @@ class _Level:
 
     def push(self, pairs) -> dict:
         """Coefficient sums per coset of (B-point, coeff) pairs, zeros
-        dropped; each coset met keeps its first B-point in reps."""
+        dropped."""
         sums = _coeff_sums(self.A, ((self.coset(b), c) for b, c in pairs))
         return {q: c for q, c in sums.items() if any(c)}
 
     def coset(self, b: tuple) -> tuple:
         cosets = self.cosets
         if b in cosets:
-            # the miss that stored b already set reps
+            # the miss that stored b already offered it to lifts
             return cosets[b]
         q = cosets[b] = self.project(b)
-        self.reps.setdefault(q, b)
+        self.lifts.setdefault(q, b)
         return q
+
+    def lift(self, q: tuple) -> tuple:
+        """A B-point of the point q of B/N: q itself at the root; else the
+        one lifts holds, or, on a miss, one lifted through N's Smith form."""
+        if not self.gens:
+            return q
+        b = self.lifts.get(q)
+        if b is None:
+            b = self.lifts[q] = self.form.lift(_element(self.form.Q, q)).coords
+        return b
 
     def place(
         self,
         sum_d: dict,
         terms: tuple,
         delta: tuple,
-        shift_b: tuple,
         reach: Optional[frozenset] = None,
     ) -> Optional[list]:
-        """Add the function with these terms, shifted by delta (shift_b in
-        B), into sum_d; return an undo log.  Given a reach set, stop at the
-        first new nonzero coefficient outside it instead: undo, and return
-        None.  Either way each entry it adds to reps is one a full placement
-        adds."""
-        sub_q, add_a, sub_b, reps = self.sub_q, self.add_a, self.sub_b, self.reps
+        """Add the function with these terms, shifted by delta, into sum_d;
+        return an undo log.  Given a reach set, stop at the first new
+        nonzero coefficient outside it instead: undo, and return None."""
+        sub_q, add_a = self.sub_q, self.add_a
         undo = []
         for point, coeff in terms:
             p = sub_q(point, delta)
             old = sum_d.get(p)
             if old is None:
                 new = coeff
-                if p not in reps:
-                    reps[p] = sub_b(reps[point], shift_b)
             else:
                 new = add_a(old, coeff)
                 if not any(new):
@@ -436,11 +436,9 @@ def _anchored_search(
     vanish.  Its reach set is then fetched before placing, and the
     placement stops at its first new coefficient outside that set: the full
     prune would reject that coefficient too, so the verdict is the same,
-    and the pruned child's remaining lamps are never added.  A point of
-    B/N = B has one B-point, so the entries a stopped placement leaves out
-    of reps are never needed: a later placement that meets the point sets
-    the same one.  A child that passes still gets the full prune, for the
-    points the placement did not touch.
+    and the pruned child's remaining lamps are never added.  A child that
+    passes still gets the full prune, for the points the placement did not
+    touch.
 
     Over a torsion-free B that test also rules out placements before they
     are made.  There B/N = Z^r, whose lexicographic order is unchanged by
@@ -459,13 +457,14 @@ def _anchored_search(
     kernels, which keep them canonical.  Tuples order as their GroupElements
     do, so nodes are visited in coordinate order.  At the root, N = 0, the
     functions' own term coordinates are the level's terms, with no
-    projection and no merge; a grown level pushes them into B/N.  Shifts and
-    generators are differences of B-points, so no point of B/N is ever
-    lifted back to B.
+    projection and no merge; a grown level pushes them into B/N.  Only a
+    growth's generator, a push into B/N' and the witness's shifts, kept in
+    B/N until the search ends, need B-points; _Level.lift gives any, as two
+    differ by an element of N, and N only grows along a path.
     """
     root = _Level(fs, B, (), h)
     levels: dict[tuple, Optional[_Level]] = {}
-    assignment: dict[int, tuple[int, ...]] = {}
+    assignment: dict[int, tuple[_Level, tuple]] = {}
 
     def grow(lvl: _Level, p: tuple, q: tuple, seen: set) -> Optional[_Level]:
         """The level of N + <p~ - q~>, or None if seen at this node or too
@@ -475,7 +474,7 @@ def _anchored_search(
         diff = lvl.sub_q(p, q)
         key = lvl.children.get(diff)
         if key is None:
-            gen = _element(B, lvl.sub_b(lvl.reps[p], lvl.reps[q]))
+            gen = _element(B, lvl.sub_b(lvl.lift(p), lvl.lift(q)))
             S = Subgroup(B, lvl.gens + (gen,))
             key = lvl.children[diff] = _subgroup_key(S)
             if key not in levels:
@@ -501,7 +500,7 @@ def _anchored_search(
         holds the node's own state again, the state goes into the memo under
         ids, with body, the lookup's translated partial sum, or one built
         then if the lookup built none."""
-        sub_q, sub_b, reps = lvl.sub_q, lvl.sub_b, lvl.reps
+        sub_q = lvl.sub_q
         # anchor: sums are translation-invariant, so with nothing placed the
         # first function goes with its first lamp on its own point, shift 0
         anchor = not sum_d
@@ -536,23 +535,24 @@ def _anchored_search(
             for point, _coeff in window:
                 meter.charge("delta_tuples")
                 delta = sub_q(point, p)
-                shift_b = sub_b(reps[point], reps[p])
-                undo = lvl.place(sum_d, terms, delta, shift_b, reach)
+                undo = lvl.place(sum_d, terms, delta, reach)
                 if undo is None:
                     continue
                 if not (sum_d and lvl.tested) or lvl.cancellable(rest_ids, sum_d):
-                    assignment[i] = shift_b
+                    assignment[i] = lvl, delta
                     yield lvl, rest, rest_ids, sum_d
                     del assignment[i]
                 lvl.unplace(sum_d, undo)
         if h > 0:
             seen: set = set()
+            # sum_d, back at the node's state, lifted once for every push
+            lifted = [(lvl.lift(x), c) for x, c in sum_d.items()]
             for q in sorted(sum_d)[1:]:
                 nxt = grow(lvl, p, q, seen)
                 if nxt is None:
                     continue
                 meter.charge("delta_tuples")
-                pushed = nxt.push((reps[x], c) for x, c in sum_d.items())
+                pushed = nxt.push(lifted)
                 kept = tuple(i for i in unplaced if i in nxt.gs)
                 kept_ids = tuple(sorted(map(nxt.vids.__getitem__, kept)))
                 if not (pushed and nxt.tested) or nxt.cancellable(kept_ids, pushed):
@@ -575,8 +575,8 @@ def _anchored_search(
                 if body in failed:
                     continue
             if not sum_d and not unplaced:
-                zero = B.zero().coords
-                shifts = (assignment.get(i, zero) for i in range(len(fs)))
+                placed = {i: at.lift(delta) for i, (at, delta) in assignment.items()}
+                shifts = (placed.get(i, B.zero().coords) for i in range(len(fs)))
                 return tuple(map(B.element, shifts)), Subgroup(B, lvl.gens)
             stack.append(children(lvl, unplaced, ids, sum_d, body))
             break

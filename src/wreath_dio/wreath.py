@@ -32,7 +32,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import ClassVar, Sequence, Union
 
 from .abelian import (
     BudgetExceeded,
@@ -259,7 +259,7 @@ def residual_function(
 class Unsolvable:
     """Sentinel: no assignment exists (nonzero total base shift)."""
 
-    reason: str = "total base shift of the constants is nonzero"
+    reason: ClassVar[str] = "delta-sum nonzero"
 
 
 def reduce_to_qsp(eq: OrientableEquation) -> Union[QspInstance, Unsolvable]:

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wreath_dio
-from wreath_dio import codec, solvers
+from wreath_dio import abelian, codec, solvers
 from wreath_dio.abelian import (
     BudgetExceeded,
     GroupPresentation,
@@ -1147,14 +1147,14 @@ def _reducer(G):
 
 
 def _level_reducers(B, lvl):
-    """The reductions of B, of B/N for the level's N, and of A."""
+    """The reductions of B/N, for the level's N, and of A."""
     Q = solvers._subgroup_form(B, lvl.gens).Q
-    return _reducer(B), _reducer(Q), _reducer(lvl.A)
+    return _reducer(Q), _reducer(lvl.A)
 
 
-def _full_place(reducers, lvl, sum_d, terms, delta, shift_b):
+def _full_place(reducers, sum_d, terms, delta):
     """Add every lamp, shifted by delta, into sum_d; return an undo log."""
-    red_b, red_q, red_a = reducers
+    red_q, red_a = reducers
     undo = []
     for point, coeff in terms:
         p = red_q(map(operator.sub, point, delta))
@@ -1162,7 +1162,6 @@ def _full_place(reducers, lvl, sum_d, terms, delta, shift_b):
         undo.append((p, old))
         if old is None:
             sum_d[p] = coeff
-            lvl.reps.setdefault(p, red_b(map(operator.sub, lvl.reps[point], shift_b)))
             continue
         new = red_a(map(operator.add, old, coeff))
         if any(new):
@@ -1202,7 +1201,7 @@ def test_place_with_reach_matches_full_placement_then_prune(monkeypatch):
         if not new.gs:
             continue
         reducers = _level_reducers(B, new)
-        red_b, red_q, _ = reducers
+        red_q = reducers[0]
         cap = rng.choice((solvers._REACH_CAP, 2))
         monkeypatch.setattr(solvers, "_REACH_CAP", cap)
         vids = sorted(set(new.vids.values()))
@@ -1226,14 +1225,13 @@ def test_place_with_reach_matches_full_placement_then_prune(monkeypatch):
                 p = rng.choice(sorted(sum_new))
             terms = new.gs[i]
             delta = red_q(map(operator.sub, point, p))
-            shift_b = red_b(map(operator.sub, new.reps[point], new.reps[p]))
             ids = tuple(sorted(rng.choice(vids) for _ in range(rng.randint(0, 3))))
 
             # the search passes a reach set only in the h = 0 pass, at N = 0
             reach = None if gens else new.reach(ids)
-            undo = new.place(sum_new, terms, delta, shift_b, reach)
+            undo = new.place(sum_new, terms, delta, reach)
             kept = undo is not None and (not sum_new or new.cancellable(ids, sum_new))
-            undo_ref = _full_place(reducers, ref, sum_ref, terms, delta, shift_b)
+            undo_ref = _full_place(reducers, sum_ref, terms, delta)
             expected = not sum_ref or ref.cancellable(ids, sum_ref)
             assert kept == expected
             seen["vanished"] += not sum_ref
@@ -1242,11 +1240,6 @@ def test_place_with_reach_matches_full_placement_then_prune(monkeypatch):
                 new.unplace(sum_new, undo)
             ref.unplace(sum_ref, undo_ref)
             assert sum_new == sum_ref
-            if gens:
-                assert new.reps == ref.reps
-            else:
-                # at N = 0 each point has one B-point, whichever sets it
-                assert new.reps.items() <= ref.reps.items()
 
             seen["stopped"] += undo is None
             seen["no-reach"] += reach is None and bool(ids) and not gens
@@ -1265,7 +1258,7 @@ def _placement_groups(B, calls):
     group rise, since a node places a function's lamps in order."""
     groups, open_groups = [], {}
     for lvl, items, terms, delta, reach in calls:
-        red_q = _level_reducers(B, lvl)[1]
+        red_q = _level_reducers(B, lvl)[0]
         p = items[0][0]
         t = next(
             t for t, (point, _c) in enumerate(terms)
@@ -1288,10 +1281,10 @@ def test_window_skips_only_placements_the_full_prune_rejects(monkeypatch):
     calls = []
     place = solvers._Level.place
 
-    def spy(lvl, sum_d, terms, delta, shift_b, reach=None):
+    def spy(lvl, sum_d, terms, delta, reach=None):
         if sum_d:  # the anchor places one lamp on an empty sum
             calls.append((lvl, tuple(sorted(sum_d.items())), terms, delta, reach))
-        return place(lvl, sum_d, terms, delta, shift_b, reach)
+        return place(lvl, sum_d, terms, delta, reach)
 
     monkeypatch.setattr(solvers._Level, "place", spy)
     for _ in range(240):
@@ -1331,13 +1324,12 @@ def test_window_skips_only_placements_the_full_prune_rejects(monkeypatch):
                 continue
             ids = next(ids for ids, r in lvl._reach.items() if r is reach)
             reducers = _level_reducers(B, lvl)
-            red_b, red_q, _ = reducers
+            red_q = reducers[0]
             p = items[0][0]
             for point, _coeff in terms[len(tried):]:
                 sum_d = dict(items)
                 delta = red_q(map(operator.sub, point, p))
-                shift_b = red_b(map(operator.sub, lvl.reps[point], lvl.reps[p]))
-                _full_place(reducers, lvl, sum_d, terms, delta, shift_b)
+                _full_place(reducers, sum_d, terms, delta)
                 assert sum_d and not lvl.cancellable(ids, sum_d)
                 seen["skipped"] += 1
     assert min(seen.values()) > 0, seen
@@ -1349,16 +1341,15 @@ def test_window_skips_only_placements_the_full_prune_rejects(monkeypatch):
 
 
 def _pushed_root(fs, B, A):
-    """(gs, vids, reps) of N = 0 as a plain push builds them: project every
-    term point, merge coefficients per point in a dict, drop zeros, sort."""
+    """(gs, vids) of N = 0 as a plain push builds them: project every term
+    point, merge coefficients per point in a dict, drop zeros, sort."""
     project = solvers._subgroup_form(B, ()).project_coords
     red_a = _reducer(A)
-    gs, reps = {}, {}
+    gs = {}
     for i, f in enumerate(fs):
         sums = {}
         for p, c in f.terms:
             q = project(p.coords)
-            reps.setdefault(q, p.coords)
             old = sums.get(q, (0,) * A.ncoords)
             sums[q] = red_a(map(operator.add, old, c.coords))
         terms = sorted((q, c) for q, c in sums.items() if any(c))
@@ -1366,7 +1357,7 @@ def _pushed_root(fs, B, A):
             gs[i] = tuple(terms)
     value_id = {}
     vids = {i: value_id.setdefault(t, len(value_id)) for i, t in gs.items()}
-    return gs, vids, reps
+    return gs, vids
 
 
 def _root_functions(rng, A, B):
@@ -1403,18 +1394,120 @@ def test_root_level_takes_the_terms_a_push_would_give(A, B):
     for _ in range(40):
         fs = _root_functions(rng, A, B)
         rng.shuffle(fs)
-        gs, vids, reps = _pushed_root(fs, B, A)
+        gs, vids = _pushed_root(fs, B, A)
         for h in (0, 1):
             lvl = solvers._Level(fs, B, (), h)
             assert lvl.gs == gs
             assert lvl.vids == vids
-            assert lvl.reps == reps
             if not lvl.drop:
                 # the lamp sets read the distinct points' values directly
                 assert lvl._lamps() == {
                     vids[i]: {red_a(-x for x in c) for _p, c in terms}
                     for i, terms in gs.items()
                 }
+
+
+# ---------------------------------------------------------------------------
+# _Level.lift: a B-point of a point of B/N, asked for only by a growth, its
+# push and the witness's shifts
+
+
+_LIFT_BASES = (GroupPresentation(0, (2, 4)), ZxZ3, ZxZ2, ZxZ)
+
+
+@st.composite
+def _lift_draws(draw):
+    """A base, one or two generators of N, zero-sum functions over it, and
+    B-points whose cosets no level has met."""
+    B = draw(st.sampled_from(_LIFT_BASES))
+    point = st.tuples(*[st.integers(-3, 3)] * B.ncoords).map(B.element)
+    unit = st.sampled_from((-1, 1)).map(lambda c: Z.element((c,)))
+    gens = tuple(draw(st.lists(point, min_size=1, max_size=2)))
+    terms = st.lists(st.tuples(point, unit), min_size=1, max_size=3)
+    fs = [
+        SupportedFunction(Z, B, tuple(draw(terms))) for _ in range(draw(st.integers(2, 3)))
+    ]
+    total = sum((f.total_coefficient() for f in fs), Z.zero())
+    fs[-1] = fs[-1] + SupportedFunction.atom(-total, draw(point))
+    return B, gens, tuple(fs), draw(st.lists(point, max_size=4))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_lift_draws())
+def test_lift_is_a_section_of_the_projection(draw):
+    B, gens, fs, points = draw
+    assert solvers._Level(fs, B, (), 1).lift((0,) * B.ncoords) == (0,) * B.ncoords
+    # points whose B-point coset() kept, then points lifted through the
+    # Smith form
+    lvl = solvers._Level(fs, B, gens, 1)
+    qs = [q for terms in lvl.gs.values() for q, _c in terms]
+    qs += [lvl.project(b.coords) for b in points]
+    for q in qs:
+        assert lvl.project(lvl.lift(q)) == q
+    # every point the growth pass lifts, at levels of one or two generators
+    # and more
+    lifted = []
+    lift = solvers._Level.lift
+
+    def spy(level, q):
+        b = lift(level, q)
+        lifted.append((level, q, b))
+        return b
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers._Level, "lift", spy)
+        try:
+            solvers._anchored_search(fs, B, 1, _Meter(COUNTER_BUDGET))
+        except BudgetExceeded:
+            pass
+    for level, q, b in lifted:
+        assert level.project(b) == q
+
+
+def test_witness_placed_at_a_grown_level_verifies_and_the_oracle_agrees(monkeypatch):
+    # the placements still applied when the search returns are the
+    # witness's; one at a level with generators has its shift lifted there
+    applied = {}
+    place, unplace = solvers._Level.place, solvers._Level.unplace
+
+    def spy_place(lvl, sum_d, terms, delta, reach=None):
+        undo = place(lvl, sum_d, terms, delta, reach)
+        if undo is not None:
+            applied[id(undo)] = lvl
+        return undo
+
+    def spy_unplace(sum_d, undo):
+        applied.pop(id(undo), None)
+        unplace(sum_d, undo)
+
+    monkeypatch.setattr(solvers._Level, "place", spy_place)
+    monkeypatch.setattr(solvers._Level, "unplace", staticmethod(spy_unplace))
+    rng = random.Random(0)
+    bases = (ZxZ, ZxZ2, ZxZ3, GroupPresentation(0, (2, 4)))
+    found = 0
+    for j in range(60):
+        I = _zero_sum(rng, bases[j % 4], 2 + (j // 4) % 2, 1, r=1)
+        applied.clear()
+        result = dispatch(I, COUNTER_BUDGET)
+        if result.decision != "positive" or not any(lvl.gens for lvl in applied.values()):
+            continue
+        found += 1
+        assert verify_certificate(I, result.certificate)
+        assert oracle_solve(I, _ORACLE_BUDGET).decision == "positive"
+    assert found
+
+
+def test_h0_solves_lift_nothing_through_a_smith_form(monkeypatch):
+    # at N = 0 each point is its own B-point: no U^-1 is ever built
+    calls = []
+    inverse = abelian._unimodular_inverse
+    monkeypatch.setattr(
+        abelian, "_unimodular_inverse", lambda M: calls.append(M) or inverse(M)
+    )
+    abelian._subgroup_form.cache_clear()
+    for I in _h0_instances():
+        assert dispatch(I).decision in ("positive", "negative")
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
