@@ -6,18 +6,16 @@ vectors, torsion coordinates first (stored canonically in [0, alpha_i)), then
 free coordinates.  Everything is immutable and computed with arbitrary
 precision integers; no floating point enters this module.
 
-The workhorse is the Smith normal form.  Each subgroup's preimage matrix is
-diagonalised once, in one cached form, and that one Smith form serves
-membership, rank, the quotient with its projection map, and the lift back,
-which the anchored search in solvers calls.
-The Smith form and the inverse of its change of basis both come from
-lattice.hermite_form: this module does no elimination of its own.
-The trivial subgroup alone needs no Smith form, G/{0} projecting by
-coord_ops's reduce; every subgroup with generators, G itself included, has
-its Smith form built once per process by the cache.
+The workhorse is the Smith normal form.  A subgroup is its Hermite basis
+K, that of its preimage lattice (_subgroup_key), whichever generating set
+names it.  One cached form per K diagonalises K's transpose once, and that
+Smith form serves membership, the quotient with its projection map, and
+the lift back, which the anchored search in solvers calls; the rank reads
+G's relations written in the basis K.  All elimination, K included, is
+lattice.hermite_form's.  The trivial subgroup alone needs no Smith form,
+G/{0} projecting by coord_ops's reduce.
 A rank budget is checked against min(#generators, rank G) first, so the
-Smith form of the generators' relations is built only when that bound
-exceeds it (subgroup_rank_at_most).
+rank is read only when that bound exceeds it (subgroup_rank_at_most).
 
 coord_ops(G) holds the kernels on coordinate tuples: add, sub and reduce,
 one lambda each, compiled once per shape (torsion count, length) and bound
@@ -334,41 +332,43 @@ def smith_normal_form(M: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matri
 # relation lattices: the bridge between subgroups and integer matrices
 
 
-def _relation_columns(G: GroupPresentation) -> list[tuple[int, ...]]:
-    """Columns spanning the kernel of Z^ncoords -> G (torsion relations)."""
+def _relation_rows(G: GroupPresentation) -> list[tuple[int, ...]]:
+    """Rows spanning the kernel of Z^ncoords -> G (torsion relations)."""
     return [tuple(a * x for x in e) for a, e in zip(G.torsion, _identity(G.ncoords))]
 
 
-def _preimage_matrix(G: GroupPresentation, gens: tuple[GroupElement, ...]) -> Matrix:
-    """Columns generating the full preimage of <gens> in Z^ncoords."""
-    cols = [g.coords for g in gens] + _relation_columns(G)
-    return tuple(zip(*cols)) if cols else ((),) * G.ncoords
+def _subgroup_key(G: GroupPresentation, gens: Iterable[GroupElement]) -> Matrix:
+    """The Hermite basis K of the preimage of <gens> in Z^ncoords, spanned
+    by the generators' coordinates and G's relations.  Hermite forms are
+    canonical, so K depends only on the subgroup: it is its identity."""
+    return hermite_form([g.coords for g in gens] + _relation_rows(G))
 
 
 class _SubgroupForm:
-    """The Smith form D = U * M * V of the preimage matrix M of <gens> <= G.
+    """The Smith form D = U * K^T * V of the Hermite basis K of N <= G.
 
-    In the coordinates y = U x of Z^ncoords the preimage is spanned by the
-    d_i * e_i, so G/<gens> is the product of the Z/d_i: coordinates with
-    d_i = 1 vanish, d_i >= 2 become torsion and d_i = 0 stay free.  That one
+    K is the form's one input, so every generating set of N gets its
+    coordinates for G/N.  K's rows span the preimage of N, so in the
+    coordinates y = U x of Z^ncoords it is spanned by the d_i * e_i, and
+    G/N is the product of the Z/d_i: coordinates with d_i = 1 vanish,
+    d_i >= 2 become torsion and d_i = 0 stay free.  That one
     diagonalisation serves membership (project to zero), the quotient
-    (project), its section (lift, through U^-1; the search's _Level.lift
-    calls it) and the rank (V's columns at zero pivots span the relations
-    among the generators).  U^-1 and the rank are computed on first use.
-    The trivial subgroup needs no Smith form: with no generators, M is G's
-    relation matrix, already in Smith form with U = V = I, so Q = G and
-    project_coords is coord_ops(G)'s reduce, G's one reduction rule.
+    (project) and its section (lift, through U^-1; the search's
+    _Level.lift calls it).  U^-1 and the rank, read off K alone, are
+    computed on first use.  The trivial subgroup needs no Smith form: its
+    K is G's relation rows, whose transpose is in Smith form with U = I,
+    so Q = G and project_coords is coord_ops(G)'s reduce.
     """
 
-    def __init__(self, G: GroupPresentation, gens: tuple[GroupElement, ...]):
+    def __init__(self, G: GroupPresentation, key: Matrix):
         self.G = G
-        self.gens = gens
-        if not gens:
-            self.U, self.V = _identity(G.ncoords), _identity(len(G.torsion))
+        self.key = key
+        if key == tuple(_relation_rows(G)):
+            self.U = _identity(G.ncoords)
             self.factors = [*G.torsion, *(0,) * G.free_rank]
             self.project_coords = coord_ops(G)[2]
         else:
-            D, self.U, self.V = smith_normal_form(_preimage_matrix(G, gens))
+            D, self.U, _ = smith_normal_form(tuple(zip(*key)))
             # factor of coordinate i in the new basis: d_i (0 = free, 1 = dropped)
             self.factors = [row[i] if i < len(row) else 0 for i, row in enumerate(D)]
         self.torsion_pos = [i for i, d in enumerate(self.factors) if d >= 2]
@@ -419,31 +419,36 @@ class _SubgroupForm:
 
     @cached_property
     def rank(self) -> int:
-        k = len(self.gens)
-        if k == 0 or self.G.ncoords == 0:
-            return 0
-        # relations among the generators (x with sum x_i g_i = 0 in G): the
-        # first k coordinates of the kernel of M, spanned by V's columns at
-        # zero pivots
-        relation_cols = [
-            [row[j] for row in self.V[:k]]
-            for j in range(len(self.V))
-            if j >= len(self.factors) or self.factors[j] == 0
-        ]
-        D, _, _ = smith_normal_form(tuple(zip(*relation_cols)))
-        return k - sum(row[i] == 1 for i, row in enumerate(D) if i < len(row))
+        """K's row count less the unit invariant factors of G's relations
+        written in the basis K, found by substitution on K's pivots."""
+        key = self.key
+        pivots = [next(j for j, x in enumerate(row) if x) for row in key]
+        relations = []
+        for v in _relation_rows(self.G):
+            coeffs = []
+            for row, p in zip(key, pivots):
+                coeffs.append(v[p] // row[p])
+                v = [a - coeffs[-1] * b for a, b in zip(v, row)]
+            relations.append(coeffs)
+        D = smith_normal_form(relations)[0] if relations else ()
+        return len(key) - sum(row[i] == 1 for i, row in enumerate(D))
 
 
-# _subgroup_form(G, gens) is the form of <gens> <= G, cached like coord_ops
-_subgroup_form = lru_cache(maxsize=4096)(_SubgroupForm)
+# one form per (G, Hermite basis), behind the cache on generating tuples
+_keyed_form = lru_cache(maxsize=4096)(_SubgroupForm)
+
+
+@lru_cache(maxsize=4096)
+def _subgroup_form(G: GroupPresentation, gens: tuple[GroupElement, ...]) -> _SubgroupForm:
+    """The form of <gens> <= G: the one form of its Hermite basis."""
+    return _keyed_form(G, _subgroup_key(G, gens))
 
 
 def subgroup_contains(S: Subgroup, g: GroupElement) -> bool:
     """Whether g lies in <S.generators>, by Smith-form solvability.
 
-    g is in S iff the system  M z = lift(g)  has an integer solution, where
-    M's columns are the generator lifts plus the ambient torsion relations;
-    that is, iff g projects to zero in the quotient by S.
+    g is in S iff its coordinates lie in the lattice spanned by the rows of
+    S's Hermite basis K, that is, iff g projects to zero in the quotient by S.
     """
     if g.group != S.ambient:
         raise ValueError("element outside the quotient's source group")
@@ -458,10 +463,10 @@ def group_rank(G: GroupPresentation) -> int:
 def subgroup_rank(S: Subgroup) -> int:
     """Minimum number of generators of <S.generators>.
 
-    Takes the relation space of the generating tuple (all integer
-    combinations that vanish in the ambient group) from the subgroup's Smith
-    form and reads the rank off the Smith form of those relations:
-    rank = k - #(invariant factors equal to 1).
+    The subgroup is L / R for L its preimage lattice, with Hermite basis K
+    of r rows, and R the ambient relations; written in the basis K, R's
+    rows present it on r generators, so rank = r - #(their unit invariant
+    factors).
     """
     return _subgroup_form(S.ambient, S.generators).rank
 
@@ -473,7 +478,8 @@ def subgroup_rank_at_most(S: Subgroup, h: int) -> bool:
     than the group itself, and <gens> needs at most len(gens), so the rank
     is at most min(len(gens), rank(ambient)).  When that bound is at most h
     the answer is yes with no Smith form; only otherwise is the rank read,
-    from the Smith form of the generators' relations (subgroup_rank).
+    from the ambient relations written in the subgroup's Hermite basis
+    (subgroup_rank).
     """
     if min(len(S.generators), group_rank(S.ambient)) <= h:
         return True
@@ -486,9 +492,9 @@ def quotient(
     """The invariant-factor presentation of G/N and its projection map.
 
     The projection is total and surjective, kills every generator of N, and is
-    computed through the Smith change of basis: with D = U * M * V for M the
-    preimage matrix of N, the coordinates y = U x of a lift are reduced modulo
-    the diagonal entries (1-entries dropped, 0-entries free).
+    computed through the Smith change of basis: with D = U * K^T * V for K
+    the Hermite basis of N's preimage, the coordinates y = U x of a lift are
+    reduced modulo the diagonal entries (1-entries dropped, 0-entries free).
     """
     form = _quotient_form(G, N)
     return form.Q, form.project

@@ -16,6 +16,8 @@ from .group_ring import SupportedFunction, shift
 from .qsp import QspInstance
 
 UNARY_CAP = 4096
+BRUTEFORCE_MAX_K = 6
+BRUTEFORCE_MAX_N = 20
 
 
 @dataclass(frozen=True)
@@ -114,10 +116,10 @@ def _target_blocks(
     )
 
 
-def _check_unary_scale(T: ThreePartInstance, cap: int) -> None:
-    if T.target * T.k > cap:
+def _check_unary_scale(T: ThreePartInstance) -> None:
+    if T.target * T.k > UNARY_CAP:
         raise ValueError(
-            f"instance scale L*k = {T.target * T.k} exceeds cap {cap}"
+            f"instance scale L*k = {T.target * T.k} exceeds cap {UNARY_CAP}"
         )
 
 
@@ -125,12 +127,7 @@ def _check_unary_scale(T: ThreePartInstance, cap: int) -> None:
 # generators
 
 
-def gen_3part_h0(
-    T: ThreePartInstance,
-    a: GroupElement,
-    b: GroupElement,
-    unary_cap: int = UNARY_CAP,
-) -> QspInstance:
+def gen_3part_h0(T: ThreePartInstance, a: GroupElement, b: GroupElement) -> QspInstance:
     """Reduce T to QSP(A, B, (c_t1..c_t3k, -c), 0).
 
     Positive exactly when T partitions into k target-sum triples: the only
@@ -141,16 +138,14 @@ def gen_3part_h0(
         raise ValueError("coefficient element a must be nonzero")
     if not b.has_infinite_order():
         raise ValueError("base element b must have infinite order")
-    _check_unary_scale(T, unary_cap)
+    _check_unary_scale(T)
     L = T.target
     c = _target_blocks(a, b, L, T.k)
     fs = tuple(_block_function(a, b, t) for t in T.values) + (-c,)
     return QspInstance(a.group, b.group, fs, 0)
 
 
-def gen_3part_midh(
-    T: ThreePartInstance, h: int, unary_cap: int = UNARY_CAP
-) -> QspInstance:
+def gen_3part_midh(T: ThreePartInstance, h: int) -> QspInstance:
     """Reduce T to QSP(Z, Z^h, (c_t1..c_t3k, -c), h-1).
 
     The blocks run along b_h; for each other axis i the target carries a
@@ -161,7 +156,7 @@ def gen_3part_midh(
     """
     if h < 1:
         raise ValueError("h must be at least 1")
-    _check_unary_scale(T, unary_cap)
+    _check_unary_scale(T)
     A = GroupPresentation(1)
     B = GroupPresentation(h)
     a = A.element((1,))
@@ -207,10 +202,10 @@ def gen_zoe(Z: ZoeInstance) -> QspInstance:
 # ground-truth brute force
 
 
-def solve_3part_bruteforce(T: ThreePartInstance, max_k: int = 6) -> bool:
+def solve_3part_bruteforce(T: ThreePartInstance) -> bool:
     """Exhaustive search for a partition into k triples of target sum."""
-    if T.k > max_k:
-        raise ValueError(f"k = {T.k} exceeds brute-force cap {max_k}")
+    if T.k > BRUTEFORCE_MAX_K:
+        raise ValueError(f"k = {T.k} exceeds brute-force cap {BRUTEFORCE_MAX_K}")
     L = T.target
 
     def recurse(remaining: tuple[int, ...]) -> bool:
@@ -232,11 +227,11 @@ def solve_3part_bruteforce(T: ThreePartInstance, max_k: int = 6) -> bool:
     return recurse(T.values)
 
 
-def solve_zoe_bruteforce(Z: ZoeInstance, max_n: int = 20) -> bool:
+def solve_zoe_bruteforce(Z: ZoeInstance) -> bool:
     """Try every zero-one vector against M x = 1."""
     n = Z.n
-    if n > max_n:
-        raise ValueError(f"n = {n} exceeds brute-force cap {max_n}")
+    if n > BRUTEFORCE_MAX_N:
+        raise ValueError(f"n = {n} exceeds brute-force cap {BRUTEFORCE_MAX_N}")
     for bits in itertools.product((0, 1), repeat=n):
         if all(
             sum(row[j] * bits[j] for j in range(n)) == 1 for row in Z.matrix

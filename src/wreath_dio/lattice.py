@@ -4,7 +4,7 @@ LLL reduction runs entirely over rationals with factor 3/4 (size-reduction
 |mu_ij| <= 1/2 plus the Lovasz condition), and Hermite normal form provides
 the canonical-form oracle for lattice equality.  hermite_form is the
 package's one exact elimination routine: abelian.smith_normal_form, the
-inverse of a unimodular matrix, the search's subgroup keys and the oracle's
+inverse of a unimodular matrix, the subgroup keys and the oracle's
 relation lattices are all computed through it.
 """
 

@@ -24,7 +24,7 @@ from .abelian import (
     Subgroup,
     _element,
     _identity,
-    _relation_columns,
+    _relation_rows,
     _subgroup_form,
     coord_ops,
     enumerate_ball,
@@ -132,12 +132,6 @@ def _total_sum_is_zero(I: QspInstance) -> bool:
 # complete search
 
 
-def _subgroup_key(S: Subgroup) -> tuple:
-    """Canonical form of <gens>: Hermite basis of lifts plus relations."""
-    rows = [g.coords for g in S.generators]
-    return hermite_form(rows + _relation_columns(S.ambient))
-
-
 _REACH_CAP = 4096
 
 
@@ -150,7 +144,8 @@ class _Level:
     met, and lifts a B-point of each point of B/N that lift has answered
     or coset has met; memo holds the failed states met at N, each as its
     _state_body in the set under its sorted value ids, and children the
-    keys of the subgroups N + <d> tried so far, by d in B/N.
+    keys of the subgroups N + <d> tried so far, by d in B/N: each is its
+    form's key, the Hermite basis abelian._subgroup_key gives.
 
     The root level, N = 0, is B itself: its gs entries are the functions'
     own terms, which are canonical, sorted, merged and nonzero however a
@@ -384,14 +379,15 @@ def _anchored_search(
     child pushed into its level.
 
     Failed (N, remaining functions, translated partial sum) states are
-    memoized: levels are keyed by _subgroup_key, and each keeps its own
-    memo, a set of translated partial sums (_state_body) per sorted tuple of
-    the remaining functions' value ids.  Failure is invariant under a joint
-    shift, so a state that is a translate of a failed one fails too.  A node
-    looks up its ids first and builds its body only when some state with
-    those ids has already failed, which few have; otherwise no stored state
-    can match, and the body is built once, after the node's last child, as
-    the node's own failure goes into the memo.  By then sum_d is back at the
+    memoized: levels are keyed by their form's key (abelian._subgroup_key),
+    and each keeps its own memo, a set of translated partial sums
+    (_state_body) per sorted tuple of the remaining functions' value ids.
+    Failure is invariant under a joint shift, so a state that is a
+    translate of a failed one fails too.  A node looks up its ids first
+    and builds its body only when some state with those ids has already
+    failed, which few have; otherwise no stored state can match, and the
+    body is built once, after the node's last child, as the node's own
+    failure goes into the memo.  By then sum_d is back at the
     node's state: every placement is undone, and growth children push into
     dicts of their own.  So the memo holds the same states and answers
     every lookup as one keyed on (ids, body) at every node would, and no
@@ -476,7 +472,7 @@ def _anchored_search(
         if key is None:
             gen = _element(B, lvl.sub_b(lvl.lift(p), lvl.lift(q)))
             S = Subgroup(B, lvl.gens + (gen,))
-            key = lvl.children[diff] = _subgroup_key(S)
+            key = lvl.children[diff] = _subgroup_form(B, S.generators).key
             if key not in levels:
                 fits = subgroup_rank_at_most(S, h)
                 levels[key] = _Level(fs, B, S.generators, h) if fits else None
@@ -680,7 +676,7 @@ def _generated_rank(B: GroupPresentation, gens: Sequence[GroupElement]) -> int:
     whose left block is zero."""
     n, k = B.ncoords, len(gens)
     rows = [g.coords + e for g, e in zip(gens, _identity(k))]
-    rows += [r + (0,) * k for r in _relation_columns(B)]
+    rows += [r + (0,) * k for r in _relation_rows(B)]
     relations = [r[n:] for r in hermite_form(rows) if not any(r[:n])]
     D, _, _ = smith_normal_form(relations)
     return k - sum(row[i] == 1 for i, row in enumerate(D))

@@ -366,24 +366,24 @@ def _power_exceeds(base: int, exponent: int, cap: int) -> bool:
     return base ** exponent > cap
 
 
+WINDOW_CAP = 200_000
+
+
 def enumerate_window(
-    A: GroupPresentation,
-    B: GroupPresentation,
-    radius: int,
-    max_elements: int = 200_000,
+    A: GroupPresentation, B: GroupPresentation, radius: int
 ) -> list[WreathElement]:
     """All (delta, f) with delta and supp(f) in the radius ball of B and
     coefficients in the radius window of A (full torsion, bounded free).
 
     The count, |ball| * per_point ** |ball|, grows with the ball, so the
-    ball is drawn only until the count passes max_elements."""
+    ball is drawn only until the count passes WINDOW_CAP."""
     per_point = math.prod(A.torsion) * (2 * radius + 1) ** A.free_rank
     ball: list[GroupElement] = []
     for delta in enumerate_ball(B, radius):
         ball.append(delta)
-        if _power_exceeds(per_point, len(ball), max_elements // len(ball)):
+        if _power_exceeds(per_point, len(ball), WINDOW_CAP // len(ball)):
             raise BudgetExceeded(
-                f"window holds more than {max_elements} wreath elements"
+                f"window holds more than {WINDOW_CAP} wreath elements"
             )
     coeff_axes = [range(alpha) for alpha in A.torsion]
     coeff_axes += [range(-radius, radius + 1)] * A.free_rank

@@ -25,6 +25,7 @@ from wreath_dio.abelian import (
     subgroup_rank_at_most,
 )
 from wreath_dio.lattice import hermite_form
+from wreath_dio.solvers import _generated_rank
 
 Z = GroupPresentation(1)
 Z2 = GroupPresentation(0, (2,))
@@ -154,6 +155,12 @@ def _identity(n):
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
+def _clear_form_caches():
+    # the cache on generating tuples and the one on Hermite bases behind it
+    abelian._subgroup_form.cache_clear()
+    abelian._keyed_form.cache_clear()
+
+
 def _matmul(X, Y):
     return tuple(
         tuple(sum(a * b for a, b in zip(row, col)) for col in zip(*Y)) for row in X
@@ -195,8 +202,7 @@ def test_smith_normal_form_known_example():
 
 
 def test_smith_normal_form_on_empty_shapes():
-    # 0 x 0 is the preimage matrix of the trivial group, 3 x 0 that of the
-    # trivial subgroup of Z^3; U and V are identities of the row and column
+    # 0 x 0 and n x 0 inputs: U and V are identities of the row and column
     # counts
     assert smith_normal_form(()) == ((), (), ())
     D, U, V = smith_normal_form(((),) * 3)
@@ -204,8 +210,9 @@ def test_smith_normal_form_on_empty_shapes():
     D, U, V = smith_normal_form(((0, 0),))
     assert (D, U, V) == (((0, 0),), _identity(1), _identity(2))
     assert abelian._unimodular_inverse(()) == ()
-    assert abelian._preimage_matrix(ZxZ, ()) == ((), ())
-    assert abelian._preimage_matrix(GroupPresentation(0), ()) == ()
+    # a torsion-free group's trivial subgroup has an empty Hermite basis
+    assert abelian._subgroup_key(ZxZ, ()) == ()
+    assert abelian._subgroup_key(GroupPresentation(0), ()) == ()
 
 
 def test_quotients_with_empty_preimage_matrices():
@@ -225,11 +232,11 @@ def test_quotients_with_empty_preimage_matrices():
 
 def test_smith_normal_form_fixes_smith_inputs_and_edge_shapes():
     # a matrix already in Smith form comes back with identity transforms:
-    # the trivial subgroup's preimage matrix (B's relation columns padded
-    # with zero rows) keeps B's coordinates in B/{0}
+    # the transposed Hermite basis of a trivial subgroup (B's relation rows)
+    # would keep B's coordinates in B/{0}
     smith_inputs = [
-        abelian._preimage_matrix(G, ())
-        for G in (GroupPresentation(2, (2, 4)), GroupPresentation(1, (3,)), ZxZ)
+        tuple(zip(*abelian._subgroup_key(G, ())))
+        for G in (GroupPresentation(2, (2, 4)), GroupPresentation(1, (3,)))
     ] + [((1, 0, 0), (0, 6, 0)), ((2, 0), (0, 0), (0, 0))]
     for M in smith_inputs:
         assert smith_normal_form(M) == (M, _identity(len(M)), _identity(len(M[0])))
@@ -387,6 +394,14 @@ def test_rank_is_at_most_the_generator_count_and_the_ambient_rank(S, h):
     assert subgroup_rank_at_most(S, h) == (rank <= h)
 
 
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(subgroups())
+def test_subgroup_rank_agrees_with_the_oracles_rank(S):
+    # the oracle reads the rank off the generators' relations, with no
+    # Hermite basis of the subgroup
+    assert subgroup_rank(S) == _generated_rank(S.ambient, S.generators)
+
+
 def test_group_rank():
     assert group_rank(Z) == 1
     assert group_rank(Z2xZ2) == 2
@@ -455,8 +470,8 @@ def test_quotient_maps_roundtrip():
 
 
 def test_one_smith_form_per_subgroup(monkeypatch):
-    """Membership, quotient, lift and rank share one Smith form of the
-    preimage matrix; the rank adds one of the relation matrix."""
+    """Membership, quotient and lift share one Smith form of the transposed
+    Hermite basis; the rank adds one of the relations in that basis."""
     G = GroupPresentation(1, (2, 4))
     gens = (G.element((1, 2, 0)), G.element((0, 1, 2)))
     S = Subgroup(G, gens)
@@ -467,7 +482,7 @@ def test_one_smith_form_per_subgroup(monkeypatch):
         return smith_normal_form(M)
 
     monkeypatch.setattr(abelian, "smith_normal_form", counting)
-    abelian._subgroup_form.cache_clear()
+    _clear_form_caches()
     assert subgroup_contains(S, G.element((1, 2, 0)))
     Q, project = quotient(G, S)
     Q2, project2, lift = quotient_maps(G, gens)
@@ -476,14 +491,44 @@ def test_one_smith_form_per_subgroup(monkeypatch):
         assert project(lift(q)) == q == project2(lift(q))
     assert subgroup_rank(S) == 2
     assert subgroup_contains(S, G.element((1, 3, 2)))
-    # the 3x4 preimage matrix [lifts | relations], then the 2x1 relation
-    # matrix of the generators (their one relation is 2 * gens[0] = 0)
-    assert shapes == [(3, 4), (2, 1)]
+    # the transpose of the 3x3 Hermite basis of the preimage, then G's two
+    # relations written in that basis
+    assert shapes == [(3, 3), (2, 3)]
+
+
+def test_two_generating_sets_of_one_subgroup_share_one_form(monkeypatch):
+    """A subgroup's form is keyed by its Hermite basis: another generating
+    set of it reaches the same form, with no second Smith form, and the
+    same coordinates for G/N."""
+    G = GroupPresentation(2, (6,))
+    gens = (G.element((2, 2, 0)), G.element((3, 0, 0)), G.element((1, 4, 0)))
+    relation = abelian._relation_rows(G)[0]
+    extra = G.element([a + b + 5 * r for a, b, r in zip(
+        gens[0].coords, gens[1].coords, relation)])
+    other = gens[::-1] + (extra,)
+    calls = []
+
+    def counting(M):
+        calls.append(M)
+        return smith_normal_form(M)
+
+    monkeypatch.setattr(abelian, "smith_normal_form", counting)
+    _clear_form_caches()
+    form = abelian._subgroup_form(G, gens)
+    assert abelian._subgroup_form(G, other) is form
+    _, project, _ = quotient_maps(G, gens)
+    Q, project_other, _ = quotient_maps(G, other)
+    assert Q == form.Q == GroupPresentation(1, (6,))
+    for g in enumerate_ball(G, 3):
+        assert project(g) == project_other(g) == project_other(g + extra)
+    assert len(calls) == 1
+    assert subgroup_rank(Subgroup(G, gens)) == subgroup_rank(Subgroup(G, other)) == 2
 
 
 def test_trivial_subgroup_form_equals_the_smith_form_route():
     """The form of <> is built without elimination; it must be the one the
-    Smith form of the relation matrix gives, on unreduced lifts too."""
+    Smith form of its transposed Hermite basis, G's relation rows, gives,
+    on unreduced lifts too."""
     rng = random.Random(20261019)
     groups = [
         GroupPresentation(0),
@@ -502,9 +547,10 @@ def test_trivial_subgroup_form_equals_the_smith_form_route():
             torsion.append(a)
         groups.append(GroupPresentation(rng.randint(0, 3), tuple(torsion)))
     for G in groups:
-        abelian._subgroup_form.cache_clear()
+        _clear_form_caches()
         form = abelian._subgroup_form(G, ())
-        D, U, V = smith_normal_form(abelian._preimage_matrix(G, ()))
+        key = abelian._subgroup_key(G, ())
+        D, U, _ = smith_normal_form(tuple(zip(*key)) if key else ((),) * G.ncoords)
         factors = [row[i] if i < len(row) else 0 for i, row in enumerate(D)]
         order = [i for i, d in enumerate(factors) if d >= 2]
         order += [i for i, d in enumerate(factors) if d == 0]
@@ -512,7 +558,7 @@ def test_trivial_subgroup_form_equals_the_smith_form_route():
             sum(factors[i] == 0 for i in order),
             tuple(factors[i] for i in order if factors[i]),
         )
-        assert (form.Q, form.factors, form.U, form.V) == (Q, factors, U, V)
+        assert (form.Q, form.factors, form.U, form.key) == (Q, factors, U, key)
         assert form.order == order and form.rank == 0
         for _ in range(20):
             lift = tuple(rng.randint(-50, 50) for _ in range(G.ncoords))
@@ -540,7 +586,7 @@ def test_h0_positive_makes_no_smith_form(monkeypatch):
 
     monkeypatch.setattr(abelian, "smith_normal_form", counting)
     monkeypatch.setattr(solvers, "smith_normal_form", counting)
-    abelian._subgroup_form.cache_clear()
+    _clear_form_caches()
     T = ThreePartInstance((5, 5, 5, 5, 5, 5), 2)
     I = gen_3part_h0(T, Z.element((1,)), Z.element((1,)))
     result = solvers.dispatch(I)
@@ -563,24 +609,20 @@ def _random_groups(rng, n):
 
 
 def test_whole_group_form_has_unit_factors_and_a_trivial_quotient():
-    """The form of G's standard generators: U M V must be [I | 0] with U, V
-    unimodular, and it must serve membership, rank and the (trivial)
-    quotient with its lift."""
+    """The form of G's standard generators: its Hermite basis is I, whose
+    Smith form has unit factors and U = I, and it must serve membership,
+    rank and the (trivial) quotient with its lift."""
     groups = [Z, ZxZ, Z2, Z2xZ2, GroupPresentation(0, (2, 4, 8))]
     rng = random.Random(20261020)
     for G in groups + _random_groups(rng, 12):
         if not G.ncoords:
             continue
-        abelian._subgroup_form.cache_clear()
+        _clear_form_caches()
         gens = G.standard_generators()
         form = abelian._subgroup_form(G, gens)
-        M = abelian._preimage_matrix(G, gens)
-        UM = [[sum(u * m for u, m in zip(r, col)) for col in zip(*M)] for r in form.U]
-        D = [tuple(sum(a * v for a, v in zip(r, col)) for col in zip(*form.V)) for r in UM]
-        n, t = G.ncoords, len(G.torsion)
-        assert D == [e + (0,) * t for e in _identity(n)]
-        abelian._unimodular_inverse(form.U)
-        abelian._unimodular_inverse(form.V)
+        n = G.ncoords
+        assert form.key == form.U == _identity(n)
+        assert form.factors == [1] * n
         assert form.Q == GroupPresentation(0)
         assert form.rank == n == subgroup_rank(Subgroup(G, gens + gens[:1]))
         lift = tuple(rng.randint(-50, 50) for _ in range(n))
@@ -605,7 +647,7 @@ def test_big_h_certificate_generators_are_points_minus_the_least():
     I = QspInstance(Z, ZxZ, fs, 2)
     result = dispatch(I)
     assert (result.decision, result.method) == ("positive", "big-h")
-    abelian._subgroup_form.cache_clear()
+    _clear_form_caches()
     deltas = (ZxZ.zero(),) * 3
     cert = make_certificate(I, deltas, Subgroup.whole(ZxZ))
     # every point minus the least one, (-1, 4)

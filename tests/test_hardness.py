@@ -175,9 +175,6 @@ def test_h0_unary_cap():
     T = ThreePartInstance((1500, 1500, 1502), 1)
     with pytest.raises(ValueError):
         gen_3part_h0(T, A_UNIT, B_UNIT)
-    # explicit larger cap lifts the refusal
-    I = gen_3part_h0(T, A_UNIT, B_UNIT, unary_cap=10**4)
-    assert isinstance(I, QspInstance)
 
 
 # ---------------------------------------------------------------------------

@@ -216,6 +216,8 @@ ORACLE_FORBIDDEN = {
     "satisfies_equation",
     "_quotient_form",
     "_subgroup_form",
+    "_keyed_form",
+    "_subgroup_key",
     "project_coords",
     "_anchored_search",
     "subgroup_rank",

@@ -495,7 +495,9 @@ def _mod_a0_maker(t, n, maker=abelian._coord_ops_maker):
 
 def _clear_kernel_caches():
     # a cached subgroup form of the trivial subgroup holds its group's reduce
-    for cache in (abelian.coord_ops, abelian._coord_ops_maker, abelian._subgroup_form):
+    caches = (abelian.coord_ops, abelian._coord_ops_maker, abelian._subgroup_form,
+              abelian._keyed_form)
+    for cache in caches:
         cache.cache_clear()
 
 

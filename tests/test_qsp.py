@@ -134,17 +134,18 @@ def test_verify_rejects_rank_above_h():
 
 
 def test_verify_reads_a_rank_only_when_the_bound_exceeds_h(monkeypatch):
-    # rank(N) <= min(#generators, rank(B)); the Smith form of the
-    # generators' relations is read only when that bound exceeds h
+    # rank(N) <= min(#generators, rank(B)); the rank, read off N's Hermite
+    # basis, is read only when that bound exceeds h
     rank = abelian._SubgroupForm.rank
     reads = []
 
     def spy(form):
-        reads.append(form.gens)
+        reads.append(form.key)
         return rank.func(form)
 
     monkeypatch.setattr(abelian._SubgroupForm, "rank", property(spy))
     abelian._subgroup_form.cache_clear()
+    abelian._keyed_form.cache_clear()
     B = GroupPresentation(2)
     points = ((0, 0), (1, 0), (0, 1), (2, 3))
     f = SupportedFunction(
@@ -161,10 +162,10 @@ def test_verify_reads_a_rank_only_when_the_bound_exceeds_h(monkeypatch):
     g = atom(Z, B, (1,), (0, 0)) + atom(Z, B, (-1,), (1, 1))
     whole = (B.element((1, 0)), B.element((0, 1)))
     assert not verify_certificate(QspInstance(Z, B, (g,), 1), Certificate((B.zero(),), whole))
-    assert reads == [whole]
+    assert reads == [abelian._subgroup_key(B, whole)]
     line = (B.element((1, 1)), B.element((2, 2)))
     assert verify_certificate(QspInstance(Z, B, (g,), 1), Certificate((B.zero(),), line))
-    assert reads == [whole, line]
+    assert reads == [abelian._subgroup_key(B, gens) for gens in (whole, line)]
 
 
 def test_verify_rejects_wrong_deltas():

@@ -397,7 +397,7 @@ def test_enumerate_window_lamplighter_count():
 
 def test_enumerate_window_budget():
     with pytest.raises(BudgetExceeded):
-        enumerate_window(Z, Z, 3, max_elements=10)
+        enumerate_window(Z, Z, 3)
 
 
 @pytest.mark.parametrize(
