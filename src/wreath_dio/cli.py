@@ -81,6 +81,16 @@ class _CliError(Exception):
 # plumbing
 
 
+def _json_object(pairs: list) -> dict:
+    """A JSON object as a dict; json would keep a repeated key's last copy
+    unchecked, so a repeated key is an error that names it."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        raise CodecError(f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
+
+
 def _read_json(path: str) -> tuple[bytes, object]:
     try:
         with open(path, "rb") as fh:
@@ -88,7 +98,7 @@ def _read_json(path: str) -> tuple[bytes, object]:
     except OSError as exc:
         raise _CliError(EXIT_PARSE, f"cannot read {path}: {exc}") from None
     try:
-        return raw, json.loads(raw.decode("utf-8"))
+        return raw, json.loads(raw.decode("utf-8"), object_pairs_hook=_json_object)
     except UnicodeDecodeError as exc:
         raise _CliError(EXIT_PARSE, f"{path}: not UTF-8 ({exc})") from None
     except json.JSONDecodeError as exc:
@@ -97,8 +107,8 @@ def _read_json(path: str) -> tuple[bytes, object]:
             f"{path}: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}",
         ) from None
     except (ValueError, RecursionError) as exc:
-        # integers past the int-string digit limit, or nesting past the
-        # recursion limit
+        # a repeated key, integers past the int-string digit limit, or
+        # nesting past the recursion limit
         raise _CliError(EXIT_PARSE, f"{path}: cannot parse JSON ({exc})") from None
 
 
@@ -263,9 +273,10 @@ def _gen_payload(args: argparse.Namespace) -> dict:
             "coeff_group": encode_group(A),
             "base_group": encode_group(B),
         }
-    provenance = {"generator": args.kind, "params": params, "seed": args.seed}
-    encode = encode_equation if args.kind == "solvable" else encode_instance
-    return encode(payload, provenance)
+    provenance = {"generator": args.kind, "params": params}
+    if args.kind != "solvable":
+        return encode_instance(payload, provenance)
+    return encode_equation(payload, {**provenance, "seed": args.seed})
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -359,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     g_h0.add_argument("--values", required=True, help="comma-separated, 3k of them")
     g_h0.add_argument("--k", type=int, required=True)
     _add_group_flags(g_h0, (1, ""), (1, ""))
-    g_h0.add_argument("--seed", type=int, default=0)
     _add_output_flag(g_h0)
     g_h0.set_defaults(func=cmd_gen)
 
@@ -370,14 +380,12 @@ def build_parser() -> argparse.ArgumentParser:
     g_mid.add_argument("--k", type=int, required=True)
     g_mid.add_argument("--rank", type=int, required=True, metavar="H",
                        help="base-group rank h (>= 1); instance budget is h-1")
-    g_mid.add_argument("--seed", type=int, default=0)
     _add_output_flag(g_mid)
     g_mid.set_defaults(func=cmd_gen)
 
     g_zoe = gen_sub.add_parser("zoe", help="zero-one equations reduction")
     g_zoe.add_argument("--matrix", required=True,
                        help="semicolon-separated rows, e.g. 1,0;0,1")
-    g_zoe.add_argument("--seed", type=int, default=0)
     _add_output_flag(g_zoe)
     g_zoe.set_defaults(func=cmd_gen)
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from typing import Any, Callable, Optional, Union
 
 from .abelian import GroupElement, GroupPresentation, _element, coord_ops
@@ -29,6 +30,9 @@ from .qsp import Certificate, QspInstance
 from .wreath import OrientableEquation, WreathElement
 
 MAX_SAFE_INT = 2**53 - 1
+# the decimal strings an integer may be written as: int() also reads "1_0",
+# " 0 ", "+5" and non-ASCII digits
+_DECIMAL = re.compile(r"-?[0-9]+")
 
 
 class CodecError(ValueError):
@@ -47,10 +51,12 @@ def _dec_int(v: Any, what: str) -> int:
     if isinstance(v, int):
         return v
     if isinstance(v, str):
-        try:
-            return int(v, 10)
-        except ValueError:
-            raise CodecError(f"{what}: non-integer string {v!r}") from None
+        if _DECIMAL.fullmatch(v):
+            try:
+                return int(v)
+            except ValueError:  # past the int-string digit limit
+                pass
+        raise CodecError(f"{what}: non-integer string {v!r}")
     raise CodecError(f"{what}: expected an integer, got {type(v).__name__}")
 
 

@@ -32,7 +32,7 @@ from .abelian import (
     smith_normal_form,
     subgroup_rank_at_most,
 )
-from .group_ring import SupportedFunction, _coeff_sums, _vanishes
+from .group_ring import _coeff_sums, _vanishes
 from .lattice import hermite_form
 from .qsp import (
     Certificate,
@@ -136,59 +136,66 @@ _REACH_CAP = 4096
 
 
 class _Level:
-    """The anchored search's view of B/N for one subgroup N = <gens>.
+    """The anchored search's view of Q = B/N for one subgroup N = <gens>.
 
-    gs holds each function that is nonzero in B/N as its sorted (point,
-    coeff) coordinate pairs in B/N and A, and vids numbers the functions up
-    to equality in B/N.  cosets memoises the projection of each B-point
-    met, and lifts a B-point of each point of B/N that lift has answered
+    terms[i] is function i's (point, coeff) coordinate pairs, canonical in
+    B and A, sorted by point, with distinct points and nonzero coefficients:
+    a SupportedFunction's terms, unwrapped.  gs holds each function that is
+    nonzero in Q as such pairs in Q and A, and vids numbers the functions up
+    to equality in Q.  cosets memoises the projection of each B-point
+    met, and lifts a B-point of each point of Q that lift has answered
     or coset has met; memo holds the failed states met at N, each as its
     _state_body in the set under its sorted value ids, and children the
-    keys of the subgroups N + <d> tried so far, by d in B/N: each is its
+    keys of the subgroups N + <d> tried so far, by d in Q: each is its
     form's key, the Hermite basis abelian._subgroup_key gives.
 
-    The root level, N = 0, is B itself: its gs entries are the functions'
-    own terms, which are canonical, sorted, merged and nonzero however a
-    SupportedFunction is built, and each point is its own B-point.  Nothing
-    is projected, merged or lifted there, and cosets stays empty.  A level
-    with generators pushes every term into B/N.
+    At the root, N = 0 and Q is B: gs holds the terms as given, each point
+    is its own B-point, nothing is projected, merged or lifted, and cosets
+    stays empty.  A level with generators pushes every term into Q.
 
-    tested says whether N has torsion-free rank h; there the search runs
-    the reachability test, in B/N with its first drop coordinates dropped:
-    all of Q's torsion when h >= 1, none when h = 0.  The test's lamp sets
-    and its cache are built on first use.
+    The level reads its prune rule off Q once.  tested: the reachability
+    test runs in B/I(N), Q with its first drop coordinates dropped (all of
+    Q's torsion when h >= 1, none when h = 0), and only where it can fail:
+    at N = 0 when h = 0, and where N has torsion-free rank h < B.free_rank.
+    With h >= B.free_rank such an N has finite index, B/I(N) is trivial, and
+    the test compares one total, the partial sum's, with sums of at most
+    one negated total per remaining function; the negated sum of all of
+    them is the partial sum's total, as the instance's total sum is zero.
+    in_place = tested and not drop: the test runs on Q itself, so a
+    placement may stop at its first unreachable coefficient.  free =
+    in_place and Q torsion-free: the lamps before the one put on p land
+    below p.  The test's lamp sets and its cache are built on first use.
     """
 
     def __init__(
         self,
-        fs: Sequence[SupportedFunction],
+        A: GroupPresentation,
         B: GroupPresentation,
+        terms: Sequence[tuple],
         gens: tuple[GroupElement, ...],
         h: int,
     ) -> None:
         form = self.form = _subgroup_form(B, gens)
+        Q = form.Q
         self.gens = gens
         self.project = form.project_coords
         self.sub_b = coord_ops(B)[1]
-        self.sub_q = coord_ops(form.Q)[1]
-        self.A = fs[0].coeff_group
-        self.add_a, self.sub_a, _ = coord_ops(self.A)
-        self.tested = B.free_rank - form.Q.free_rank == h
-        self.drop = len(form.Q.torsion) if h else 0
+        self.sub_q = coord_ops(Q)[1]
+        self.A = A
+        self.add_a, self.sub_a, _ = coord_ops(A)
+        self.tested = B.free_rank - Q.free_rank == h and (not h or h < B.free_rank)
+        self.drop = len(Q.torsion) if h else 0
+        self.in_place = self.tested and not self.drop
+        self.free = self.in_place and not Q.torsion
         self.lifts: dict[tuple, tuple] = {}
         self.cosets: dict[tuple, tuple] = {}
         self.memo: dict[tuple, set] = {}
         self.children: dict[tuple, tuple] = {}
-        self.gs = {}
         if gens:
-            for i, f in enumerate(fs):
-                sums = self.push((p.coords, c.coords) for p, c in f.terms)
-                if sums:
-                    self.gs[i] = tuple(sorted(sums.items()))
+            pushed = enumerate(map(self.push, terms))
+            self.gs = {i: tuple(sorted(s.items())) for i, s in pushed if s}
         else:
-            for i, f in enumerate(fs):
-                if f.terms:
-                    self.gs[i] = tuple([(p.coords, c.coords) for p, c in f.terms])
+            self.gs = {i: t for i, t in enumerate(terms) if t}
         value_id: dict[tuple, int] = {}
         self.vids = {
             i: value_id.setdefault(t, len(value_id)) for i, t in self.gs.items()
@@ -197,8 +204,7 @@ class _Level:
         self._reach: dict[tuple[int, ...], Optional[frozenset]] = {}
 
     def push(self, pairs) -> dict:
-        """Coefficient sums per coset of (B-point, coeff) pairs, zeros
-        dropped."""
+        """Coefficient sums per coset of (B-point, coeff) pairs, zeros dropped."""
         sums = _coeff_sums(self.A, ((self.coset(b), c) for b, c in pairs))
         return {q: c for q, c in sums.items() if any(c)}
 
@@ -326,13 +332,16 @@ def _state_body(sub_q, sum_d: dict) -> tuple:
 
 
 def _anchored_search(
-    fs: Sequence[SupportedFunction],
+    A: GroupPresentation,
     B: GroupPresentation,
+    terms: Sequence[tuple],
     h: int,
     meter: _Meter,
 ) -> Optional[tuple[tuple[GroupElement, ...], Subgroup]]:
-    """Shifts and a subgroup N of rank <= h that make the sum vanish in
-    A^(B/N), as (deltas, N), or None.  With h = 0, N stays trivial.
+    """Shifts and a subgroup N of rank <= h that make the sum of the
+    functions with these terms vanish in A^(B/N), as (deltas, N), or None.
+    With h = 0, N stays trivial.  terms are as _Level takes them, and their
+    total sum must be zero.
 
     The search starts at N = 0.  The root lists the functions by decreasing
     number of lamps in B, ties by index, and every node keeps that order
@@ -383,38 +392,37 @@ def _anchored_search(
     and each keeps its own memo, a set of translated partial sums
     (_state_body) per sorted tuple of the remaining functions' value ids.
     Failure is invariant under a joint shift, so a state that is a
-    translate of a failed one fails too.  A node looks up its ids first
-    and builds its body only when some state with those ids has already
-    failed, which few have; otherwise no stored state can match, and the
-    body is built once, after the node's last child, as the node's own
-    failure goes into the memo.  By then sum_d is back at the
+    translate of a failed one fails too.  A node looks up its ids first and
+    builds its body only when some state with those ids has already failed;
+    otherwise the body is built once, after the node's last child, as the
+    node's own failure goes into the memo.  By then sum_d is back at the
     node's state: every placement is undone, and growth children push into
-    dicts of their own.  So the memo holds the same states and answers
-    every lookup as one keyed on (ids, body) at every node would, and no
-    node builds more than one body.
+    dicts of their own.  So the memo answers every lookup as one keyed on
+    (ids, body) at every node would, and no node builds more than one body.
 
-    Reachability prune.  At a level whose N has torsion-free rank h
-    (B.free_rank - Q.free_rank for Q = B/N), a node with a nonempty partial
-    sum dies if some coefficient of the partial sum, pushed into B/I, is
-    not a sum of at most one negated lamp value of each remaining
-    function's pushforward to B/I.  I is N itself when h = 0, where N stays
-    trivial, and the isolator I(N), the preimage of the torsion of B/N,
-    when h >= 1.  Completeness: take a witness (delta*, N*) that agrees
-    with the node.  With h = 0, N* = N.  With h >= 1, torsion-free rank is
-    additive along N <= N* and at most the rank, so N*/N has torsion-free
-    rank at most h - h = 0; it is finitely generated, so finite, every
-    element of N* has a multiple in N, and N* lies in I(N).  Either way the
-    witness sum vanishes in B/N*, and so in its quotient B/I.  Q's torsion
-    coordinates come first, and the torsion of Q is exactly its points with
-    free coordinates zero, so B/I(N) = Q/torsion(Q) is B/N with its leading
-    torsion coordinates dropped.  In B/I the pushforward of the partial sum
-    and those of the remaining functions, each shifted, add up to zero.  A
-    shifted function pushes forward to a translate of its own pushforward,
-    which takes one value on each point, so it lands at most one lamp on
-    each point of B/I, and every coefficient there must be cancelled by at
-    most one lamp per remaining function.  (In B/N itself the test would be
-    wrong once h >= 1: growth merges points of B/N, but never points of
-    B/I(N), since N* stays inside I(N).)
+    Reachability prune.  At a level that tests (_Level.tested), a node
+    with a nonempty partial sum dies if some coefficient of the partial
+    sum, pushed into B/I, is not a sum of at most one negated lamp value of
+    each remaining function's pushforward to B/I.  I is N itself when
+    h = 0, where N stays trivial, and the isolator I(N), the preimage of
+    the torsion of Q = B/N, when h >= 1.  Completeness: take a witness
+    (delta*, N*) that agrees with the node.  With h = 0, N* = N.  With
+    h >= 1 the level's N has torsion-free rank h, which is additive along
+    N <= N* and at most the rank, so N*/N has torsion-free rank 0; it is
+    finitely generated, so finite, every element of N* has a multiple in N,
+    and N* lies in I(N).  Either way the witness sum vanishes in B/N*, and
+    so in its quotient B/I.  Q's torsion coordinates come first, and the
+    torsion of Q is exactly its points with free coordinates zero, so
+    B/I(N) = Q/torsion(Q) is Q with its leading torsion coordinates
+    dropped.  In B/I the pushforward of the partial sum and those of the
+    remaining functions, each shifted, add up to zero.  A shifted function
+    pushes forward to a translate of its own pushforward, which takes one
+    value on each point, so it lands at most one lamp on each point of B/I,
+    and every coefficient there must be cancelled by at most one lamp per
+    remaining function.  (Where Q has torsion the test in Q itself would be
+    wrong once h >= 1: growth merges points of Q, but never points of
+    B/I(N), since N* stays inside I(N).)  Where B/I(N) is trivial the test
+    cannot fail, and _Level skips it.
 
     The prune runs on each child as it is made, before the memo: a pruned
     child is never yielded, builds no body and leaves no memo entry.  That
@@ -426,39 +434,35 @@ def _anchored_search(
     a translate in B/I, with the same coefficients.  So a revisit of the
     state, or of a translate of it, is pruned again.
 
-    In the h = 0 pass, where N = 0 and B/I is B/N itself, a placement that
-    leaves a point of the partial sum untouched, because the function has
-    fewer lamps than the partial sum has points, gives a child that cannot
-    vanish.  Its reach set is then fetched before placing, and the
-    placement stops at its first new coefficient outside that set: the full
-    prune would reject that coefficient too, so the verdict is the same,
-    and the pruned child's remaining lamps are never added.  A child that
-    passes still gets the full prune, for the points the placement did not
-    touch.
+    At a level that tests in place (_Level.in_place), B/I is Q itself: N =
+    0 at h = 0, or a torsion-free Q.  A placement that leaves a point of the
+    partial sum untouched, because the function has fewer lamps than the
+    partial sum has points, gives a child that cannot vanish.  Its reach
+    set is then fetched before placing, and the placement stops at its
+    first new coefficient outside that set: the full prune would reject
+    that coefficient too, so the verdict is the same.  A child that passes
+    still gets the full prune, for the points the placement did not touch.
 
-    Over a torsion-free B that test also rules out placements before they
-    are made.  There B/N = Z^r, whose lexicographic order is unchanged by
-    translation.  A placement that puts lamp t on p = min(sum_d) puts each
-    earlier lamp s < t on p + (s - t), below p, so on a point of B/N that
-    sum_d does not hold: the child's coefficient there is lamp s's own
-    value, whatever the shift.  So if j is the function's first lamp whose
-    value lies outside the reach set, every placement of a lamp after j
-    stops at lamp j.  Only lamps up to j are tried; the others are never
-    made.  With torsion in B translation wraps around modulo its orders, so
-    the earlier lamps may land above p, on points of sum_d, and no
-    placement is skipped.
+    Where Q is torsion-free (_Level.free), Q = Z^r, whose lexicographic
+    order is unchanged by translation, so that test also rules out
+    placements before they are made.  A placement that puts lamp t on
+    p = min(sum_d) puts each earlier lamp s < t on p + (s - t), below p, on
+    a point that sum_d does not hold: the child's coefficient there is lamp
+    s's own value, whatever the shift.  So if j is the function's first lamp
+    whose value lies outside the reach set, every placement of a later lamp
+    stops at lamp j, and only lamps up to j are tried.  With torsion in Q
+    translation wraps around, so the earlier lamps may land above p, on
+    points of sum_d, and no placement is skipped.
 
     The search runs on canonical coordinate tuples: points of B/N and
     coefficients of A, added and subtracted by each group's coord_ops
     kernels, which keep them canonical.  Tuples order as their GroupElements
-    do, so nodes are visited in coordinate order.  At the root, N = 0, the
-    functions' own term coordinates are the level's terms, with no
-    projection and no merge; a grown level pushes them into B/N.  Only a
-    growth's generator, a push into B/N' and the witness's shifts, kept in
-    B/N until the search ends, need B-points; _Level.lift gives any, as two
-    differ by an element of N, and N only grows along a path.
+    do, so nodes are visited in coordinate order.  Only a growth's
+    generator, a push into B/N' and the witness's shifts, kept in B/N until
+    the search ends, need B-points; _Level.lift gives any, as two differ by
+    an element of N, and N only grows along a path.
     """
-    root = _Level(fs, B, (), h)
+    root = _Level(A, B, terms, (), h)
     levels: dict[tuple, Optional[_Level]] = {}
     assignment: dict[int, tuple[_Level, tuple]] = {}
 
@@ -475,7 +479,7 @@ def _anchored_search(
             key = lvl.children[diff] = _subgroup_form(B, S.generators).key
             if key not in levels:
                 fits = subgroup_rank_at_most(S, h)
-                levels[key] = _Level(fs, B, S.generators, h) if fits else None
+                levels[key] = _Level(A, B, terms, S.generators, h) if fits else None
         if key in seen:
             return None
         seen.add(key)
@@ -488,25 +492,19 @@ def _anchored_search(
         visit order, as (level, unplaced, sorted value ids, partial sum);
         ids are the node's own, sorted.  Each placement tried and each
         growth child is charged one delta_tuples unit.  A child that fails
-        the reachability prune is never yielded, and in the h = 0 pass a
-        placement stops at its first unreachable coefficient; over a free
-        B, the placements of lamps past the first unreachable one are never
-        made.  A placement stays in sum_d and assignment while its child is
-        out.  After the last child, when every placement is undone and sum_d
-        holds the node's own state again, the state goes into the memo under
-        ids, with body, the lookup's translated partial sum, or one built
-        then if the lookup built none."""
+        the reachability prune is never yielded; where lvl.in_place a
+        placement stops at its first unreachable coefficient, and where
+        lvl.free the placements of lamps past the first unreachable one are
+        never made.  A placement stays in sum_d and assignment while its
+        child is out.  After the last child, when every placement is undone
+        and sum_d holds the node's own state again, the state goes into the
+        memo under ids, with body, the lookup's translated partial sum, or
+        one built then if the lookup built none."""
         sub_q = lvl.sub_q
         # anchor: sums are translation-invariant, so with nothing placed the
         # first function goes with its first lamp on its own point, shift 0
         anchor = not sum_d
         p = lvl.gs[unplaced[0]][0][0] if anchor else min(sum_d)
-        # at h = 0 (N = 0) the prune compares coefficients in B itself, so it
-        # can run while placing a function whose child keeps a point of sum_d
-        in_place = not h
-        # over a free B, lamps before the one put on p land on fresh points
-        # below p, whatever the shift
-        free = in_place and not B.torsion
         tried = set()
         for pos, i in enumerate(unplaced[:1] if anchor else unplaced):
             vid = lvl.vids[i]
@@ -516,22 +514,22 @@ def _anchored_search(
             rest = unplaced[:pos] + unplaced[pos + 1 :]
             k = ids.index(vid)
             rest_ids = ids[:k] + ids[k + 1 :]
-            terms = lvl.gs[i]
-            window = terms[:1] if anchor else terms
+            lamps = lvl.gs[i]
+            window = lamps[:1] if anchor else lamps
             reach = None
-            if in_place and len(terms) < len(sum_d):
+            if lvl.in_place and len(lamps) < len(sum_d):
                 reach = lvl.reach(rest_ids)
-                if free and reach is not None:
+                if lvl.free and reach is not None:
                     # a placement of any later lamp stops at the first
                     # unreachable one
-                    for j, (_point, coeff) in enumerate(terms):
+                    for j, (_point, coeff) in enumerate(lamps):
                         if coeff not in reach:
-                            window = terms[: j + 1]
+                            window = lamps[: j + 1]
                             break
             for point, _coeff in window:
                 meter.charge("delta_tuples")
                 delta = sub_q(point, p)
-                undo = lvl.place(sum_d, terms, delta, reach)
+                undo = lvl.place(sum_d, lamps, delta, reach)
                 if undo is None:
                     continue
                 if not (sum_d and lvl.tested) or lvl.cancellable(rest_ids, sum_d):
@@ -572,7 +570,7 @@ def _anchored_search(
                     continue
             if not sum_d and not unplaced:
                 placed = {i: at.lift(delta) for i, (at, delta) in assignment.items()}
-                shifts = (placed.get(i, B.zero().coords) for i in range(len(fs)))
+                shifts = (placed.get(i, B.zero().coords) for i in range(len(terms)))
                 return tuple(map(B.element, shifts)), Subgroup(B, lvl.gens)
             stack.append(children(lvl, unplaced, ids, sum_d, body))
             break
@@ -586,23 +584,25 @@ def solve_general(
 ) -> SolveResult:
     """Complete search: the anchored search, first with N = 0, then growing N.
 
-    The first pass holds N trivial, so it runs the reachability prune at
-    every node with a nonempty partial sum, before the memo, and never
-    pushes a partial sum into a second quotient; only if it fails and h >= 1
-    does a second pass let N grow from differences of support points, up to
-    rank h.  That pass runs the prune only at levels whose N has
-    torsion-free rank h, in B/N with its torsion dropped.  Instances that
-    need no subgroup are decided by the cheaper first pass.
+    The total sum is checked first; then the functions' terms are unwrapped
+    to coordinate pairs once, for both passes.  An instance with no
+    functions is positive at the root.  The first pass holds N trivial, so
+    it runs the reachability prune in place at every node with a nonempty
+    partial sum, before the memo; only if it fails and h >= 1 does a second
+    pass let N grow from differences of support points, up to rank h.  Each
+    level there reads its rule off Q = B/N (_Level): the prune runs where N
+    has torsion-free rank h < B.free_rank, in Q with its torsion dropped,
+    and in place where Q is torsion-free; where N has finite index it could
+    not fail, so it is skipped.
     """
     meter = _Meter(budget)
-    if not I.fs:
-        return _positive(I, "general", meter, (), Subgroup.trivial(I.B))
     if not _total_sum_is_zero(I):
         return _negative("general", meter)
+    terms = [tuple([(p.coords, c.coords) for p, c in f.terms]) for f in I.fs]
     try:
-        found = _anchored_search(I.fs, I.B, 0, meter)
+        found = _anchored_search(I.A, I.B, terms, 0, meter)
         if found is None and I.h > 0:
-            found = _anchored_search(I.fs, I.B, I.h, meter)
+            found = _anchored_search(I.A, I.B, terms, I.h, meter)
         if found is None:
             return _negative("general", meter)
         return _positive(I, "general", meter, *found)

@@ -281,15 +281,17 @@ def reduce_to_qsp(eq: OrientableEquation) -> Union[QspInstance, Unsolvable]:
 # instance generation and tiny-scale brute force
 
 
+# gen_solvable's draws: the radius of the ball that shifts and lamp points
+# come from, which also bounds free lamp coordinates, and the most lamps
+SOLVABLE_MAX_LENGTH = 3
+SOLVABLE_MAX_SUPPORT = 3
+
+
 def _random_element(
-    rng: random.Random,
-    A: GroupPresentation,
-    ball: Sequence[GroupElement],
-    max_length: int,
-    max_support: int,
+    rng: random.Random, A: GroupPresentation, ball: Sequence[GroupElement]
 ) -> WreathElement:
     delta = ball[rng.randrange(len(ball))]
-    npts = rng.randrange(max_support + 1)
+    npts = rng.randrange(SOLVABLE_MAX_SUPPORT + 1)
     pts = rng.sample(range(len(ball)), min(npts, len(ball)))
     terms = []
     for k in pts:
@@ -297,19 +299,13 @@ def _random_element(
         for alpha in A.torsion:
             coords.append(rng.randrange(alpha))
         for _ in range(A.free_rank):
-            coords.append(rng.randint(-max_length, max_length))
+            coords.append(rng.randint(-SOLVABLE_MAX_LENGTH, SOLVABLE_MAX_LENGTH))
         terms.append((ball[k], A.element(coords)))
     return WreathElement(delta, SupportedFunction(A, delta.group, tuple(terms)))
 
 
 def gen_solvable(
-    seed: int,
-    A: GroupPresentation,
-    B: GroupPresentation,
-    genus: int,
-    m: int,
-    max_length: int = 3,
-    max_support: int = 3,
+    seed: int, A: GroupPresentation, B: GroupPresentation, genus: int, m: int
 ) -> tuple[OrientableEquation, EquationAssignment]:
     """Random equation plus a witnessing assignment (same seed, same output).
 
@@ -322,20 +318,18 @@ def gen_solvable(
     if genus == 0 and m == 0:
         raise ValueError("genus 0 requires at least one constant")
     rng = random.Random(seed)
-    ball = list(enumerate_ball(B, max_length))
+    ball = list(enumerate_ball(B, SOLVABLE_MAX_LENGTH))
     xs, ys = [], []
     for _ in range(genus):
-        x = _random_element(rng, A, ball, max_length, max_support)
+        x = _random_element(rng, A, ball)
         xs.append(x)
         if m:
-            ys.append(_random_element(rng, A, ball, max_length, max_support))
+            ys.append(_random_element(rng, A, ball))
         else:
             # no constant can absorb the prefix, so force [x_i, y_i] = 1
             ys.append(_power(x, rng.choice((-1, 0, 1, 2))))
-    zs = [_random_element(rng, A, ball, max_length, max_support) for _ in range(m)]
-    consts = [
-        _random_element(rng, A, ball, max_length, max_support) for _ in range(m - 1)
-    ]
+    zs = [_random_element(rng, A, ball) for _ in range(m)]
+    consts = [_random_element(rng, A, ball) for _ in range(m - 1)]
     asn = EquationAssignment(tuple(xs), tuple(ys), tuple(zs))
     if m:
         # the commutators and the first m - 1 conjugates: _word pairs z_j

@@ -248,6 +248,18 @@ def test_removed_ball_budget_flag_is_a_usage_error(tmp_path, capsys, command):
     assert "--budget-ball-elements" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", [
+    ["3part-h0", "--values", "1,1,1", "--k", "1"],
+    ["3part-midh", "--values", "1,1,1", "--k", "1", "--rank", "2"],
+    ["zoe", "--matrix", "1"],
+])
+def test_removed_seed_of_a_deterministic_generator_is_a_usage_error(capsys, kind):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", *kind, "--seed", "1"])
+    assert exc.value.code == EXIT_PRECONDITION
+    assert "--seed" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # qsp verify
 
@@ -355,7 +367,6 @@ def test_gen_zoe_provenance_and_decode(tmp_path, capsys):
     prov = obj["provenance"]
     assert prov["generator"] == "zoe"
     assert prov["params"]["matrix"] == [[1, 0], [0, 1]]
-    assert prov["seed"] == 0
     instance, _ = decode_instance(obj)
     assert instance.A.free_rank == 2
     assert instance.B.torsion == (2,)

@@ -115,6 +115,23 @@ def test_decimal_string_input_accepted_both_ways():
         decode_element(Z, ["1.5"])
 
 
+# FORMATS.md: a decimal string is an optional "-" and ASCII digits; int()
+# alone would also read the rejected ones
+@pytest.mark.parametrize("text, value", [
+    ("0", 0), ("42", 42), ("-7", -7), ("007", 7), ("-0", 0),
+    (str(2**64), 2**64), (str(-(2**64)), -(2**64)),
+    ("1_0", None), (" 0 ", None), ("0\n", None), ("+5", None), ("--1", None),
+    ("", None), ("-", None), ("1e3", None), ("0x10", None), ("\u0662", None),
+    ("\uff11", None), ("\u00b2", None),
+])
+def test_integer_strings_rejected_and_accepted(text, value):
+    if value is None:
+        with pytest.raises(CodecError, match="non-integer string"):
+            decode_element(Z, [text])
+    else:
+        assert decode_element(Z, [text]).coords == (value,)
+
+
 # ---------------------------------------------------------------------------
 # functions
 
@@ -272,6 +289,23 @@ MISSPELT = {
 }
 
 
+def test_repeated_key_and_loose_integer_string_exit_3(tmp_path, capsys):
+    # json keeps a repeated key's last copy: "fs": [] would hide the Z_2 atom
+    fs = canonical_json(MISSPELT["fs"]).strip().replace("term", "terms")
+    path = tmp_path / "repeated.json"
+    path.write_text(
+        '{"A":{"free_rank":0,"torsion":[2]},"B":{"free_rank":1,"torsion":[]},'
+        f'"fs":{fs},"fs":[],"h":0}}'
+    )
+    assert main(["qsp", "solve", str(path)]) == EXIT_PARSE
+    assert "repeated key 'fs'" in capsys.readouterr().err
+    # int() reads "1_0" as 10: B would be Z^10
+    path.write_text(canonical_json({**MISSPELT, "B": {"free_rank": "1_0", "torsion": []},
+                                    "fs": []}))
+    assert main(["qsp", "solve", str(path)]) == EXIT_PARSE
+    assert "non-integer string '1_0'" in capsys.readouterr().err
+
+
 def test_misspelt_terms_key_is_an_error_not_a_zero_function(tmp_path, capsys):
     # read as a zero function, the one Z_2 atom would vanish: a false positive
     path = tmp_path / "misspelt.json"
@@ -345,27 +379,47 @@ def _strict_documents():
     return tuple(docs)
 
 
-def _object_paths(doc, path=()):
-    """The path to every object in doc, outside provenance."""
+def _objects(doc, provenance=False):
+    """Every object in doc, inside provenance only if asked."""
     if isinstance(doc, dict):
-        yield path
+        yield doc
         for key, value in doc.items():
-            if key != "provenance":
-                yield from _object_paths(value, path + (key,))
+            if provenance or key != "provenance":
+                yield from _objects(value, provenance)
     elif isinstance(doc, list):
-        for i, value in enumerate(doc):
-            yield from _object_paths(value, path + (i,))
+        for value in doc:
+            yield from _objects(value, provenance)
+
+
+# a dict key whose value, a (key, value) pair, _dumps writes as one more
+# copy of that key
+_REPEAT = object()
+
+
+def _dumps(doc) -> str:
+    """doc as JSON text, with the key copies that _REPEAT asks for."""
+    if isinstance(doc, dict):
+        pairs = (kv if k is _REPEAT else (k, kv) for k, kv in doc.items())
+        return "{" + ",".join(f"{json.dumps(k)}:{_dumps(v)}" for k, v in pairs) + "}"
+    if isinstance(doc, list):
+        return "[" + ",".join(map(_dumps, doc)) + "]"
+    return json.dumps(doc)
 
 
 @st.composite
 def _one_key_off(draw):
-    """A document with one key renamed, or one added, in one of its
-    objects outside provenance; the new key is none the format names."""
+    """A document with one key renamed or added in one of its objects
+    outside provenance, where the new key is none the format names, or one
+    key of any object repeated, provenance included."""
     kind, doc = draw(st.sampled_from(_strict_documents()))
     doc = copy.deepcopy(doc)
-    obj = doc
-    for step in draw(st.sampled_from(list(_object_paths(doc)))):
-        obj = obj[step]
+    repeat = draw(st.integers(0, 2)) == 0
+    objects = [obj for obj in _objects(doc, repeat) if obj or not repeat]
+    obj = draw(st.sampled_from(objects))
+    if repeat:
+        key = draw(st.sampled_from(sorted(obj)))
+        obj[_REPEAT] = key, draw(st.sampled_from((obj[key], None, 0, [], {}, "x")))
+        return kind, doc
     new = draw(st.text(max_size=6).filter(lambda key: key not in FORMAT_KEYS))
     if obj and draw(st.booleans()):
         obj[new] = obj.pop(draw(st.sampled_from(sorted(obj))))
@@ -376,7 +430,7 @@ def _one_key_off(draw):
 
 def _run(kind, doc, directory):
     path = directory / "doc.json"
-    path.write_text(canonical_json(doc), encoding="utf-8")
+    path.write_text(_dumps(doc), encoding="utf-8")
     if kind == "instance":
         return main(["qsp", "solve", str(path)])
     if kind == "equation":
@@ -396,7 +450,7 @@ def test_strict_documents_are_read_unchanged(tmp_path):
         assert _run(kind, doc, tmp_path) != EXIT_PARSE, (kind, doc)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(_one_key_off())
 def test_one_unknown_key_at_any_depth_exits_3(tmp_path_factory, case):
     kind, doc = case

@@ -24,7 +24,7 @@ from wreath_dio.abelian import (
     subgroup_contains,
     subgroup_rank,
 )
-from wreath_dio.group_ring import SupportedFunction, pushforward, shift
+from wreath_dio.group_ring import SupportedFunction, _coeff_sums, pushforward, shift
 from wreath_dio.hardness import (
     ThreePartInstance,
     ZoeInstance,
@@ -54,6 +54,12 @@ ZxZ = GroupPresentation(2)
 
 def atom(A, B, coeff, point):
     return SupportedFunction.atom(A.element(coeff), B.element(point))
+
+
+def _coords(fs):
+    """Each function's terms as the search takes them: (point, coeff)
+    coordinate pairs."""
+    return tuple(tuple((p.coords, c.coords) for p, c in f.terms) for f in fs)
 
 
 def _assert_positive(I, result):
@@ -1009,6 +1015,68 @@ def test_growth_pass_pinned_on_3part_midh(values, rank, counters, bound, deltas,
 
 
 # ---------------------------------------------------------------------------
+# the search over a quotient: coordinate terms projected into B/<v> are an
+# h = 0 instance of their own
+
+
+def test_h0_search_over_a_quotient_decides_the_midh_positive():
+    I = gen_3part_midh(ThreePartInstance((4, 4, 5, 5, 5, 7), 2), 2)
+    v = I.B.element((1, 0))
+    form = abelian._subgroup_form(I.B, (v,))
+    terms = []
+    for f in I.fs:
+        pairs = ((form.project_coords(p.coords), c.coords) for p, c in f.terms)
+        sums = _coeff_sums(I.A, pairs)
+        terms.append(tuple(sorted((q, c) for q, c in sums.items() if any(c))))
+    meter = _Meter(DEFAULT_BUDGET)
+    found = solvers._anchored_search(I.A, form.Q, terms, 0, meter)
+    assert found is not None
+    assert meter.counters == {"delta_tuples": 12, "subgroup_tuples": 0}
+    deltas, N = found
+    assert N.generators == ()
+    cert = make_certificate(I, [form.lift(d) for d in deltas], Subgroup(I.B, (v,)))
+    assert verify_certificate(I, cert)
+    # the growth pass still runs out of subgroup tuples on it
+    result = dispatch(I, MIDH_BUDGET)
+    assert result.decision == "unknown-budget"
+    assert result.counters == {"delta_tuples": 102_636, "subgroup_tuples": 100_001}
+
+
+# ---------------------------------------------------------------------------
+# a grown N of torsion-free rank h = free rank of B has finite index, so
+# B/I(N) is trivial: the reachability test there could only compare the
+# total, which is zero, and no grown level runs it
+
+
+def test_grown_levels_of_finite_index_run_no_reachability_test(monkeypatch):
+    grown, tested = [], []
+
+    class Level(solvers._Level):
+        def __init__(self, *args):
+            super().__init__(*args)
+            if self.gens:
+                grown.append(self)
+
+        def cancellable(self, ids, sum_d):
+            if self.gens:
+                tested.append(self)
+            return super().cancellable(ids, sum_d)
+
+    monkeypatch.setattr(solvers, "_Level", Level)
+    rng = random.Random(34)
+    decisions = set()
+    for j in range(40):
+        # two functions keep the oracle fast
+        I = _zero_sum(rng, (ZxZ2, ZxZ3)[j % 2], 2, 1, r=1)
+        result = dispatch(I, COUNTER_BUDGET)
+        assert result.decision == oracle_solve(I, _ORACLE_BUDGET).decision
+        decisions.add(result.decision)
+    # levels where B/N is finite, which the test would otherwise visit
+    assert any(not lvl.form.Q.free_rank for lvl in grown) and not tested
+    assert decisions == {"positive", "negative"}
+
+
+# ---------------------------------------------------------------------------
 # certificate checks under python -O
 
 
@@ -1196,7 +1264,7 @@ def test_place_with_reach_matches_full_placement_then_prune(monkeypatch):
             if not any(gens[0].coords):
                 gens = ()
         # h = 0 keeps drop = 0: the prune compares coefficients in B/N itself
-        new, ref = (solvers._Level(fs, B, gens, 0) for _ in range(2))
+        new, ref = (solvers._Level(A, B, _coords(fs), gens, 0) for _ in range(2))
         if not new.gs:
             continue
         reducers = _level_reducers(B, new)
@@ -1226,8 +1294,8 @@ def test_place_with_reach_matches_full_placement_then_prune(monkeypatch):
             delta = red_q(map(operator.sub, point, p))
             ids = tuple(sorted(rng.choice(vids) for _ in range(rng.randint(0, 3))))
 
-            # the search passes a reach set only in the h = 0 pass, at N = 0
-            reach = None if gens else new.reach(ids)
+            # the search passes a reach set only where the level tests in place
+            reach = new.reach(ids) if new.in_place else None
             undo = new.place(sum_new, terms, delta, reach)
             kept = undo is not None and (not sum_new or new.cancellable(ids, sum_new))
             undo_ref = _full_place(reducers, sum_ref, terms, delta)
@@ -1241,7 +1309,7 @@ def test_place_with_reach_matches_full_placement_then_prune(monkeypatch):
             assert sum_new == sum_ref
 
             seen["stopped"] += undo is None
-            seen["no-reach"] += reach is None and bool(ids) and not gens
+            seen["no-reach"] += reach is None and bool(ids) and new.in_place
             seen["kept"] += kept
     assert min(seen.values()) > 0, seen
 
@@ -1256,7 +1324,7 @@ def _placement_groups(B, calls):
     terms, reach set, indices of the lamps put on p); the indices of one
     group rise, since a node places a function's lamps in order."""
     groups, open_groups = [], {}
-    for lvl, items, terms, delta, reach in calls:
+    for lvl, items, terms, delta, reach, _stopped in calls:
         red_q = _level_reducers(B, lvl)[0]
         p = items[0][0]
         t = next(
@@ -1276,14 +1344,18 @@ def test_window_skips_only_placements_the_full_prune_rejects(monkeypatch):
     rng = random.Random(21)
     Z3 = GroupPresentation(0, (3,))
     bases = (Z, ZxZ, GroupPresentation(1, (2,)), Z2)
-    seen = dict.fromkeys(("skipped", "torsion", "N-nonzero", "negatives"), 0)
+    seen = dict.fromkeys(
+        ("skipped", "torsion", "negatives", "grown stopped", "grown skipped"), 0
+    )
     calls = []
     place = solvers._Level.place
 
     def spy(lvl, sum_d, terms, delta, reach=None):
-        if sum_d:  # the anchor places one lamp on an empty sum
-            calls.append((lvl, tuple(sorted(sum_d.items())), terms, delta, reach))
-        return place(lvl, sum_d, terms, delta, reach)
+        items = tuple(sorted(sum_d.items()))
+        undo = place(lvl, sum_d, terms, delta, reach)
+        if items:  # the anchor places one lamp on an empty sum
+            calls.append((lvl, items, terms, delta, reach, undo is None))
+        return undo
 
     monkeypatch.setattr(solvers._Level, "place", spy)
     for _ in range(240):
@@ -1306,31 +1378,39 @@ def test_window_skips_only_placements_the_full_prune_rejects(monkeypatch):
         # a positive ends with placements not yet made; a negative makes or
         # skips every one
         try:
-            if solvers._anchored_search(tuple(fs), B, h, meter) is not None:
+            if solvers._anchored_search(A, B, _coords(fs), h, meter) is not None:
                 continue
         except BudgetExceeded:
             continue
         seen["negatives"] += 1
+
+        def rejected(lvl, items, terms, delta, reach):
+            """Whether the full placement fails the full prune."""
+            ids = next(ids for ids, r in lvl._reach.items() if r is reach)
+            sum_d = dict(items)
+            _full_place(_level_reducers(B, lvl), sum_d, terms, delta)
+            return sum_d and not lvl.cancellable(ids, sum_d)
+
+        for lvl, items, terms, delta, reach, stopped in calls:
+            # placements test in place only where the level says so
+            assert reach is None or lvl.in_place
+            if stopped:
+                assert rejected(lvl, items, terms, delta, reach)
+                seen["grown stopped"] += bool(lvl.gens)
         for lvl, items, terms, reach, tried in _placement_groups(B, calls):
             assert tried == list(range(len(tried)))
-            # placements test in place only in the h = 0 pass, at N = 0
-            assert reach is None or not lvl.gens
-            seen["N-nonzero"] += bool(lvl.gens)
-            if reach is None or B.torsion:
-                # no window: translation wraps modulo the torsion
+            if reach is None or not lvl.free:
+                # no window: translation wraps modulo the torsion of B/N
                 assert len(tried) == len(terms)
-                seen["torsion"] += bool(B.torsion and reach is not None)
+                seen["torsion"] += reach is not None
                 continue
-            ids = next(ids for ids, r in lvl._reach.items() if r is reach)
-            reducers = _level_reducers(B, lvl)
-            red_q = reducers[0]
+            red_q = _level_reducers(B, lvl)[0]
             p = items[0][0]
             for point, _coeff in terms[len(tried):]:
-                sum_d = dict(items)
                 delta = red_q(map(operator.sub, point, p))
-                _full_place(reducers, sum_d, terms, delta)
-                assert sum_d and not lvl.cancellable(ids, sum_d)
+                assert rejected(lvl, items, terms, delta, reach)
                 seen["skipped"] += 1
+                seen["grown skipped"] += bool(lvl.gens)
     assert min(seen.values()) > 0, seen
 
 
@@ -1395,7 +1475,7 @@ def test_root_level_takes_the_terms_a_push_would_give(A, B):
         rng.shuffle(fs)
         gs, vids = _pushed_root(fs, B, A)
         for h in (0, 1):
-            lvl = solvers._Level(fs, B, (), h)
+            lvl = solvers._Level(A, B, _coords(fs), (), h)
             assert lvl.gs == gs
             assert lvl.vids == vids
             if not lvl.drop:
@@ -1435,10 +1515,11 @@ def _lift_draws(draw):
 @given(_lift_draws())
 def test_lift_is_a_section_of_the_projection(draw):
     B, gens, fs, points = draw
-    assert solvers._Level(fs, B, (), 1).lift((0,) * B.ncoords) == (0,) * B.ncoords
+    terms = _coords(fs)
+    assert solvers._Level(Z, B, terms, (), 1).lift((0,) * B.ncoords) == (0,) * B.ncoords
     # points whose B-point coset() kept, then points lifted through the
     # Smith form
-    lvl = solvers._Level(fs, B, gens, 1)
+    lvl = solvers._Level(Z, B, terms, gens, 1)
     qs = [q for terms in lvl.gs.values() for q, _c in terms]
     qs += [lvl.project(b.coords) for b in points]
     for q in qs:
@@ -1456,7 +1537,7 @@ def test_lift_is_a_section_of_the_projection(draw):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solvers._Level, "lift", spy)
         try:
-            solvers._anchored_search(fs, B, 1, _Meter(COUNTER_BUDGET))
+            solvers._anchored_search(Z, B, terms, 1, _Meter(COUNTER_BUDGET))
         except BudgetExceeded:
             pass
     for level, q, b in lifted:

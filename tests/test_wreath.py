@@ -426,7 +426,7 @@ def test_enumerate_window_stops_at_the_cap(monkeypatch, A, radius, drawn):
 
 def test_brute_force_finds_generated_solutions():
     for seed in range(5):
-        eq, _ = gen_solvable(seed, Z2, Z2, genus=0, m=1, max_length=1, max_support=1)
+        eq, _ = gen_solvable(seed, Z2, Z2, genus=0, m=1)
         assert equation_brute_force(eq, 1)
 
 
@@ -434,7 +434,7 @@ def test_brute_force_finds_generated_solutions():
 def test_brute_force_agrees_with_evaluate_on_every_assignment(genus, m):
     # the brute force reads the product's coordinates instead of building
     # it; over the whole window of Z2 wr Z2 that must be evaluate's verdict
-    eq, _ = gen_solvable(3, Z2, Z2, genus, m, max_length=1, max_support=1)
+    eq, _ = gen_solvable(3, Z2, Z2, genus, m)
     window = enumerate_window(Z2, Z2, 1)
     verdicts = set()
     for values in itertools.product(window, repeat=2 * genus + m):
