@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .abelian import GroupElement, GroupPresentation
+from .abelian import GroupElement, GroupPresentation, _integer
 from .group_ring import SupportedFunction, shift
 from .qsp import QspInstance
 
@@ -33,8 +33,9 @@ class ThreePartInstance:
     k: int
 
     def __post_init__(self) -> None:
-        values = tuple(sorted(int(t) for t in self.values))
+        values = tuple(sorted(_integer(t, "value") for t in self.values))
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "k", _integer(self.k, "k"))
         if self.k < 1:
             raise ValueError("k must be positive")
         if len(values) != 3 * self.k:
@@ -68,7 +69,9 @@ class ZoeInstance:
     matrix: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(int(x) for x in row) for row in self.matrix)
+        rows = tuple(
+            tuple(_integer(x, "matrix entry") for x in row) for row in self.matrix
+        )
         object.__setattr__(self, "matrix", rows)
         n = len(rows)
         if n == 0:

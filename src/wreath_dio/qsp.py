@@ -6,10 +6,9 @@ quotient-sum equation).
 A certificate is the witnessing pair (deltas, generators of N); verification
 is polynomial in the sizes of instance and certificate.
 
-Clusters group function indices whose (projected) shifted supports touch; they
-drive the delta-normalization that bounds witness shifts by the instance size.
-clusters is the one connectivity routine; normalization reruns it after each
-shift in N that merges a plain sub-cluster into its mod-N cluster's anchor.
+Clusters group function indices whose shifted supports touch modulo N.
+normalize_deltas lifts each along a spanning tree, so at every h a witness's
+shifts fit the instance size and its generators a per-coordinate box.
 
 shifted_sum, satisfies_equation and make_certificate run on canonical
 coordinate tuples: each shifted point p - delta_i comes from B's sub kernel
@@ -39,7 +38,6 @@ from .group_ring import (
     _coeff_sums,
     _from_sums,
     _vanishes,
-    shift,
 )
 
 
@@ -144,7 +142,7 @@ def satisfies_equation(
     Sums the coefficients of every shifted term per coset of N, keyed by the
     projection of p - delta_i; the shifted sum itself is never built.
     """
-    if not fs:
+    if not fs and not deltas:
         return True
     A, B = _home_groups(fs, deltas)
     form = _quotient_form(B, N)
@@ -211,11 +209,13 @@ def clusters(
             parent[max(rx, ry)] = min(rx, ry)
 
     if m:
-        project = _quotient_form(fs[0].base_group, N).project_coords
+        B = _home_groups(fs, deltas)[1]
+        sub = coord_ops(B)[1]
+        project = _quotient_form(B, N).project_coords
         owner: dict[tuple[int, ...], int] = {}
         for i, (f, d) in enumerate(zip(fs, deltas)):
-            for p in shift(f, d).support():
-                key = project(p.coords)
+            for p, _ in f.terms:
+                key = project(sub(p.coords, d.coords))
                 if key in owner:
                     union(owner[key], i)
                 else:
@@ -277,7 +277,7 @@ def make_certificate(
     - Each generator p - q is a support difference of c, so its geodesic
       length is at most |p| + |q| <= size(c).
     """
-    if not instance.fs:
+    if not instance.fs and not deltas:
         return Certificate((), ())
     project = _quotient_form(instance.B, N).project_coords
     A, B = _home_groups(instance.fs, deltas)
@@ -299,58 +299,6 @@ def make_certificate(
 # delta normalization
 
 
-def _support_union(
-    fs: Sequence[SupportedFunction],
-    deltas: Sequence[GroupElement],
-    block: Iterable[int],
-) -> list[GroupElement]:
-    pts: dict[tuple[int, ...], GroupElement] = {}
-    for i in block:
-        for p in shift(fs[i], deltas[i]).support():
-            pts.setdefault(p.coords, p)
-    return [pts[k] for k in sorted(pts)]
-
-
-def _realign_block(
-    fs: Sequence[SupportedFunction],
-    deltas: list[GroupElement],
-    N: Subgroup,
-    phi_block: frozenset[int],
-) -> None:
-    """Shift sub-clusters by elements of N until the phi-block is one plain cluster.
-
-    The plain sub-cluster holding the block's least index is the anchor.
-    While another sub-cluster remains, the first one by least index with a
-    support point p in the N-coset of an anchor point q is shifted by p - q:
-    p lands on q, so it merges with the anchor.  One always qualifies, as the
-    phi-block is connected modulo N.  Every shift lies in N, so the mod-N
-    clusters and the quotient-sum equation are untouched.
-    """
-    B = fs[0].base_group
-    project = _quotient_form(B, N).project_coords
-    trivial = Subgroup.trivial(B)
-    idx = sorted(phi_block)
-    while True:
-        part = clusters([fs[i] for i in idx], [deltas[i] for i in idx], trivial)
-        if len(part) == 1:
-            return
-        subs = [[idx[j] for j in b] for b in part]
-        anchor: dict[tuple[int, ...], GroupElement] = {}
-        for q in _support_union(fs, deltas, subs[0]):
-            anchor.setdefault(project(q.coords), q)
-        moves = (
-            (blk, p - anchor[key])
-            for blk in subs[1:]
-            for p in _support_union(fs, deltas, blk)
-            if (key := project(p.coords)) in anchor
-        )
-        blk, offset = next(moves, ((), None))
-        if offset is None:
-            raise AssertionError("phi-adjacent clusters share no N-coset point")
-        for i in blk:
-            deltas[i] = deltas[i] + offset
-
-
 def normalize_deltas(
     fs: Sequence[SupportedFunction],
     deltas: Sequence[GroupElement],
@@ -358,35 +306,55 @@ def normalize_deltas(
 ) -> tuple[GroupElement, ...]:
     """Replace a solution's shifts by small ones: |delta_i'| <= sum size(f_i).
 
-    Two phases, both preserving the quotient-sum equation: first realign
-    plain clusters to the mod-N clusters by shifting sub-clusters with
-    elements of N (_realign_block), then translate every cluster so that 0
-    is in its support union (the lexicographically least union point is
-    moved to the origin).  Functions with empty support get delta 0.
+    The spanning-tree lift, one pass over each block of clusters(fs, deltas,
+    N).  The block's least index keeps its shift.  While some function is
+    unplaced, the first by index with a shifted point p in the N-coset of a
+    placed point q has its shift moved by p - q, in N, so p lands on q; one
+    qualifies, as the block is connected mod N.  Last, the block is
+    translated so that the least point of its union is the origin.  Shifts
+    in N keep the equation and the mod-N clusters, and a block's own sum
+    vanishes mod N, so its translate does too.  The lift makes each block
+    one plain cluster and every block with support holds the origin, so the
+    plain clusters equal the mod-N ones; a function with empty support gets 0.
+
+    The bounds, at every h.  Two shifted points of a block are joined by a
+    path through shared points that crosses each support at most once, so
+    in a free coordinate j they differ by at most the block's sum of
+    diam_j(f_i) = max |a_j - b_j| over a, b in supp(f_i).  Every block holds
+    the origin, so two points of one N-coset, in one block or two, have
+    |p_j - q_j| <= R_j = sum_i diam_j(f_i): make_certificate's generators
+    lie in that box.  A path from 0 to x - delta_i', x in supp(f_i), gives
+    |delta_i'| <= |x| + sum_{k != i} diam(f_k) <= sum_k size(f_k).
     """
     if not satisfies_equation(fs, deltas, N):
         raise ValueError("input shifts do not solve the instance")
-    work = list(deltas)
-    if not fs:
-        return tuple(work)
-    B = fs[0].base_group
-
-    for blk in clusters(fs, work, N):
-        _realign_block(fs, work, N, blk)
-
-    for blk in clusters(fs, work, Subgroup.trivial(B)):
-        union = _support_union(fs, work, blk)
-        if not union:
-            for i in blk:
-                work[i] = B.zero()
-            continue
-        least = union[0]
+    B = N.ambient
+    add, sub, _ = coord_ops(B)
+    project = _quotient_form(B, N).project_coords
+    points = [[sub(p.coords, d.coords) for p, _ in f.terms] for f, d in zip(fs, deltas)]
+    work = [d.coords for d in deltas]
+    for blk in clusters(fs, deltas, N):
+        first, *unplaced = sorted(blk)
+        # one placed point per N-coset reached: any of them will do as q
+        placed = {project(q): q for q in points[first]}
+        while unplaced:
+            hits = ((i, p) for i in unplaced for p in points[i] if project(p) in placed)
+            i, p = next(hits, (None, None))
+            if i is None:
+                raise AssertionError("a mod-N cluster shares no N-coset point")
+            unplaced.remove(i)
+            offset = sub(p, placed[project(p)])
+            work[i] = add(work[i], offset)
+            for x in points[i]:
+                placed[project(x)] = sub(x, offset)
+        union = [sub(p.coords, work[i]) for i in blk for p, _ in fs[i].terms]
+        least = min(union, default=None)
         for i in blk:
-            work[i] = work[i] + least
-    if not satisfies_equation(fs, work, N):
+            work[i] = B.zero().coords if least is None else add(work[i], least)
+    out = tuple(_element(B, d) for d in work)
+    if not satisfies_equation(fs, out, N):
         raise AssertionError("normalization broke the equation")
     bound = sum(f.size() for f in fs)
-    for d in work:
-        if geodesic_length(B, d) > bound:
-            raise AssertionError("normalized shift exceeds the size bound")
-    return tuple(work)
+    if any(geodesic_length(B, d) > bound for d in out):
+        raise AssertionError("normalized shift exceeds the size bound")
+    return out

@@ -74,6 +74,30 @@ def test_zoe_validation():
         ZoeInstance(())
 
 
+# int() would truncate 4.9 to 4 and read "4" as 4; both are rejected, as
+# GroupPresentation rejects a float rank
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ThreePartInstance((4.9, 4, 4, 6, 6, 6), 2),
+        lambda: ThreePartInstance((4.0, 4, 4, 6, 6, 6), 2),
+        lambda: ThreePartInstance(("4", "4", "4", "6", "6", "6"), 2),
+        lambda: ThreePartInstance((1, 1, 1), 1.0),
+        lambda: ThreePartInstance((1, 1, 1), "1"),
+        lambda: ZoeInstance(((0.5, 1), (1, 0.9))),
+        lambda: ZoeInstance(((1.0, 0), (0, 1))),
+        lambda: ZoeInstance((("1", 0), (0, 1))),
+    ],
+    ids=[
+        "3part-float", "3part-integral-float", "3part-string", "3part-float-k",
+        "3part-string-k", "zoe-float", "zoe-integral-float", "zoe-string",
+    ],
+)
+def test_non_integer_inputs_are_rejected(build):
+    with pytest.raises(ValueError, match="must be an integer"):
+        build()
+
+
 def test_zoe_columns():
     M = ZoeInstance(((1, 0), (1, 1)))
     assert M.n == 2

@@ -193,6 +193,29 @@ def test_verify_shape_mismatches():
         )  # generator outside B
 
 
+# with no functions, a shift list must be empty too: every entry point
+# compares the lengths before it shortcuts the empty instance
+_EMPTY_WITH_SHIFTS = {
+    "satisfies_equation": lambda ds, N: satisfies_equation((), ds, N),
+    "normalize_deltas": lambda ds, N: normalize_deltas((), ds, N),
+    "make_certificate": lambda ds, N: make_certificate(QspInstance(Z, Z, (), 0), ds, N),
+    "clusters": lambda ds, N: clusters((), ds, N),
+    "verify_certificate": lambda ds, N: verify_certificate(
+        QspInstance(Z, Z, (), 0), Certificate(ds, N.generators)
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_EMPTY_WITH_SHIFTS))
+@pytest.mark.parametrize("count", [1, 2])
+@pytest.mark.parametrize("N", [Subgroup.trivial(Z), Subgroup.whole(Z)], ids=["0", "B"])
+def test_no_functions_with_shifts_is_a_shape_mismatch(entry, count, N):
+    run = _EMPTY_WITH_SHIFTS[entry]
+    with pytest.raises(ShapeMismatch):
+        run((Z.element((5,)),) * count, N)
+    run((), N)
+
+
 def test_verify_runs_fast_on_large_coordinates():
     big = 10**15
     a = Z2.element((1,))

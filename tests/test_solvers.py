@@ -33,7 +33,14 @@ from wreath_dio.hardness import (
     gen_zoe,
     solve_3part_bruteforce,
 )
-from wreath_dio.qsp import Certificate, QspInstance, make_certificate, verify_certificate
+from wreath_dio.qsp import (
+    Certificate,
+    QspInstance,
+    make_certificate,
+    normalize_deltas,
+    satisfies_equation,
+    verify_certificate,
+)
 from wreath_dio.solvers import (
     _Meter,
     _generated_rank,
@@ -950,6 +957,74 @@ def test_growth_pass_agrees_with_cyclic_reference():
             assert verify_certificate(I, result.certificate)
         decisions.append(result.decision)
     assert decisions.count("negative") >= 6
+
+
+# ---------------------------------------------------------------------------
+# the box at every h: after qsp.normalize_deltas, every generator that
+# make_certificate reads off the shifted sum has each free coordinate j
+# within R_j, the sum of the functions' diameters in coordinate j (the
+# lemma in normalize_deltas's docstring), whatever the rank of N
+
+
+def _free_diameters(f):
+    """Per free coordinate j, the largest |a_j - b_j| over two points of f."""
+    B = f.base_group
+    t = len(B.torsion)
+    columns = list(zip(*(p.coords[t:] for p, _ in f.terms)))
+    return tuple(max(c) - min(c) for c in columns) if columns else (0,) * B.free_rank
+
+
+def _outside_box(I, cert):
+    """The generators of cert with a free coordinate j beyond R_j."""
+    R = [sum(column) for column in zip(*map(_free_diameters, I.fs))]
+    t = len(I.B.torsion)
+    return [
+        g for g in cert.subgroup_gens
+        if any(abs(c) > r for c, r in zip(g.coords[t:], R))
+    ]
+
+
+def _box_draws():
+    rng = random.Random(5)
+    for j in range(180):
+        B = (ZxZ, ZxZ2, ZxZ3)[j % 3]
+        yield _zero_sum(rng, B, 2 + (j // 3) % 2, 1, r=1)
+    for values in ((1, 1, 1), (2, 2, 3)):
+        for rank in (2, 3):
+            yield gen_3part_midh(ThreePartInstance(values, 1), rank)
+    for j in range(12):
+        yield _planted_single(rng, 1 + j % 2)
+
+
+def test_normalized_certificates_lie_in_the_box_at_every_h():
+    rng = random.Random(5)
+    positives = with_gens = spread_outside = 0
+    for I in _box_draws():
+        result = dispatch(I, COUNTER_BUDGET)
+        if result.decision != "positive":
+            continue
+        positives += 1
+        gens = result.certificate.subgroup_gens
+        N = Subgroup(I.B, gens)
+        deltas = result.certificate.deltas
+        if gens:
+            # a multiple of a generator of N keeps the equation
+            with_gens += 1
+            deltas = tuple(
+                d + rng.choice(gens).scale(rng.choice((-1, 1)) * rng.randint(50, 500))
+                for d in deltas
+            )
+            assert satisfies_equation(I.fs, deltas, N)
+            spread_outside += len(_outside_box(I, make_certificate(I, deltas, N)))
+        out = normalize_deltas(I.fs, deltas, N)
+        cert = make_certificate(I, out, N)
+        assert verify_certificate(I, cert)
+        assert _outside_box(I, cert) == []
+        bound = sum(f.size() for f in I.fs)
+        assert all(abelian.geodesic_length(I.B, d) <= bound for d in out)
+    assert positives >= 150 and with_gens >= 140
+    # the spread put generators outside the box, which normalization undid
+    assert spread_outside > 100
 
 
 # ---------------------------------------------------------------------------
