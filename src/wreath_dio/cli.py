@@ -25,6 +25,7 @@ import argparse
 import json
 import logging
 import os
+import stat
 import sys
 import tempfile
 import time
@@ -33,6 +34,7 @@ from typing import NoReturn, Optional
 
 from .abelian import BudgetExceeded, GroupPresentation
 from .codec import (
+    _DECIMAL,
     CodecError,
     canonical_json,
     decode_certificate,
@@ -47,6 +49,7 @@ from .codec import (
 from .hardness import (
     ThreePartInstance,
     ZoeInstance,
+    check_coords,
     gen_3part_h0,
     gen_3part_midh,
     gen_zoe,
@@ -112,16 +115,30 @@ def _read_json(path: str) -> tuple[bytes, object]:
         raise _CliError(EXIT_PARSE, f"{path}: cannot parse JSON ({exc})") from None
 
 
+def _output_mode(output: str) -> int:
+    """The permission bits open(output, "w") leaves: a replaced file keeps
+    its own, a new one gets 0o666 less the umask."""
+    try:
+        return stat.S_IMODE(os.stat(output).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
 def _emit(text: str, output: Optional[str]) -> None:
     if output is None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(output))
     try:
+        mode = _output_mode(output)
         fd, tmp = tempfile.mkstemp(prefix=".wreath-dio-", dir=directory)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(text)
+            # mkstemp creates the file 0o600, and os.replace would keep that
+            os.chmod(tmp, mode)
             os.replace(tmp, output)
         except BaseException:
             try:
@@ -183,10 +200,20 @@ def _finish(
     return _DECISION_EXIT[result.decision]
 
 
+def _decimal(text: str) -> int:
+    """A command-line integer: once stripped, a decimal string as FORMATS.md
+    spells one.  int() alone also reads "1_1", "+11" and non-ASCII digits;
+    a ValueError here is a usage error, exit 4, from argparse or _csv_ints."""
+    text = text.strip()
+    if not _DECIMAL.fullmatch(text):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def _csv_ints(text: str, what: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(",") if part.strip() != "")
-    except ValueError:
+        return tuple(_decimal(part) for part in text.split(",") if part.strip() != "")
+    except ValueError:  # not a decimal, or past the int-string digit limit
         raise _CliError(EXIT_PRECONDITION, f"{what}: expected comma-separated integers") from None
 
 
@@ -194,7 +221,9 @@ def _group_from_args(prefix: str, args: argparse.Namespace) -> GroupPresentation
     free = getattr(args, f"{prefix}_free")
     torsion = _csv_ints(getattr(args, f"{prefix}_torsion"), f"--{prefix}-torsion")
     try:
-        return GroupPresentation(free, torsion)
+        G = GroupPresentation(free, torsion)
+        check_coords(G.ncoords, "the group")
+        return G
     except ValueError as exc:
         raise _CliError(EXIT_PRECONDITION, f"--{prefix}-*: {exc}") from None
 
@@ -308,8 +337,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
     b = DEFAULT_BUDGET
-    p.add_argument("--budget-delta-tuples", type=int, default=b.max_delta_tuples)
-    p.add_argument("--budget-subgroup-tuples", type=int, default=b.max_subgroup_tuples)
+    p.add_argument("--budget-delta-tuples", type=_decimal, default=b.max_delta_tuples)
+    p.add_argument("--budget-subgroup-tuples", type=_decimal, default=b.max_subgroup_tuples)
     p.add_argument("--budget-seconds", type=float, default=b.max_seconds)
 
 
@@ -320,10 +349,10 @@ def _add_output_flag(p: argparse.ArgumentParser) -> None:
 def _add_group_flags(
     p: argparse.ArgumentParser, coeff_default: tuple[int, str], base_default: tuple[int, str]
 ) -> None:
-    p.add_argument("--coeff-free", type=int, default=coeff_default[0])
+    p.add_argument("--coeff-free", type=_decimal, default=coeff_default[0])
     p.add_argument("--coeff-torsion", default=coeff_default[1],
                    help="comma-separated invariant factors, e.g. 2,4")
-    p.add_argument("--base-free", type=int, default=base_default[0])
+    p.add_argument("--base-free", type=_decimal, default=base_default[0])
     p.add_argument("--base-torsion", default=base_default[1])
 
 
@@ -368,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g_h0 = gen_sub.add_parser("3part-h0", help="3-partition reduction at h=0")
     g_h0.add_argument("--values", required=True, help="comma-separated, 3k of them")
-    g_h0.add_argument("--k", type=int, required=True)
+    g_h0.add_argument("--k", type=_decimal, required=True)
     _add_group_flags(g_h0, (1, ""), (1, ""))
     _add_output_flag(g_h0)
     g_h0.set_defaults(func=cmd_gen)
@@ -377,8 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
         "3part-midh", help="3-partition reduction at h = rank-1 over Z^h"
     )
     g_mid.add_argument("--values", required=True)
-    g_mid.add_argument("--k", type=int, required=True)
-    g_mid.add_argument("--rank", type=int, required=True, metavar="H",
+    g_mid.add_argument("--k", type=_decimal, required=True)
+    g_mid.add_argument("--rank", type=_decimal, required=True, metavar="H",
                        help="base-group rank h (>= 1); instance budget is h-1")
     _add_output_flag(g_mid)
     g_mid.set_defaults(func=cmd_gen)
@@ -390,10 +419,10 @@ def build_parser() -> argparse.ArgumentParser:
     g_zoe.set_defaults(func=cmd_gen)
 
     g_sol = gen_sub.add_parser("solvable", help="random solvable equation")
-    g_sol.add_argument("--genus", type=int, default=1)
-    g_sol.add_argument("--m", type=int, default=1)
+    g_sol.add_argument("--genus", type=_decimal, default=1)
+    g_sol.add_argument("--m", type=_decimal, default=1)
     _add_group_flags(g_sol, (0, "2"), (1, ""))
-    g_sol.add_argument("--seed", type=int, default=0)
+    g_sol.add_argument("--seed", type=_decimal, default=0)
     _add_output_flag(g_sol)
     g_sol.set_defaults(func=cmd_gen)
 
@@ -401,8 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
         "oracle", help="brute-force an equation over a bounded window"
     )
     p_oracle.add_argument("equation")
-    p_oracle.add_argument("--radius", type=int, default=2)
-    p_oracle.add_argument("--max-assignments", type=int, default=2_000_000)
+    p_oracle.add_argument("--radius", type=_decimal, default=2)
+    p_oracle.add_argument("--max-assignments", type=_decimal, default=2_000_000)
     _add_output_flag(p_oracle)
     p_oracle.set_defaults(func=cmd_oracle)
 

@@ -82,7 +82,7 @@ def _fields(
 
 
 _GROUP = frozenset(("free_rank", "torsion"))
-_FUNCTION, _FUNCTION_GROUPS = frozenset(("terms",)), frozenset(("A", "B"))
+_FUNCTION = frozenset(("terms",))
 _TERM = frozenset(("coeff", "point"))
 _INSTANCE = frozenset(("A", "B", "fs", "h"))
 _CERTIFICATE = frozenset(("deltas", "subgroup_gens"))
@@ -158,13 +158,7 @@ def encode_function(f: SupportedFunction) -> dict:
 def decode_function(
     A: GroupPresentation, B: GroupPresentation, obj: Any
 ) -> SupportedFunction:
-    d = _fields(obj, "function", _FUNCTION, _FUNCTION_GROUPS)
-    # the bare {"terms": ...} form is canonical; a self-describing form with
-    # explicit groups is accepted when it agrees with the enclosing context
-    if "A" in d and decode_group(d["A"]) != A:
-        raise CodecError("function: embedded coefficient group disagrees")
-    if "B" in d and decode_group(d["B"]) != B:
-        raise CodecError("function: embedded base group disagrees")
+    d = _fields(obj, "function", _FUNCTION)
     red_a, red_b = coord_ops(A)[2], coord_ops(B)[2]
     terms = []
     for t in _expect_list(d["terms"], "function.terms"):

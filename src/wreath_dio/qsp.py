@@ -28,6 +28,7 @@ from .abelian import (
     GroupPresentation,
     Subgroup,
     _element,
+    _integer,
     _quotient_form,
     coord_ops,
     geodesic_length,
@@ -52,6 +53,7 @@ class QspInstance:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "fs", tuple(self.fs))
+        object.__setattr__(self, "h", _integer(self.h, "h"))
         if self.h < 0:
             raise ValueError("h must be nonnegative")
         A, B = self.A, self.B

@@ -40,6 +40,7 @@ from .abelian import (
     GroupPresentation,
     Subgroup,
     _element,
+    _integer,
     _quotient_form,
     coord_ops,
     enumerate_ball,
@@ -53,6 +54,7 @@ from .group_ring import (
     pushforward,
     shift,
 )
+from .hardness import check_coords
 from .qsp import QspInstance
 
 
@@ -163,6 +165,7 @@ class OrientableEquation:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "constants", tuple(self.constants))
+        object.__setattr__(self, "genus", _integer(self.genus, "genus"))
         if self.genus < 0:
             raise ValueError("genus must be nonnegative")
         if self.genus == 0 and not self.constants:
@@ -317,6 +320,8 @@ def gen_solvable(
         raise ValueError("genus and m must be nonnegative")
     if genus == 0 and m == 0:
         raise ValueError("genus 0 requires at least one constant")
+    check_coords(A.ncoords, "the coefficient group")
+    check_coords(B.ncoords, "the base group")
     rng = random.Random(seed)
     ball = list(enumerate_ball(B, SOLVABLE_MAX_LENGTH))
     xs, ys = [], []

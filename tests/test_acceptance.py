@@ -449,6 +449,28 @@ def test_criterion_06_solver_cross_agreement():
         instances += 1
     assert decisions.count("negative") >= 3, decisions
 
+    # h = 1 over Z x Z_2 and Z x Z_3: two functions of two unit atoms each,
+    # the last with one more atom that cancels the total.  Torsion
+    # coordinates are uniform, free ones lie in [-1, 1].  Three functions
+    # stay out: the oracle takes seconds per instance there.
+    rng = random.Random(60603)
+    for B in (ZxZ2, ZxZ3):
+
+        def point():
+            return B.element((rng.randrange(B.torsion[0]), rng.randint(-1, 1)))
+
+        def two_atoms():
+            unit = (Z.element((rng.choice((-1, 1)),)) for _ in range(2))
+            return SupportedFunction(Z, B, tuple((point(), a) for a in unit))
+
+        decisions = []
+        for _ in range(100):
+            f, g = two_atoms(), two_atoms()
+            g = g + SupportedFunction.atom(-(f + g).total_coefficient(), point())
+            decisions.append(_cross_check(QspInstance(Z, B, (f, g), 1), False))
+            instances += 1
+        assert decisions.count("negative") >= 8, (B, decisions)
+
     print(f"[criterion 6] pass - {instances} instances: all applicable "
           f"solvers agreed with the exhaustion oracle")
 

@@ -30,6 +30,7 @@ from wreath_dio.codec import (
     encode_instance,
 )
 from wreath_dio.group_ring import SupportedFunction
+from wreath_dio.hardness import COORD_CAP
 from wreath_dio.qsp import Certificate, QspInstance
 from wreath_dio.solvers import DEFAULT_BUDGET
 from wreath_dio.wreath import OrientableEquation, WreathElement, gen_solvable
@@ -131,6 +132,24 @@ def test_qsp_solve_output_file_atomic(tmp_path, capsys):
     assert report["decision"] == "positive"
     # no temp files left behind
     assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json", "report.json"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask022", "umask077"])
+def test_output_file_gets_the_mode_open_would_give(tmp_path, umask):
+    # a new file gets 0o666 less the umask, a replaced one keeps its mode,
+    # as open(path, "w") leaves them; the atomic write's temporary file
+    # starts at 0o600
+    out = tmp_path / "zoe.json"
+    argv = ["gen", "zoe", "--matrix", "1,0;0,1", "--output", str(out)]
+    old = os.umask(umask)
+    try:
+        assert main(argv) == EXIT_POSITIVE
+        assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+        out.chmod(0o640)
+        assert main(argv) == EXIT_POSITIVE
+        assert out.stat().st_mode & 0o777 == 0o640
+    finally:
+        os.umask(old)
 
 
 @pytest.mark.parametrize("command", [
@@ -442,6 +461,58 @@ def test_gen_bad_values_string_exit(capsys):
     code = main(["gen", "3part-h0", "--values", "1,x,1", "--k", "1"])
     assert code == EXIT_PRECONDITION
     assert "--values" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["3part-h0", "--values", "1_1,+11, 11", "--k", "1"],
+        ["3part-h0", "--values", "11,11,\u0661\u0661", "--k", "1"],
+        ["3part-h0", "--values", "9" * 5000 + ",1,1", "--k", "1"],
+        ["3part-h0", "--values", "1,1,1", "--k", "1", "--base-torsion", "+2"],
+        ["zoe", "--matrix", "\u0661,0;0,1"],
+    ],
+    ids=["underscore-and-plus", "arabic-indic", "past-digit-limit", "plus-torsion", "zoe"],
+)
+def test_gen_list_integer_must_be_decimal(capsys, argv):
+    # FORMATS.md's integer convention: int() alone reads 1_1, +11 and
+    # Arabic-Indic digits, and fails only past its digit limit
+    code = main(["gen", *argv])
+    err = capsys.readouterr().err
+    assert code == EXIT_PRECONDITION
+    assert "expected comma-separated integers" in err
+
+
+def test_gen_list_integers_are_stripped(capsys):
+    code = main(["gen", "3part-h0", "--values", " 11, 11,,11 ", "--k", "1"])
+    assert code == EXIT_POSITIVE
+    assert json.loads(capsys.readouterr().out)["provenance"]["params"]["values"] == [11] * 3
+
+
+@pytest.mark.parametrize("k", ["1_1", "+1", "\u0661", "1.0"])
+def test_gen_integer_option_must_be_decimal(capsys, k):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "3part-h0", "--values", "1,1,1", "--k", k])
+    assert exc.value.code == EXIT_PRECONDITION
+    assert "argument --k" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [COORD_CAP + 1, 100_000], ids=["cap+1", "100000"])
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["3part-midh", "--values", "1,1,1", "--k", "1", "--rank"],
+        ["3part-h0", "--values", "1,1,1", "--k", "1", "--base-free"],
+        ["3part-h0", "--values", "1,1,1", "--k", "1", "--coeff-free"],
+        ["solvable", "--base-free"],
+    ],
+    ids=["midh-rank", "h0-base", "h0-coeff", "solvable-base"],
+)
+def test_gen_past_the_coordinate_cap_exits_before_building(capsys, flags, n):
+    code = main(["gen", *flags, str(n)])
+    cap = capsys.readouterr()
+    assert code == EXIT_PRECONDITION
+    assert cap.out == "" and f"{n} coordinates, past the cap {COORD_CAP}" in cap.err
 
 
 def test_gen_trivial_coefficient_group_exit(capsys):

@@ -53,16 +53,16 @@ def test_formats_instance_report_and_certificate(tmp_path, capsys):
     assert capsys.readouterr().out == "valid\n"
 
 
-def test_formats_function_may_carry_its_groups(tmp_path, capsys):
+def test_formats_function_is_its_terms(tmp_path, capsys):
+    # the documented instance's function, with its groups beside the terms:
+    # agreeing with the instance's or not, "A" and "B" are not keys of a function
     obj = _formats_json("Quotient-sum instances")
     (f,) = obj["fs"]
-    f["A"], f["B"] = obj["A"], obj["B"]
-    instance = _write(tmp_path, "embedded.json", obj)
-    assert main(["qsp", "solve", str(instance)]) == EXIT_POSITIVE
-    capsys.readouterr()
-    f["B"] = obj["A"]
-    instance = _write(tmp_path, "disagrees.json", obj)
-    assert main(["qsp", "solve", str(instance)]) == EXIT_PARSE
+    for name, base in (("agrees", obj["B"]), ("disagrees", obj["A"])):
+        f["A"], f["B"] = obj["A"], base
+        instance = _write(tmp_path, f"{name}.json", obj)
+        assert main(["qsp", "solve", str(instance)]) == EXIT_PARSE
+        assert "function: unknown field 'A', 'B'" in capsys.readouterr().err
 
 
 def test_formats_equation_solves(tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 from wreath_dio.abelian import GroupPresentation, Subgroup, subgroup_contains
 from wreath_dio.codec import canonical_json, decode_instance, encode_instance
 from wreath_dio.hardness import (
+    COORD_CAP,
     ThreePartInstance,
     ZoeInstance,
     gen_3part_h0,
@@ -236,6 +237,16 @@ def test_midh_rejects_bad_rank():
     T = ThreePartInstance((1, 1, 1), 1)
     with pytest.raises(ValueError):
         gen_3part_midh(T, 0)
+
+
+def test_midh_rank_is_capped():
+    # the standard basis of Z^h alone holds h^2 integers, and the sentinel
+    # weights reach 2^h * M: the rank is refused before either is built
+    T = ThreePartInstance((1, 1, 1), 1)
+    assert gen_3part_midh(T, COORD_CAP).B.free_rank == COORD_CAP
+    for h in (COORD_CAP + 1, 100_000):
+        with pytest.raises(ValueError, match=f"{h} coordinates, past the cap"):
+            gen_3part_midh(T, h)
 
 
 def test_midh_tiny_positive_with_sentinel_subgroup():

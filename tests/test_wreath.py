@@ -318,6 +318,36 @@ def test_gen_solvable_always_evaluates_to_identity():
         assert evaluate(eq, asn).is_identity()
 
 
+@pytest.mark.parametrize(
+    "A, B",
+    [(GroupPresentation(33), Z), (Z2, GroupPresentation(1, (2,) * 32))],
+    ids=["coefficients", "base"],
+)
+def test_gen_solvable_groups_are_capped(A, B):
+    # neither group may have more than 32 coordinates: gen_solvable walks a
+    # radius-3 ball over B and draws elements of A
+    with pytest.raises(ValueError, match="33 coordinates, past the cap 32"):
+        gen_solvable(0, A, B, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda c: QspInstance(Z, Z, (), 1.5),
+        lambda c: QspInstance(Z, Z, (), "1"),
+        lambda c: OrientableEquation(Z, Z, 0.5, (c,)),
+        lambda c: OrientableEquation(Z, Z, "1", (c,)),
+    ],
+    ids=["h-float", "h-string", "genus-float", "genus-string"],
+)
+def test_h_and_genus_must_be_integers(build):
+    # a float h once built an instance of size 3.5, and a float genus
+    # reduced to h = 1.0, which dispatch decided by the big-h rule
+    c = w(Z, Z, (1,), [((0,), (1,))])
+    with pytest.raises(ValueError, match="must be an integer"):
+        build(c)
+
+
 def test_gen_solvable_seed_determinism():
     a1 = gen_solvable(42, Z2, Z, 1, 2)
     a2 = gen_solvable(42, Z2, Z, 1, 2)
