@@ -13,7 +13,8 @@ Smith form serves membership, the quotient with its projection map, and
 the lift back, which the anchored search in solvers calls; the rank reads
 G's relations written in the basis K.  All elimination, K included, is
 lattice.hermite_form's.  The trivial subgroup alone needs no Smith form,
-G/{0} projecting by coord_ops's reduce.
+G/{0} projecting by coord_ops's reduce; its form's trivial flag, set by K
+whichever generators (zeros too) name it, is the library's one N = 0 test.
 A rank budget is checked against min(#generators, rank G) first, so the
 rank is read only when that bound exceeds it (subgroup_rank_at_most).
 
@@ -183,7 +184,10 @@ class GroupElement:
 
 
 def _integer(x: object, what: str) -> int:
-    """x as an exact int; a float or any other non-integer is a ValueError."""
+    """x as an exact int; a bool, a float or any other non-integer is a
+    ValueError.  operator.index alone reads True as 1."""
+    if isinstance(x, bool):
+        raise ValueError(f"{what} must be an integer, got bool")
     try:
         return index(x)
     except TypeError:
@@ -357,13 +361,15 @@ class _SubgroupForm:
     _Level.lift calls it).  U^-1 and the rank, read off K alone, are
     computed on first use.  The trivial subgroup needs no Smith form: its
     K is G's relation rows, whose transpose is in Smith form with U = I,
-    so Q = G and project_coords is coord_ops(G)'s reduce.
+    so Q = G and project_coords is coord_ops(G)'s reduce.  trivial marks
+    that case, the one N = 0 test callers read.
     """
 
     def __init__(self, G: GroupPresentation, key: Matrix):
         self.G = G
         self.key = key
-        if key == tuple(_relation_rows(G)):
+        self.trivial = key == tuple(_relation_rows(G))
+        if self.trivial:
             self.U = _identity(G.ncoords)
             self.factors = [*G.torsion, *(0,) * G.free_rank]
             self.project_coords = coord_ops(G)[2]

@@ -25,6 +25,7 @@ import argparse
 import json
 import logging
 import os
+import re
 import stat
 import sys
 import tempfile
@@ -165,12 +166,20 @@ def _check_output(output: Optional[str]) -> None:
         raise _CliError(EXIT_PRECONDITION, f"cannot write {output}: no such directory")
 
 
+# --budget-seconds, once stripped: ASCII digits with an optional fraction;
+# float() alone also reads "1_0", "+5", "1e3", "inf", "nan" and "٥"
+_SECONDS = re.compile(r"[0-9]+(\.[0-9]+)?")
+
+
 def _budget_from_args(args: argparse.Namespace) -> SolverBudget:
+    seconds = args.budget_seconds.strip()
     try:
+        if not _SECONDS.fullmatch(seconds):
+            raise ValueError(f"max_seconds must be a decimal number, got {seconds!r}")
         return SolverBudget(
             max_delta_tuples=args.budget_delta_tuples,
             max_subgroup_tuples=args.budget_subgroup_tuples,
-            max_seconds=args.budget_seconds,
+            max_seconds=float(seconds),
         )
     except ValueError as exc:
         raise _CliError(EXIT_PRECONDITION, f"--budget-*: {exc}") from None
@@ -233,6 +242,7 @@ def _group_from_args(prefix: str, args: argparse.Namespace) -> GroupPresentation
 
 
 def cmd_solve_equation(args: argparse.Namespace) -> int:
+    budget = _budget_from_args(args)  # a usage error comes before any work
     raw, obj = _read_json(args.equation)
     eq, _ = decode_equation(obj)
     start = time.monotonic()
@@ -243,16 +253,17 @@ def cmd_solve_equation(args: argparse.Namespace) -> int:
         log.info(
             "reduced to QSP over %s functions, h=%s", len(reduced.fs), reduced.h
         )
-        result = dispatch(reduced, _budget_from_args(args))
+        result = dispatch(reduced, budget)
     wall = time.monotonic() - start
     return _finish(raw, result, wall, args.output)
 
 
 def cmd_qsp_solve(args: argparse.Namespace) -> int:
+    budget = _budget_from_args(args)
     raw, obj = _read_json(args.instance)
     instance, _ = decode_instance(obj)
     start = time.monotonic()
-    result = dispatch(instance, _budget_from_args(args))
+    result = dispatch(instance, budget)
     wall = time.monotonic() - start
     return _finish(raw, result, wall, args.output)
 
@@ -339,7 +350,7 @@ def _add_budget_flags(p: argparse.ArgumentParser) -> None:
     b = DEFAULT_BUDGET
     p.add_argument("--budget-delta-tuples", type=_decimal, default=b.max_delta_tuples)
     p.add_argument("--budget-subgroup-tuples", type=_decimal, default=b.max_subgroup_tuples)
-    p.add_argument("--budget-seconds", type=float, default=b.max_seconds)
+    p.add_argument("--budget-seconds", default=str(b.max_seconds))
 
 
 def _add_output_flag(p: argparse.ArgumentParser) -> None:

@@ -6,13 +6,14 @@ convention throughout the codebase:
 
     shift(f, delta)(x) = f(delta + x),  so  supp(shift(f, delta)) = supp(f) - delta.
 
-Every function is built one way.  The constructor, + and unary -, shift and
-pushforward each gather (point, coefficient) coordinates in one dict, kept
-canonical by coord_ops (add and sub on tuples) and the subgroup form's
-project_coords, and _from_sums builds the result from it; is_zero_mod only
-reads such a dict.  GroupElement and SupportedFunction appear only at the
-API boundary, and coordinates are reduced only by coord_ops, whose reduce is
-the one reduction rule.
+Every function is built one way.  The constructor, + and unary -, and shift
+each gather (point, coefficient) coordinates in one dict, kept canonical by
+coord_ops (add and sub on tuples), and _from_sums builds the result from it.
+Sums per coset of N have one kernel, _coset_sums, projecting by the subgroup
+form unless N = 0: pushforward builds from its dict, and is_zero_mod and
+qsp.satisfies_equation only read it.  GroupElement and SupportedFunction
+appear only at the API boundary, and coordinates are reduced only by
+coord_ops, whose reduce is the one reduction rule.
 """
 
 from __future__ import annotations
@@ -181,7 +182,8 @@ def pushforward(f: SupportedFunction, N: Subgroup) -> SupportedFunction:
     phi_*(f)(x) = sum of f over the fiber of the canonical map phi at x.
     """
     form = _quotient_form(f.base_group, N)
-    return _from_sums(f.coeff_group, form.Q, _projected_sums(f, form))
+    pairs = ((p.coords, a.coords) for p, a in f.terms)
+    return _from_sums(f.coeff_group, form.Q, _coset_sums(f.coeff_group, form, pairs))
 
 
 def _vanishes(sums: dict[tuple, tuple[int, ...]]) -> bool:
@@ -191,17 +193,22 @@ def _vanishes(sums: dict[tuple, tuple[int, ...]]) -> bool:
 
 def is_zero_mod(f: SupportedFunction, N: Subgroup) -> bool:
     """Whether f vanishes in A^{B/N} (empty pushforward support)."""
-    return _vanishes(_projected_sums(f, _quotient_form(f.base_group, N)))
+    form = _quotient_form(f.base_group, N)
+    pairs = ((p.coords, a.coords) for p, a in f.terms)
+    return _vanishes(_coset_sums(f.coeff_group, form, pairs))
 
 
-def _projected_sums(
-    f: SupportedFunction, form: _SubgroupForm
+def _coset_sums(
+    A: GroupPresentation, form: _SubgroupForm, pairs: Iterable[tuple[tuple, tuple]]
 ) -> dict[tuple, tuple[int, ...]]:
-    """f's coefficient sums per coset, keyed by the coset's coordinates."""
-    project = form.project_coords
-    return _coeff_sums(
-        f.coeff_group, ((project(p.coords), a.coords) for p, a in f.terms)
-    )
+    """Coefficient sums per coset of form's subgroup N, keyed by the coset's
+    coordinates in B/N, over (point, coeff) pairs canonical in B and A;
+    zeros are kept.  At N = 0 a canonical point is its own coset's key, so
+    nothing is projected."""
+    if not form.trivial:
+        project = form.project_coords
+        pairs = ((project(p), c) for p, c in pairs)
+    return _coeff_sums(A, pairs)
 
 
 def lambda_term(f: SupportedFunction, b: GroupElement) -> SupportedFunction:

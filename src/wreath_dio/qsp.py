@@ -6,14 +6,15 @@ quotient-sum equation).
 A certificate is the witnessing pair (deltas, generators of N); verification
 is polynomial in the sizes of instance and certificate.
 
-Clusters group function indices whose shifted supports touch modulo N.
-normalize_deltas lifts each along a spanning tree, so at every h a witness's
-shifts fit the instance size and its generators a per-coordinate box.
+Clusters group function indices whose shifted supports touch modulo N; one
+walk (_walk) finds each along a spanning tree of shared N-cosets, and
+normalize_deltas applies its moves, so at every h a witness's shifts fit the
+instance size and its generators a per-coordinate box.
 
 shifted_sum, satisfies_equation and make_certificate run on canonical
 coordinate tuples: each shifted point p - delta_i comes from B's sub kernel
 (abelian.coord_ops), and every shifted term goes into one dict keyed by its
-point (or, for the equation, by the point's coordinates in B/N), summed by
+point (or, for the equation, by its coset, group_ring._coset_sums), summed by
 A's add kernel, so the work is linear in the number of terms.  GroupElement
 and SupportedFunction appear only at the API boundary.
 """
@@ -21,7 +22,7 @@ and SupportedFunction appear only at the API boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .abelian import (
     GroupElement,
@@ -37,6 +38,7 @@ from .abelian import (
 from .group_ring import (
     SupportedFunction,
     _coeff_sums,
+    _coset_sums,
     _from_sums,
     _vanishes,
 )
@@ -110,20 +112,14 @@ def _shifted_pairs(
     fs: Sequence[SupportedFunction],
     deltas: Sequence[GroupElement],
     B: GroupPresentation,
-    key: Optional[Callable[[tuple[int, ...]], tuple]] = None,
-) -> Iterator[tuple[tuple, tuple[int, ...]]]:
-    """(coordinates of p - delta_i in B, or their key, coefficient
-    coordinates) for every term (p, a) of every f_i: the terms of the
-    shifted sum, unmerged."""
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(coordinates of p - delta_i in B, coefficient coordinates) for every
+    term (p, a) of every f_i: the terms of the shifted sum, unmerged."""
     sub = coord_ops(B)[1]
     for f, d in zip(fs, deltas):
         dc = d.coords
-        if key is None:
-            for p, a in f.terms:
-                yield sub(p.coords, dc), a.coords
-        else:
-            for p, a in f.terms:
-                yield key(sub(p.coords, dc)), a.coords
+        for p, a in f.terms:
+            yield sub(p.coords, dc), a.coords
 
 
 def shifted_sum(
@@ -141,16 +137,13 @@ def satisfies_equation(
 ) -> bool:
     """The quotient-sum equation without the rank constraint.
 
-    Sums the coefficients of every shifted term per coset of N, keyed by the
-    projection of p - delta_i; the shifted sum itself is never built.
+    Sums the coefficients of every shifted term p - delta_i per coset of N
+    (group_ring._coset_sums); the shifted sum itself is never built.
     """
     if not fs and not deltas:
         return True
     A, B = _home_groups(fs, deltas)
-    form = _quotient_form(B, N)
-    # at N = 0 the projection is B's own reduction, which sub has done
-    key = form.project_coords if N.generators else None
-    return _vanishes(_coeff_sums(A, _shifted_pairs(fs, deltas, B, key)))
+    return _vanishes(_coset_sums(A, _quotient_form(B, N), _shifted_pairs(fs, deltas, B)))
 
 
 def verify_certificate(instance: QspInstance, cert: Certificate) -> bool:
@@ -181,6 +174,37 @@ def verify_certificate(instance: QspInstance, cert: Certificate) -> bool:
 # clusters
 
 
+def _walk(
+    fs: Sequence[SupportedFunction],
+    deltas: Sequence[GroupElement],
+    N: Subgroup,
+) -> Iterator[dict[int, tuple[int, ...]]]:
+    """The mod-N walk: per block, each member's index mapped to its move,
+    in placement order.  A block starts at the least unplaced index, with
+    move 0.  While some unplaced function has a shifted point p in the
+    N-coset of a placed point q, the first such function by index, at its
+    first such p, is placed with move p - q, in N: its points, moved back
+    by it, become the placed points of their cosets."""
+    if not fs and not deltas:
+        return
+    B = _home_groups(fs, deltas)[1]
+    sub, project = coord_ops(B)[1], _quotient_form(B, N).project_coords
+    shifted = ([sub(p.coords, d.coords) for p, _ in f.terms] for f, d in zip(fs, deltas))
+    points = [[(project(x), x) for x in xs] for xs in shifted]  # with coset keys
+    unplaced, zero = list(range(len(fs))), B.zero().coords
+    while unplaced:
+        i, offset, placed, moves = unplaced[0], zero, {}, {}
+        while i is not None:
+            unplaced.remove(i)
+            moves[i] = offset
+            for k, x in points[i]:
+                placed[k] = sub(x, offset)
+            hits = ((j, sub(x, placed[k])) for j in unplaced
+                    for k, x in points[j] if k in placed)
+            i, offset = next(hits, (None, None))
+        yield moves
+
+
 def clusters(
     fs: Sequence[SupportedFunction],
     deltas: Sequence[GroupElement],
@@ -192,41 +216,9 @@ def clusters(
     phi(supp(f_j^{delta_j})) for phi: B -> B/N.  With N trivial this is the
     plain cluster partition; functions with empty support sit in singleton
     blocks.  The blocks are disjoint, cover 0..m-1 and are sorted by least
-    index.
+    index: they are the blocks of the mod-N walk (_walk).
     """
-    m = len(fs)
-    if len(deltas) != m:
-        raise ShapeMismatch("delta list length differs from function list")
-    parent = list(range(m))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    if m:
-        B = _home_groups(fs, deltas)[1]
-        sub = coord_ops(B)[1]
-        project = _quotient_form(B, N).project_coords
-        owner: dict[tuple[int, ...], int] = {}
-        for i, (f, d) in enumerate(zip(fs, deltas)):
-            for p, _ in f.terms:
-                key = project(sub(p.coords, d.coords))
-                if key in owner:
-                    union(owner[key], i)
-                else:
-                    owner[key] = i
-    # every root is its block's least index, so blocks appear in that order
-    groups: dict[int, set[int]] = {}
-    for i in range(m):
-        groups.setdefault(find(i), set()).add(i)
-    return tuple(frozenset(v) for v in groups.values())
+    return tuple(frozenset(moves) for moves in _walk(fs, deltas, N))
 
 
 def cluster_shift(
@@ -281,12 +273,12 @@ def make_certificate(
     """
     if not instance.fs and not deltas:
         return Certificate((), ())
-    project = _quotient_form(instance.B, N).project_coords
+    form = _quotient_form(instance.B, N)
     A, B = _home_groups(instance.fs, deltas)
-    if not N.generators:
+    if form.trivial:
         # each N-coset is one point, so no difference p - q arises
         return Certificate(tuple(deltas), ())
-    sub = coord_ops(B)[1]
+    project, sub = form.project_coords, coord_ops(B)[1]
     sums = _coeff_sums(A, _shifted_pairs(instance.fs, deltas, B))
     first: dict[tuple[int, ...], tuple[int, ...]] = {}
     gens: set[tuple[int, ...]] = set()
@@ -308,11 +300,9 @@ def normalize_deltas(
 ) -> tuple[GroupElement, ...]:
     """Replace a solution's shifts by small ones: |delta_i'| <= sum size(f_i).
 
-    The spanning-tree lift, one pass over each block of clusters(fs, deltas,
-    N).  The block's least index keeps its shift.  While some function is
-    unplaced, the first by index with a shifted point p in the N-coset of a
-    placed point q has its shift moved by p - q, in N, so p lands on q; one
-    qualifies, as the block is connected mod N.  Last, the block is
+    The spanning-tree lift: each block of the mod-N walk (_walk) has every
+    shift moved by its move, in N, so that each placed function's point p
+    lands on the point q of the block it was placed at.  Then the block is
     translated so that the least point of its union is the origin.  Shifts
     in N keep the equation and the mod-N clusters, and a block's own sum
     vanishes mod N, so its translate does too.  The lift makes each block
@@ -332,26 +322,13 @@ def normalize_deltas(
         raise ValueError("input shifts do not solve the instance")
     B = N.ambient
     add, sub, _ = coord_ops(B)
-    project = _quotient_form(B, N).project_coords
-    points = [[sub(p.coords, d.coords) for p, _ in f.terms] for f, d in zip(fs, deltas)]
     work = [d.coords for d in deltas]
-    for blk in clusters(fs, deltas, N):
-        first, *unplaced = sorted(blk)
-        # one placed point per N-coset reached: any of them will do as q
-        placed = {project(q): q for q in points[first]}
-        while unplaced:
-            hits = ((i, p) for i in unplaced for p in points[i] if project(p) in placed)
-            i, p = next(hits, (None, None))
-            if i is None:
-                raise AssertionError("a mod-N cluster shares no N-coset point")
-            unplaced.remove(i)
-            offset = sub(p, placed[project(p)])
-            work[i] = add(work[i], offset)
-            for x in points[i]:
-                placed[project(x)] = sub(x, offset)
-        union = [sub(p.coords, work[i]) for i in blk for p, _ in fs[i].terms]
+    for moves in _walk(fs, deltas, N):
+        for i, move in moves.items():
+            work[i] = add(work[i], move)
+        union = [sub(p.coords, work[i]) for i in moves for p, _ in fs[i].terms]
         least = min(union, default=None)
-        for i in blk:
+        for i in moves:
             work[i] = B.zero().coords if least is None else add(work[i], least)
     out = tuple(_element(B, d) for d in work)
     if not satisfies_equation(fs, out, N):

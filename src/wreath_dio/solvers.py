@@ -24,6 +24,7 @@ from .abelian import (
     Subgroup,
     _element,
     _identity,
+    _integer,
     _relation_rows,
     _subgroup_form,
     coord_ops,
@@ -56,6 +57,12 @@ class SolverBudget:
     max_seconds: float = 60.0
 
     def __post_init__(self) -> None:
+        # the caps count units, so each is an int; a bool is neither a count
+        # nor a number of seconds
+        for name in ("max_delta_tuples", "max_subgroup_tuples"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        if isinstance(self.max_seconds, bool):
+            raise ValueError("max_seconds must be a number, got bool")
         for name in ("max_delta_tuples", "max_subgroup_tuples", "max_seconds"):
             # `not > 0` also rejects NaN, which compares false to everything
             if not getattr(self, name) > 0:
@@ -149,9 +156,9 @@ class _Level:
     keys of the subgroups N + <d> tried so far, by d in Q: each is its
     form's key, the Hermite basis abelian._subgroup_key gives.
 
-    At the root, N = 0 and Q is B: gs holds the terms as given, each point
-    is its own B-point, nothing is projected, merged or lifted, and cosets
-    stays empty.  A level with generators pushes every term into Q.
+    At N = 0 (form.trivial, as at the root) Q is B: gs holds the terms as
+    given, each point is its own B-point, nothing is projected, merged or
+    lifted, and cosets stays empty.  Any other level pushes terms into Q.
 
     The level reads its prune rule off Q once.  tested: the reachability
     test runs in B/I(N), Q with its first drop coordinates dropped (all of
@@ -191,7 +198,7 @@ class _Level:
         self.cosets: dict[tuple, tuple] = {}
         self.memo: dict[tuple, set] = {}
         self.children: dict[tuple, tuple] = {}
-        if gens:
+        if not form.trivial:
             pushed = enumerate(map(self.push, terms))
             self.gs = {i: tuple(sorted(s.items())) for i, s in pushed if s}
         else:
@@ -218,9 +225,9 @@ class _Level:
         return q
 
     def lift(self, q: tuple) -> tuple:
-        """A B-point of the point q of B/N: q itself at the root; else the
+        """A B-point of the point q of B/N: q itself at N = 0; else the
         one lifts holds, or, on a miss, one lifted through N's Smith form."""
-        if not self.gens:
+        if self.form.trivial:
             return q
         b = self.lifts.get(q)
         if b is None:

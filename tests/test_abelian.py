@@ -102,9 +102,14 @@ def test_floats_are_rejected_not_truncated():
     for torsion in ((2.0,), (1.0, 2), (2, 4.0)):
         with pytest.raises(ValueError, match="torsion order must be an integer"):
             GroupPresentation(0, torsion)
-    # anything with __index__ is an exact integer and still accepted
+    # anything with __index__ is an exact integer and still accepted; the
+    # element constructor's fast path takes a bool as 1, but a presentation
+    # rejects one, as the codec does
     assert G.element((True, -3)).coords == (1, -3)
-    assert GroupPresentation(True, (True, 6)) == GroupPresentation(1, (6,))
+    with pytest.raises(ValueError, match="free rank must be an integer, got bool"):
+        GroupPresentation(True, (6,))
+    with pytest.raises(ValueError, match="torsion order must be an integer, got bool"):
+        GroupPresentation(1, (True, 6))
 
 
 def test_element_addition_and_negation():

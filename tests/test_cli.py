@@ -258,6 +258,33 @@ def test_qsp_solve_bad_budget_flag_exit(tmp_path, capsys):
         assert "--budget-" in cap.err
 
 
+@pytest.mark.parametrize(
+    "seconds", ["1_0", "+5", "٥", "1e3", "inf", "Infinity", ".5", "1.", "nan"]
+)
+@pytest.mark.parametrize("command", ["solve", "qsp-solve"])
+def test_budget_seconds_must_be_a_decimal_number(tmp_path, capsys, command, seconds):
+    # float() alone reads every one of these; the equation reduces to an
+    # unsolvable one, so a budget read only before the search went unread
+    if command == "solve":
+        equation = encode_equation(_delta_sum_equation())
+        argv = ["solve", _write(tmp_path, "eq.json", equation)]
+    else:
+        instance = encode_instance(_positive_pair_instance())
+        argv = ["qsp", "solve", _write(tmp_path, "inst.json", instance)]
+    code = main([*map(str, argv), "--budget-seconds", seconds])
+    cap = capsys.readouterr()
+    assert code == EXIT_PRECONDITION
+    assert "--budget-" in cap.err and cap.out == ""
+
+
+@pytest.mark.parametrize("seconds", ["60", "0.5", "60.0", " 60.0 ", "007.250"])
+def test_budget_seconds_reads_decimal_numbers(tmp_path, capsys, seconds):
+    path = _write(tmp_path, "inst.json", encode_instance(_positive_pair_instance()))
+    code = main(["qsp", "solve", str(path), "--budget-seconds", seconds])
+    assert code == EXIT_POSITIVE
+    assert _report_from(capsys)["decision"] == "positive"
+
+
 @pytest.mark.parametrize("command", [["solve"], ["qsp", "solve"]])
 def test_removed_ball_budget_flag_is_a_usage_error(tmp_path, capsys, command):
     path = _write(tmp_path, "inst.json", encode_instance(_negative_instance()))

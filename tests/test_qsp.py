@@ -16,6 +16,7 @@ from wreath_dio.abelian import (
     subgroup_rank,
 )
 from wreath_dio.group_ring import SupportedFunction, is_zero_mod, shift
+from wreath_dio.lattice import hermite_form
 from wreath_dio.qsp import (
     Certificate,
     QspInstance,
@@ -308,6 +309,84 @@ def test_cluster_diameter_bound():
             assert width <= sum(diameter(fs[i]) for i in blk)
 
 
+def _ref_same_coset(N, p, q):
+    """Whether p - q lies in N, by Hermite forms of N's generators and the
+    ambient relations, apart from the subgroup form's projection."""
+    G = N.ambient
+    relations = [
+        tuple(a if j == i else 0 for j in range(G.ncoords)) for i, a in enumerate(G.torsion)
+    ]
+    rows = [g.coords for g in N.generators] + relations
+    diff = tuple(x - y for x, y in zip(p.coords, q.coords))
+    return hermite_form(rows + [diff]) == hermite_form(rows)
+
+
+def _ref_clusters(fs, deltas, N):
+    """Components of "some shifted points of f_i and f_j share an N-coset",
+    grown from each least index not yet covered."""
+    supports = [shift(f, d).support() for f, d in zip(fs, deltas)]
+
+    def touch(i, j):
+        return any(_ref_same_coset(N, p, q) for p in supports[i] for q in supports[j])
+
+    blocks, left = [], list(range(len(fs)))
+    while left:
+        block = {left.pop(0)}
+        grown = True
+        while grown:
+            new = {j for j in left if any(touch(i, j) for i in block)}
+            left = [j for j in left if j not in new]
+            block |= new
+            grown = bool(new)
+        blocks.append(frozenset(block))
+    return tuple(blocks)
+
+
+_CLUSTER_GROUPS = (
+    GroupPresentation(1), GroupPresentation(2), GroupPresentation(1, (2,)),
+    GroupPresentation(0, (4,)),
+)
+
+
+@st.composite
+def _clustered(draw):
+    """(fs, deltas, N) over Z, Z^2, Z x Z_2 or Z_4 with N trivial, given
+    only zero generators, or given one or two small generators."""
+    B = draw(st.sampled_from(_CLUSTER_GROUPS))
+
+    def element():
+        return B.element(tuple(
+            draw(st.integers(0, a - 1)) for a in B.torsion
+        ) + tuple(draw(st.integers(-2, 2)) for _ in range(B.free_rank)))
+
+    fs = tuple(
+        SupportedFunction(Z, B, tuple(
+            (element(), Z.element((draw(st.sampled_from((-1, 1, 2))),)))
+            for _ in range(draw(st.integers(0, 3)))
+        ))
+        for _ in range(draw(st.integers(1, 5)))
+    )
+    deltas = tuple(element() for _ in fs)
+    kind = draw(st.sampled_from(("trivial", "zeros", "nonzero")))
+    if kind == "trivial":
+        gens = ()
+    elif kind == "zeros":
+        gens = (B.zero(),) * draw(st.integers(1, 2))
+    else:
+        gens = tuple(element() for _ in range(draw(st.integers(1, 2))))
+    return fs, deltas, Subgroup(B, gens)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_clustered())
+def test_clusters_match_a_hermite_form_connectivity(case):
+    fs, deltas, N = case
+    part = clusters(fs, deltas, N)
+    assert part == _ref_clusters(fs, deltas, N)
+    if not any(g.coords != N.ambient.zero().coords for g in N.generators):
+        assert part == clusters(fs, deltas, Subgroup.trivial(N.ambient))
+
+
 # ---------------------------------------------------------------------------
 # cluster_shift
 
@@ -467,6 +546,27 @@ def test_make_certificate_at_trivial_n_builds_no_shifted_sum(monkeypatch):
     monkeypatch.undo()
     assert verify_certificate(I, make_certificate(I, solved, trivial))
     assert not verify_certificate(I, make_certificate(I, unsolved, trivial))
+
+
+def test_a_subgroup_of_zero_generators_is_n_equals_zero(monkeypatch):
+    # <0> is the trivial subgroup: the certificate and the equation take the
+    # N = 0 path, as they do for Subgroup.trivial
+    f, g = atom(Z, Z, (1,), (0,)), atom(Z, Z, (-1,), (3,))
+    I = QspInstance(Z, Z, (f, g), 0)
+    zeros = Subgroup(Z, (Z.zero(), Z.zero()))
+    trivial = Subgroup.trivial(Z)
+    shifts = [(Z.zero(), Z.element((k,))) for k in range(-1, 5)]
+    for deltas in shifts:
+        assert satisfies_equation(I.fs, deltas, zeros) == satisfies_equation(
+            I.fs, deltas, trivial
+        ) == (deltas[1] == Z.element((3,)))
+
+    def no_sum(*args, **kwargs):
+        raise AssertionError("a shifted sum was built at N = 0")
+
+    monkeypatch.setattr(qsp, "_shifted_pairs", no_sum)
+    for deltas in shifts:
+        assert make_certificate(I, deltas, zeros) == Certificate(deltas, ())
 
 
 def test_make_certificate_at_trivial_n_still_checks_its_input():

@@ -51,6 +51,7 @@ from wreath_dio.solvers import (
     oracle_solve,
     solve_general,
 )
+from wreath_dio.wreath import OrientableEquation
 
 Z = GroupPresentation(1)
 Z2 = GroupPresentation(0, (2,))
@@ -536,6 +537,37 @@ def test_budget_validation():
         SolverBudget(max_seconds=-1)
     with pytest.raises(ValueError):
         SolverBudget(max_seconds=float("nan"))
+    # any real number of seconds above 0 is a budget, infinity included
+    for seconds in (0.5, 3, math.inf):
+        assert SolverBudget(max_seconds=seconds).max_seconds == seconds
+
+
+# operator.index reads True as 1, so each of these once built Z x Z_2, an
+# instance with h = 1 or a budget; the codec rejects a boolean as FORMATS.md
+# says, and the library now does too wherever it reads an integer
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: GroupPresentation(True),
+        lambda: GroupPresentation(1, (True, 2)),
+        lambda: QspInstance(Z, Z, (), True),
+        lambda: OrientableEquation(Z, Z, True, ()),
+        lambda: ThreePartInstance((1, 1, True), 1),
+        lambda: ThreePartInstance((1, 1, 1), True),
+        lambda: ZoeInstance(((True, 0), (0, 1))),
+        lambda: SolverBudget(max_delta_tuples=True),
+        lambda: SolverBudget(max_delta_tuples=1.5),
+        lambda: SolverBudget(max_subgroup_tuples=True),
+        lambda: SolverBudget(max_seconds=True),
+    ],
+    ids=[
+        "free-rank", "torsion", "h", "genus", "3part-value", "3part-k",
+        "zoe-entry", "delta-cap", "delta-cap-float", "subgroup-cap", "seconds",
+    ],
+)
+def test_a_bool_is_no_integer(build):
+    with pytest.raises(ValueError, match="got bool|got float"):
+        build()
 
 
 def test_counters_present():
