@@ -4,7 +4,9 @@ Groups are kept in invariant-factor form: a free rank plus a chain of torsion
 orders alpha_1 | alpha_2 | ... (each >= 2).  Elements are integer coordinate
 vectors, torsion coordinates first (stored canonically in [0, alpha_i)), then
 free coordinates.  Everything is immutable and computed with arbitrary
-precision integers; no floating point enters this module.
+precision integers; no floating point enters this module.  Groups are
+interned and capped: one object per group, of at most COORD_CAP
+coordinates, so every module compares groups with `is`.
 
 The workhorse is the Smith normal form.  A subgroup is its Hermite basis
 K, that of its preimage lattice (_subgroup_key), whichever generating set
@@ -28,6 +30,8 @@ all run on it, and GroupElement's own + and - on its add and sub.
 from __future__ import annotations
 
 import itertools
+import threading
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import add, index, mul
@@ -47,38 +51,58 @@ DEFAULT_BALL_CAP = 10**7
 # presentations and elements
 
 
-@dataclass(frozen=True)
+# the most coordinates a group may have.  Past it, measured: the trivial
+# subgroup's form over Z^10000 (an n x n identity) took 6.7 s and 1.1 GB,
+# coord_ops(Z^100000) 2.65 s and 868 MB, and a one-generator form 0.73 s
+# over Z^256 and 34 s over Z^1024, where the verifier has no budget
+COORD_CAP = 32
+
+# the live group of each (free rank, torsion), in no functools cache, which
+# may be cleared; the lock makes setdefault, Python code here, one step
+_groups = weakref.WeakValueDictionary()
+_groups_lock = threading.Lock()
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class GroupPresentation:
     """A finitely generated abelian group Z^free_rank x Z_a1 x ... x Z_at.
 
     The torsion orders must form a divisibility chain a1 | a2 | ... with every
-    a_i >= 2; factors equal to 1 are dropped at construction.
+    a_i >= 2; factors equal to 1 are dropped at construction.  There is one
+    object per group, of at most COORD_CAP coordinates.
 
     >>> GroupPresentation(1, (1, 6)).torsion
     (6,)
     """
 
     free_rank: int
-    torsion: tuple[int, ...] = ()
+    torsion: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        free_rank = _integer(self.free_rank, "free rank")
+    def __new__(cls, free_rank: int, torsion: Iterable[int] = ()) -> GroupPresentation:
+        free_rank = _integer(free_rank, "free rank")
         if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
-        orders = tuple(_integer(a, "torsion order") for a in self.torsion)
+        orders = tuple(_integer(a, "torsion order") for a in torsion)
         cleaned = tuple(a for a in orders if a != 1)
         if any(a < 1 for a in cleaned):
             raise ValueError("torsion orders must be positive")
         for prev, nxt in zip(cleaned, cleaned[1:]):
             if nxt % prev != 0:
                 raise ValueError("torsion orders must form a divisibility chain")
-        object.__setattr__(self, "torsion", cleaned)
-        object.__setattr__(self, "free_rank", free_rank)
-        object.__setattr__(self, "_hash", hash((free_rank, cleaned)))
+        n = free_rank + len(cleaned)
+        if n > COORD_CAP:
+            raise ValueError(f"the group has {n} coordinates, past the cap {COORD_CAP}")
+        G = _groups.get((free_rank, cleaned))
+        if G is None:
+            G = object.__new__(cls)
+            object.__setattr__(G, "free_rank", free_rank)
+            object.__setattr__(G, "torsion", cleaned)
+            with _groups_lock:
+                G = _groups.setdefault((free_rank, cleaned), G)
+        return G
 
-    def __hash__(self) -> int:
-        # computed once: every cache key on a group hashes it
-        return self._hash
+    def __reduce__(self):
+        return GroupPresentation, (self.free_rank, self.torsion)
 
     @property
     def ncoords(self) -> int:
@@ -154,7 +178,7 @@ class GroupElement:
         return hash(self.coords)
 
     def _check_same_group(self, other: "GroupElement") -> None:
-        if self.group is not other.group and self.group != other.group:
+        if self.group is not other.group:
             raise ValueError("elements belong to different groups")
 
     # the kernels keep canonical operands canonical, so the results skip the
@@ -263,7 +287,7 @@ class Subgroup:
         object.__setattr__(self, "generators", tuple(self.generators))
         G = self.ambient
         for g in self.generators:
-            if g.group is not G and g.group != G:
+            if g.group is not G:
                 raise ValueError("generator outside the ambient group")
 
     @staticmethod
@@ -407,7 +431,7 @@ class _SubgroupForm:
         ])
 
     def project(self, g: GroupElement) -> GroupElement:
-        if g.group != self.G:
+        if g.group is not self.G:
             raise ValueError("element outside the quotient's source group")
         return _element(self.Q, self.project_coords(g.coords))
 
@@ -416,7 +440,7 @@ class _SubgroupForm:
         return _unimodular_inverse(self.U)
 
     def lift(self, q: GroupElement) -> GroupElement:
-        if q.group != self.Q:
+        if q.group is not self.Q:
             raise ValueError("element outside the quotient group")
         y = [0] * self.G.ncoords
         for pos, c in zip(self.order, q.coords):
@@ -456,7 +480,7 @@ def subgroup_contains(S: Subgroup, g: GroupElement) -> bool:
     g is in S iff its coordinates lie in the lattice spanned by the rows of
     S's Hermite basis K, that is, iff g projects to zero in the quotient by S.
     """
-    if g.group != S.ambient:
+    if g.group is not S.ambient:
         raise ValueError("element outside the quotient's source group")
     return not any(_subgroup_form(S.ambient, S.generators).project_coords(g.coords))
 
@@ -508,7 +532,7 @@ def quotient(
 
 def _quotient_form(G: GroupPresentation, N: Subgroup) -> _SubgroupForm:
     """The cached Smith form of N <= G, for kernels that project coordinates."""
-    if N.ambient is not G and N.ambient != G:
+    if N.ambient is not G:
         raise ValueError("subgroup of a different group")
     return _subgroup_form(G, N.generators)
 
@@ -563,7 +587,7 @@ def geodesic_length(G: GroupPresentation, g: GroupElement) -> int:
     Free coordinates contribute |x_i|; torsion coordinates contribute the
     symmetric representative min(x_i, alpha_i - x_i).
     """
-    if g.group != G:
+    if g.group is not G:
         raise ValueError("element outside the group")
     t = len(G.torsion)
     total = sum(min(c, a - c) for c, a in zip(g.coords, G.torsion))

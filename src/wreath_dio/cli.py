@@ -50,7 +50,6 @@ from .codec import (
 from .hardness import (
     ThreePartInstance,
     ZoeInstance,
-    check_coords,
     gen_3part_h0,
     gen_3part_midh,
     gen_zoe,
@@ -230,9 +229,7 @@ def _group_from_args(prefix: str, args: argparse.Namespace) -> GroupPresentation
     free = getattr(args, f"{prefix}_free")
     torsion = _csv_ints(getattr(args, f"{prefix}_torsion"), f"--{prefix}-torsion")
     try:
-        G = GroupPresentation(free, torsion)
-        check_coords(G.ncoords, "the group")
-        return G
+        return GroupPresentation(free, torsion)
     except ValueError as exc:
         raise _CliError(EXIT_PRECONDITION, f"--{prefix}-*: {exc}") from None
 

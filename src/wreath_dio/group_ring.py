@@ -53,9 +53,9 @@ class SupportedFunction:
 
         def pairs():
             for point, coeff in self.terms:
-                if point.group != B:
+                if point.group is not B:
                     raise ValueError("support point outside the base group")
-                if coeff.group != A:
+                if coeff.group is not A:
                     raise ValueError("coefficient outside the coefficient group")
                 yield point.coords, coeff.coords
 
@@ -102,10 +102,8 @@ class SupportedFunction:
         )
 
     def _check_compatible(self, other: "SupportedFunction") -> None:
-        A, B = other.coeff_group, other.base_group
-        if (self.coeff_group is not A and self.coeff_group != A) or (
-            self.base_group is not B and self.base_group != B
-        ):
+        if (self.coeff_group is not other.coeff_group
+                or self.base_group is not other.base_group):
             raise ValueError("functions live over different groups")
 
     # -- abelian-group structure --------------------------------------------
@@ -166,7 +164,7 @@ def shift(f: SupportedFunction, delta: GroupElement) -> SupportedFunction:
     lengths) are untouched.
     """
     B = f.base_group
-    if delta.group != B:
+    if delta.group is not B:
         raise ValueError("shift by an element of a different group")
     sub = coord_ops(B)[1]
     d = delta.coords

@@ -16,11 +16,8 @@ from .group_ring import SupportedFunction, shift
 from .qsp import QspInstance
 
 UNARY_CAP = 4096
-# the most coordinates a generated group may have, so also the largest rank
-# of gen_3part_midh: standard_generators builds n tuples of n integers,
-# gen_3part_midh's sentinel weights reach 2^h * M, and gen_solvable walks a
-# radius-3 ball over B; at 32 each generator returns in about a second
-COORD_CAP = 32
+# groups are capped at abelian.COORD_CAP coordinates where they are built, so
+# gen_3part_midh builds Z^h before its basis or sentinel weights (2^h * M)
 BRUTEFORCE_MAX_K = 6
 BRUTEFORCE_MAX_N = 20
 
@@ -124,13 +121,6 @@ def _target_blocks(
     )
 
 
-def check_coords(n: int, what: str) -> None:
-    """Refuse, before anything is built, a generated group of more than
-    COORD_CAP coordinates."""
-    if n > COORD_CAP:
-        raise ValueError(f"{what} has {n} coordinates, past the cap {COORD_CAP}")
-
-
 def _check_unary_scale(T: ThreePartInstance) -> None:
     if T.target * T.k > UNARY_CAP:
         raise ValueError(
@@ -171,10 +161,9 @@ def gen_3part_midh(T: ThreePartInstance, h: int) -> QspInstance:
     """
     if h < 1:
         raise ValueError("h must be at least 1")
-    check_coords(h, "the base group Z^h")
+    B = GroupPresentation(h)
     _check_unary_scale(T)
     A = GroupPresentation(1)
-    B = GroupPresentation(h)
     a = A.element((1,))
     basis = B.standard_generators()
     b_h = basis[-1]

@@ -60,10 +60,7 @@ class QspInstance:
             raise ValueError("h must be nonnegative")
         A, B = self.A, self.B
         for f in self.fs:
-            # identity first: the dataclass == compares field by field
-            if (f.coeff_group is not A and f.coeff_group != A) or (
-                f.base_group is not B and f.base_group != B
-            ):
+            if f.coeff_group is not A or f.base_group is not B:
                 raise ValueError("instance functions must share (A, B)")
 
     def size(self) -> int:
@@ -102,7 +99,7 @@ def _home_groups(
         raise ShapeMismatch("empty function list has no home groups")
     f0 = fs[0]
     for f, d in zip(fs, deltas):
-        if d.group is not f.base_group and d.group != f.base_group:
+        if d.group is not f.base_group:
             raise ValueError("shift by an element of a different group")
         f0._check_compatible(f)
     return f0.coeff_group, f0.base_group
@@ -159,10 +156,10 @@ def verify_certificate(instance: QspInstance, cert: Certificate) -> bool:
         raise ShapeMismatch("certificate delta count differs from fs count")
     B = instance.B
     for d in cert.deltas:
-        if d.group is not B and d.group != B:
+        if d.group is not B:
             raise ShapeMismatch("certificate delta outside the base group")
     for g in cert.subgroup_gens:
-        if g.group is not B and g.group != B:
+        if g.group is not B:
             raise ShapeMismatch("certificate generator outside the base group")
     N = Subgroup(instance.B, cert.subgroup_gens)
     if not subgroup_rank_at_most(N, instance.h):

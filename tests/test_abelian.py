@@ -1,8 +1,12 @@
 """Group presentations, Smith normal form, quotients, and Cayley balls."""
 
+import copy
 import itertools
 import operator
+import pickle
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import example, given, settings
@@ -40,6 +44,60 @@ ZxZ = GroupPresentation(2)
 
 def test_torsion_factor_one_is_dropped():
     assert GroupPresentation(1, (1, 6)).torsion == (6,)
+
+
+def test_equal_groups_are_one_object():
+    G = GroupPresentation(1, (6,))
+    assert G is GroupPresentation(1, (1, 6))
+    assert copy.copy(G) is G and copy.deepcopy(G) is G
+    assert pickle.loads(pickle.dumps(G)) is G
+    g = G.element((5, -2))
+    assert pickle.loads(pickle.dumps(g)).group is G and copy.deepcopy(g).group is G
+
+
+def test_clearing_every_cache_keeps_one_object_per_group():
+    # the benchmark empties every functools cache in the package between
+    # passes; the table of live groups is none of them
+    G = GroupPresentation(2, (3,))
+    for name, module in list(sys.modules.items()):
+        if name.startswith("wreath_dio"):
+            for obj in list(vars(module).values()):
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+    assert GroupPresentation(2, (3,)) is G
+
+
+def test_racing_builds_of_one_group_yield_one_object():
+    # more threads than cores, switching often, each building the same new
+    # groups in the same order
+    orders = range(10_007, 10_407)
+    results = [[] for _ in range(8)]
+
+    def build(out):
+        out.extend(GroupPresentation(0, (a,)) for a in orders)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(out,)) for out in results]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert [len(out) for out in results] == [len(orders)] * len(results)
+    assert all(len(set(map(id, groups))) == 1 for groups in zip(*results))
+
+
+def test_groups_past_the_coordinate_cap_are_refused():
+    # ones are dropped before the coordinates are counted
+    assert GroupPresentation(32).ncoords == 32
+    assert GroupPresentation(0, (1,) * 8 + (2,) * 32).ncoords == 32
+    for free_rank, torsion in [(33, ()), (1, (2,) * 32), (0, (1,) * 8 + (2,) * 33)]:
+        with pytest.raises(ValueError, match="33 coordinates, past the cap 32"):
+            GroupPresentation(free_rank, torsion)
 
 
 def test_invalid_divisibility_chain_rejected():

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import wreath_dio
-from wreath_dio.abelian import GroupPresentation
+from wreath_dio.abelian import COORD_CAP, GroupPresentation
 from wreath_dio.cli import (
     EXIT_NEGATIVE,
     EXIT_PARSE,
@@ -27,10 +27,10 @@ from wreath_dio.codec import (
     digest,
     encode_certificate,
     encode_equation,
+    encode_group,
     encode_instance,
 )
 from wreath_dio.group_ring import SupportedFunction
-from wreath_dio.hardness import COORD_CAP
 from wreath_dio.qsp import Certificate, QspInstance
 from wreath_dio.solvers import DEFAULT_BUDGET
 from wreath_dio.wreath import OrientableEquation, WreathElement, gen_solvable
@@ -540,6 +540,43 @@ def test_gen_past_the_coordinate_cap_exits_before_building(capsys, flags, n):
     cap = capsys.readouterr()
     assert code == EXIT_PRECONDITION
     assert cap.out == "" and f"{n} coordinates, past the cap {COORD_CAP}" in cap.err
+
+
+def test_gen_zoe_past_the_coordinate_cap_exits_4(capsys):
+    # A = Z^n for an n-column matrix
+    n = COORD_CAP + 1
+    rows = [",".join("1" if i == j else "0" for j in range(n)) for i in range(n)]
+    code = main(["gen", "zoe", "--matrix", ";".join(rows)])
+    cap = capsys.readouterr()
+    assert code == EXIT_PRECONDITION
+    assert cap.out == "" and f"{n} coordinates, past the cap {COORD_CAP}" in cap.err
+
+
+PAST_THE_CAP = {
+    "free": {"free_rank": COORD_CAP + 1, "torsion": []},
+    "torsion": {"free_rank": 0, "torsion": [2] * (COORD_CAP + 1)},
+}
+
+
+@pytest.mark.parametrize("group", sorted(PAST_THE_CAP))
+@pytest.mark.parametrize("side", ["A", "B"])
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        (["qsp", "solve"], {"fs": [], "h": 0}),
+        (["solve"], {"constants": [], "genus": 1}),
+    ],
+    ids=["qsp-solve", "solve"],
+)
+def test_decoded_group_past_the_coordinate_cap_exits_3(
+    tmp_path, capsys, command, payload, side, group
+):
+    payload = {"A": encode_group(Z2), "B": encode_group(Z), **payload}
+    payload[side] = PAST_THE_CAP[group]
+    code = main([*command, str(_write(tmp_path, "input.json", payload))])
+    cap = capsys.readouterr()
+    assert code == EXIT_PARSE
+    assert cap.out == "" and f"{COORD_CAP + 1} coordinates, past the cap {COORD_CAP}" in cap.err
 
 
 def test_gen_trivial_coefficient_group_exit(capsys):

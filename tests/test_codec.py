@@ -67,6 +67,16 @@ def test_group_rejects_malformed():
         decode_group([1, 2])
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [{"free_rank": 33, "torsion": []}, {"free_rank": 0, "torsion": [2] * 33}],
+    ids=["free", "torsion"],
+)
+def test_group_past_the_coordinate_cap_is_a_codec_error(obj):
+    with pytest.raises(CodecError, match="33 coordinates, past the cap 32"):
+        decode_group(obj)
+
+
 def test_element_roundtrip():
     g = MIXED.element((1, 7, -4, 123456))
     assert decode_element(MIXED, encode_element(g)) == g

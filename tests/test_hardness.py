@@ -5,10 +5,9 @@ import json
 
 import pytest
 
-from wreath_dio.abelian import GroupPresentation, Subgroup, subgroup_contains
+from wreath_dio.abelian import COORD_CAP, GroupPresentation, Subgroup, subgroup_contains
 from wreath_dio.codec import canonical_json, decode_instance, encode_instance
 from wreath_dio.hardness import (
-    COORD_CAP,
     ThreePartInstance,
     ZoeInstance,
     gen_3part_h0,

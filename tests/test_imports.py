@@ -2,9 +2,9 @@
 that file, every name the package exports exists, every library name the
 benchmark in perfbench/ uses resolves (the tracer's string targets too, but
 for three known dead ones), every library definition has a caller outside
-the tests, no library check is a bare assert, the exhaustive oracle reaches
-no membership code, every CLI exit code is documented, and cli.main is the
-CLI's one error boundary."""
+the tests, no library check is a bare assert, groups are compared by
+identity, the exhaustive oracle reaches no membership code, every CLI exit
+code is documented, and cli.main is the CLI's one error boundary."""
 
 import ast
 import collections
@@ -63,6 +63,28 @@ def test_library_has_no_assert_statement(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name} has assert statements on lines {lines}"
+
+
+# attributes that hold a GroupPresentation
+GROUP_ATTRIBUTES = {"group", "ambient", "coeff_group", "base_group", "G", "Q"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_groups_are_compared_by_identity(path):
+    # GroupPresentation returns one object per group, so a group check is
+    # `is` or `is not`; == and != would only repeat it more slowly
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+        and any(
+            isinstance(x, ast.Attribute) and x.attr in GROUP_ATTRIBUTES
+            for x in [node.left, *node.comparators]
+        )
+    ]
+    assert not lines, f"{path.name} compares groups with == or != on lines {lines}"
 
 
 def test_every_exported_name_resolves():
@@ -147,7 +169,9 @@ def test_tracer_targets_resolve():
 
 
 # lemma-library functions that only the acceptance criteria and the tests
-# call: they check the paper's lemmas, so they stay without a library caller
+# call: they check the paper's lemmas, so they stay without a library caller.
+# The wreath group law (identity, inverse, multiply) is the reference that
+# the tests check the one-pass _product against
 LEMMA_LIBRARY = {
     "group_ring.diameter",
     "group_ring.lambda_map",
@@ -155,6 +179,9 @@ LEMMA_LIBRARY = {
     "qsp.cluster_shift",
     "qsp.normalize_deltas",
     "wreath.residual_function",
+    "wreath.wreath_identity",
+    "wreath.wreath_inverse",
+    "wreath.wreath_multiply",
 }
 
 

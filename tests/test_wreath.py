@@ -196,7 +196,7 @@ _CHECKS = {
 def test_group_checks_take_equal_groups_and_reject_foreign_ones(check):
     run = _CHECKS[check]
     equal = GroupPresentation(1)
-    assert equal is not Z and equal == Z
+    assert equal is Z
     run(equal)
     with pytest.raises(ValueError):
         run(Z2)
@@ -316,18 +316,6 @@ def test_gen_solvable_always_evaluates_to_identity():
     for seed in range(25):
         eq, asn = gen_solvable(seed, Z2, Z, genus=1, m=2)
         assert evaluate(eq, asn).is_identity()
-
-
-@pytest.mark.parametrize(
-    "A, B",
-    [(GroupPresentation(33), Z), (Z2, GroupPresentation(1, (2,) * 32))],
-    ids=["coefficients", "base"],
-)
-def test_gen_solvable_groups_are_capped(A, B):
-    # neither group may have more than 32 coordinates: gen_solvable walks a
-    # radius-3 ball over B and draws elements of A
-    with pytest.raises(ValueError, match="33 coordinates, past the cap 32"):
-        gen_solvable(0, A, B, 1, 1)
 
 
 @pytest.mark.parametrize(
