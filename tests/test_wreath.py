@@ -319,6 +319,19 @@ def test_gen_solvable_always_evaluates_to_identity():
 
 
 @pytest.mark.parametrize(
+    "A, B",
+    [((33, ()), (1, ())), ((0, (2,)), (1, (2,) * 32))],
+    ids=["coefficients", "base"],
+)
+def test_gen_solvable_groups_are_capped(A, B):
+    # neither group may have more than 32 coordinates: gen_solvable walks a
+    # radius-3 ball over B and draws elements of A, so such a group is refused
+    # when it is built, before gen_solvable is reached
+    with pytest.raises(ValueError, match="33 coordinates, past the cap 32"):
+        gen_solvable(0, GroupPresentation(*A), GroupPresentation(*B), 1, 1)
+
+
+@pytest.mark.parametrize(
     "build",
     [
         lambda c: QspInstance(Z, Z, (), 1.5),
